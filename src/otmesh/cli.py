@@ -112,14 +112,49 @@ def _model_from(cfg: dict) -> LagrangianModel:
         raise ConfigError(f"invalid parameters for model {name!r}: {exc}") from None
 
 
-def _grid_from(cfg: dict) -> TimeGrid:
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans do not count."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _number(value, what: str, positive: bool = False) -> float:
+    if not _is_number(value) or (positive and value <= 0):
+        kind = "finite positive number" if positive else "finite number"
+        raise ConfigError(f"{what} must be a {kind}, got {value!r}")
+    return float(value)
+
+
+def _positive_int(value, what: str) -> int:
+    """An integer >= 1; integral floats such as 32.0 are accepted."""
+    if not _is_number(value) or value < 1 or value != int(value):
+        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _threads_from(args, cfg: dict) -> int:
+    threads = _positive_int(cfg.get("threads", 1), "'threads'")
+    return args.threads or threads
+
+
+def _span_from(cfg: dict) -> tuple[float, float]:
     span = _require(cfg, "span")
     try:
         a, b = float(span[0]), float(span[1])
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, OverflowError, IndexError, KeyError):
         raise ConfigError("'span' must be a pair [a, b]") from None
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ConfigError("'span' must be finite")
     if not b > a:
         raise ConfigError("'span' must satisfy a < b")
+    return a, b
+
+
+def _grid_from(cfg: dict) -> TimeGrid:
+    a, b = _span_from(cfg)
     if "h" in cfg:
         try:
             return TimeGrid.from_step(a, b, float(cfg["h"]))
@@ -237,7 +272,7 @@ def cmd_flow(args, cfg: dict) -> int:
 
 
 def cmd_transport(args, cfg: dict) -> int:
-    threads = args.threads or int(cfg.get("threads", 1))
+    threads = _threads_from(args, cfg)
     if "costs_csv" in cfg:
         try:
             costs = matrix_from_csv(FsPath(cfg["costs_csv"]).read_text(encoding="utf-8"))
@@ -275,29 +310,31 @@ def cmd_converge(args, cfg: dict) -> int:
     spec_b = _marginal_from(
         cfg, "marginal_b", seed + 1 if seed is not None else None
     )
-    span = _require(cfg, "span")
-    try:
-        a, b = float(span[0]), float(span[1])
-    except (TypeError, ValueError, IndexError):
-        raise ConfigError("'span' must be a pair [a, b]") from None
+    span = _span_from(cfg)
     Ns = _require(cfg, "Ns")
     hs = _require(cfg, "hs")
     if not isinstance(Ns, list) or not isinstance(hs, list) or len(Ns) != len(hs) or not Ns:
         raise ConfigError("'Ns' and 'hs' must be nonempty lists of equal length")
-    threads = args.threads or int(cfg.get("threads", 1))
-    allow = args.allow_long_horizon or bool(cfg.get("allow_long_horizon", False))
+    Ns = [_positive_int(n, "an 'Ns' entry") for n in Ns]
+    hs = [_number(h, "an 'hs' entry", positive=True) for h in hs]
+    threads = _threads_from(args, cfg)
+    allow = cfg.get("allow_long_horizon", False)
+    if not isinstance(allow, bool):
+        raise ConfigError(f"'allow_long_horizon' must be true or false, got {allow!r}")
     reference = cfg.get("reference_action")
+    if reference is not None:
+        reference = _number(reference, "'reference_action'")
     report = run_convergence_study(
         model,
         spec_a,
         spec_b,
-        [int(n) for n in Ns],
-        [float(h) for h in hs],
-        (a, b),
+        Ns,
+        hs,
+        span,
         cost_kind=cfg.get("cost_kind", "auto"),
-        reference_action=None if reference is None else float(reference),
+        reference_action=reference,
         threads=threads,
-        allow_long_horizon=allow,
+        allow_long_horizon=args.allow_long_horizon or allow,
     )
     out = _out_dir(args, cfg)
     _write(out / "convergence.csv", convergence_report_to_csv(report))
@@ -310,7 +347,8 @@ def cmd_stationary(args, cfg: dict) -> int:
     hs = _require(cfg, "hs")
     if not isinstance(hs, list) or not hs:
         raise ConfigError("'hs' must be a nonempty list")
-    threads = args.threads or int(cfg.get("threads", 1))
+    hs = [_number(h, "an 'hs' entry", positive=True) for h in hs]
+    threads = _threads_from(args, cfg)
     if "paths_csv" in cfg:
         try:
             pi0 = measure_from_csv(FsPath(cfg["paths_csv"]).read_text(encoding="utf-8"))
@@ -318,10 +356,8 @@ def cmd_stationary(args, cfg: dict) -> int:
             raise ConfigError(f"cannot load initial paths: {exc}") from None
     elif "lines" in cfg:
         lines = cfg["lines"]
-        span = _require(cfg, "span")
+        grid = TimeGrid.uniform(*_span_from(cfg), 1)
         try:
-            a, b = float(span[0]), float(span[1])
-            grid = TimeGrid.uniform(a, b, 1)
             paths = tuple(
                 Path.line(
                     grid,
@@ -335,7 +371,7 @@ def cmd_stationary(args, cfg: dict) -> int:
         pi0 = EmpiricalPathMeasure(paths)
     else:
         raise ConfigError("stationary runs need 'paths_csv' or 'lines'")
-    report = run_stationarity_study(model, pi0, [float(h) for h in hs], threads=threads)
+    report = run_stationarity_study(model, pi0, hs, threads=threads)
     out = _out_dir(args, cfg)
     _write(out / "stationarity.csv", stationarity_report_to_csv(report))
     _write(out / "stationarity_summary.json", dumps_json(stationarity_report_to_json(report)))

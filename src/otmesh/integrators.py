@@ -73,15 +73,42 @@ def reference_flow(
     negligible against the O(h) / O(h^2) effects it is used to referee.  A
     trajectory leaving the guard radius raises BlowUpError instead of being
     clamped; for the quadratic-growth model family the flow is complete, so
-    blow-up indicates a modelling or usage error.
+    blow-up indicates a modelling or usage error.  This is the one-start case
+    of ``reference_flow_batch`` and returns bitwise the same trajectory.
+    """
+    nodes, x, v = reference_flow_batch(
+        model,
+        start.position[None, :],
+        start.velocity[None, :],
+        grid,
+        substeps_per_interval,
+        guard_radius,
+    )
+    return FlowResult(Path(grid, nodes[0]), PhasePoint(x[0], v[0]), 0)
+
+
+def reference_flow_batch(
+    model: LagrangianModel,
+    positions: np.ndarray,
+    velocities: np.ndarray,
+    grid: TimeGrid,
+    substeps_per_interval: int = 16,
+    guard_radius: float = 1e6,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """RK4 reference flow from P starts (P, n) at once on one grid.
+
+    Returns the nodes (P, l+1, n) and the final positions and velocities
+    (P, n).  Every stage is elementwise, so each path is bitwise what a
+    one-start integration gives.  If any path leaves the guard radius,
+    BlowUpError names the earliest grid interval where one did.
     """
     if substeps_per_interval < 16:
         raise ValueError("reference flow requires at least 16 substeps per interval")
     m = model.mass
-    x = start.position.copy()
-    v = start.velocity.copy()
-    nodes = np.empty((grid.n_intervals + 1, x.size))
-    nodes[0] = x
+    x = np.array(positions, dtype=float)
+    v = np.array(velocities, dtype=float)
+    nodes = np.empty((x.shape[0], grid.n_intervals + 1, x.shape[1]))
+    nodes[:, 0] = x
     for j, dt in enumerate(grid.spacings):
         sub = dt / substeps_per_interval
         for _ in range(substeps_per_interval):
@@ -98,13 +125,13 @@ def reference_flow(
             k4v = -np.asarray(model.grad_potential(x4), dtype=float) / m
             x = x + (sub / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             v = v + (sub / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            if np.max(np.abs(x)) > guard_radius:
+            if np.any(np.max(np.abs(x), axis=1) > guard_radius):
                 raise BlowUpError(
                     f"trajectory left the guard radius {guard_radius:g} "
                     f"within grid interval {j}"
                 )
-        nodes[j + 1] = x
-    return FlowResult(Path(grid, nodes), PhasePoint(x, v), 0)
+        nodes[:, j + 1] = x
+    return nodes, x, v
 
 
 def _el_step(
@@ -206,13 +233,21 @@ def discrete_flow(
 def _interior_defects(
     model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray
 ) -> np.ndarray:
-    """Stationarity defect of the midpoint action at every interior node."""
+    """Stationarity defect of the midpoint action at every interior node.
+
+    ``nodes`` is (l+1, n) or a batch (P, l+1, n) of paths on one grid.
+    """
     m = model.mass
-    momenta = m * np.diff(nodes, axis=0) / dt[:, None]
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
+    momenta = m * np.diff(nodes, axis=-2) / dt[:, None]
+    mids = 0.5 * (nodes[..., 1:, :] + nodes[..., :-1, :])
     grads = np.asarray(model.grad_potential(mids), dtype=float)
     forces = 0.5 * dt[:, None] * grads
-    return momenta[:-1] - momenta[1:] - forces[:-1] - forces[1:]
+    return (
+        momenta[..., :-1, :]
+        - momenta[..., 1:, :]
+        - forces[..., :-1, :]
+        - forces[..., 1:, :]
+    )
 
 
 def el_residual(model: LagrangianModel, path: Path) -> float:

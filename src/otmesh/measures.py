@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .integrators import el_residual, reference_flow
+from .integrators import _interior_defects, reference_flow_batch
+# unused here, but bench/tracing.py wraps these names in this module
+from .integrators import el_residual, reference_flow  # noqa: F401
 from .models import LagrangianModel
 from .paths import Path, PhasePoint, TimeGrid, midpoint_action, uniform_distance
 from .transport import PointCloud, solve_assignment
@@ -112,31 +113,30 @@ def push_forward_flow(
 ) -> EmpiricalPathMeasure:
     """Launch every phase-space atom along a flow; path i comes from state i.
 
-    ``kind="reference"`` uses the RK4 reference flow, ``kind="discrete"`` the
-    midpoint recurrence.  For unbounded potentials the caller is responsible
-    for keeping the span within the admissible horizon when the resulting
-    measure feeds a minimization; pure flow studies remain valid beyond it.
+    ``kind="reference"`` integrates all atoms in one batched RK4 reference
+    flow, ``kind="discrete"`` marches the midpoint recurrence atom by atom.
+    ``threads`` is accepted and ignored.  For unbounded potentials the caller
+    is responsible for keeping the span within the admissible horizon when
+    the resulting measure feeds a minimization; pure flow studies remain
+    valid beyond it.
     """
     from .integrators import discrete_flow  # local import keeps module load light
 
     if kind == "reference":
-        def launch(state: PhasePoint) -> Path:
-            return reference_flow(
-                model, state, grid, substeps_per_interval, guard_radius
-            ).path
+        nodes, _, _ = reference_flow_batch(
+            model,
+            eta.positions,
+            eta.velocities,
+            grid,
+            substeps_per_interval,
+            guard_radius,
+        )
+        paths = tuple(Path(grid, path_nodes) for path_nodes in nodes)
     elif kind == "discrete":
-        def launch(state: PhasePoint) -> Path:
-            return discrete_flow(model, state, grid).path
+        paths = tuple(discrete_flow(model, s, grid).path for s in eta.states())
     else:
         raise ValueError(f"unknown flow kind {kind!r}")
-
-    states = list(eta.states())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            paths = list(pool.map(launch, states))
-    else:
-        paths = [launch(s) for s in states]
-    return EmpiricalPathMeasure(tuple(paths))
+    return EmpiricalPathMeasure(paths)
 
 
 def marginal_at_time(pi: EmpiricalPathMeasure, t: float) -> PointCloud:
@@ -147,25 +147,43 @@ def marginal_at_time(pi: EmpiricalPathMeasure, t: float) -> PointCloud:
     return PointCloud(np.stack([p.evaluate(t) for p in pi.paths]))
 
 
+def _atoms_at(measure: EmpiricalPathMeasure, times: np.ndarray) -> np.ndarray:
+    """Every atom of a common-grid measure evaluated at the times, (N, T, n)."""
+    idx, u = measure.paths[0].grid.locate(times)
+    u = u[:, None]
+    nodes = np.stack([path.nodes for path in measure.paths])
+    # the formula of Path.evaluate, so values agree with it bitwise
+    return (1.0 - u) * nodes[:, idx] + u * nodes[:, idx + 1]
+
+
 def _pairwise_sup_distances(
     p: EmpiricalPathMeasure, q: EmpiricalPathMeasure
 ) -> np.ndarray:
-    """Matrix of sup-over-time distances between the atoms of two measures."""
+    """Matrix of sup-over-time distances between the atoms of two measures.
+
+    When each measure has a common grid (the two grids may differ), all atoms
+    are evaluated at the merged nodes, where the supremum is attained, and a
+    running maximum over those times keeps temporaries at (N_p, N_q, n).  The
+    result equals ``uniform_distance`` pair by pair, bitwise; the per-pair
+    call is only made for measures without a common grid.
+    """
+    if p.time_span != q.time_span:
+        raise ValueError(
+            f"measures cover different time spans {p.time_span} vs {q.time_span}"
+        )
     nodes_p = p.common_grid_nodes()
     nodes_q = q.common_grid_nodes()
-    if nodes_p is not None and nodes_q is not None and np.array_equal(nodes_p, nodes_q):
-        # same grid on both sides: the sup over shared nodes is exact
-        A = np.stack([path.nodes for path in p.paths])  # (N, l+1, n)
-        B = np.stack([path.nodes for path in q.paths])
-        out = np.empty((A.shape[0], B.shape[0]))
-        chunk = max(1, int(2e6 // max(1, B.size)))
-        for lo in range(0, A.shape[0], chunk):
-            diff = A[lo : lo + chunk, None, :, :] - B[None, :, :, :]
-            out[lo : lo + chunk] = np.max(np.linalg.norm(diff, axis=3), axis=2)
-        return out
-    return np.array(
-        [[uniform_distance(pi, qj) for qj in q.paths] for pi in p.paths]
-    )
+    if nodes_p is None or nodes_q is None:
+        return np.array(
+            [[uniform_distance(pi, qj) for qj in q.paths] for pi in p.paths]
+        )
+    times = np.union1d(nodes_p, nodes_q)
+    A = _atoms_at(p, times)
+    B = _atoms_at(q, times)
+    out = np.linalg.norm(A[:, None, 0] - B[None, :, 0], axis=-1)
+    for k in range(1, times.size):
+        np.maximum(out, np.linalg.norm(A[:, None, k] - B[None, :, k], axis=-1), out=out)
+    return out
 
 
 def bl_distance_bound(
@@ -227,26 +245,31 @@ def concentration_diagnostics(
     substeps_per_interval: int = 16,
     guard_radius: float = 1e6,
 ) -> ConcentrationReport:
-    """Quantify how close a path measure is to flow-concentrated stationarity."""
+    """Quantify how close a path measure is to flow-concentrated stationarity.
 
-    def diagnose(path: Path) -> tuple[float, float, float]:
-        resid = (
-            el_residual(model, path) if path.grid.n_intervals >= 2 else 0.0
+    Paths are grouped by grid and every group is diagnosed at once: one
+    batched RK4 reference flow from the first nodes and first difference
+    quotients, sup-distances over the shared nodes, and EL residuals from the
+    batched interior defects.  The values are bitwise those of ``el_residual``
+    and ``uniform_distance`` applied path by path.  ``threads`` is accepted
+    and ignored.
+    """
+    resids = np.zeros(pi.size)
+    dists = np.empty(pi.size)
+    groups: dict[bytes, list[int]] = {}
+    for i, path in enumerate(pi.paths):
+        groups.setdefault(path.grid.nodes.tobytes(), []).append(i)
+    for members in groups.values():
+        grid = pi.paths[members[0]].grid
+        dt = grid.spacings
+        X = np.stack([pi.paths[i].nodes for i in members])  # (P, l+1, n)
+        if grid.n_intervals >= 2:
+            defects = _interior_defects(model, X, dt)
+            resids[members] = np.max(np.linalg.norm(defects, axis=-1), axis=-1)
+        v0 = (X[:, 1] - X[:, 0]) / dt[0]
+        orbits, _, _ = reference_flow_batch(
+            model, X[:, 0], v0, grid, substeps_per_interval, guard_radius
         )
-        v0 = (path.nodes[1] - path.nodes[0]) / path.grid.spacings[0]
-        orbit = reference_flow(
-            model,
-            PhasePoint(path.nodes[0], v0),
-            path.grid,
-            substeps_per_interval,
-            guard_radius,
-        ).path
-        return resid, uniform_distance(path, orbit), midpoint_action(model, path)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(diagnose, pi.paths))
-    else:
-        rows = [diagnose(p) for p in pi.paths]
-    resids, dists, actions = (np.array(col) for col in zip(*rows))
+        dists[members] = np.max(np.linalg.norm(X - orbits, axis=-1), axis=-1)
+    actions = np.array([midpoint_action(model, path) for path in pi.paths])
     return ConcentrationReport(resids, dists, actions)

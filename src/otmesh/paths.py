@@ -80,6 +80,19 @@ class TimeGrid:
         # recomputed on access so it can never go stale
         return float(np.max(np.diff(self.nodes)))
 
+    def locate(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Interval index and affine coordinate u in [0, 1] of every time.
+
+        Times must lie in the span; u is exactly 0 at a node and exactly 1 at
+        the grid's end, so affine interpolation returns nodal values bitwise.
+        """
+        idx = np.clip(
+            np.searchsorted(self.nodes, times, side="right") - 1,
+            0,
+            self.n_intervals - 1,
+        )
+        return idx, (times - self.nodes[idx]) / self.spacings[idx]
+
     def refine(self, factor: int = 2) -> "TimeGrid":
         """Split every interval into `factor` equal pieces."""
         if factor < 1:
@@ -159,14 +172,8 @@ class Path:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         if np.any(t < self.grid.start) or np.any(t > self.grid.end):
             raise ValueError("evaluation time outside the path's span")
-        idx = np.clip(
-            np.searchsorted(self.grid.nodes, t, side="right") - 1,
-            0,
-            self.grid.n_intervals - 1,
-        )
-        t0 = self.grid.nodes[idx]
-        dt = self.grid.spacings[idx]
-        u = ((t - t0) / dt)[:, None]
+        idx, u = self.grid.locate(t)
+        u = u[:, None]
         # (1-u) x + u y returns the nodal values bitwise at u in {0, 1}
         out = (1.0 - u) * self.nodes[idx] + u * self.nodes[idx + 1]
         return out if np.ndim(times) else out[0]

@@ -196,6 +196,30 @@ def test_cli_converge_byte_identical_across_threads(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("span", [1, 0]),
+        ("hs", [0.25, 0]),
+        ("hs", [0.25, -0.1]),
+        ("Ns", [4, "a"]),
+        ("Ns", [4, 0]),
+        ("threads", "x"),
+        ("reference_action", "abc"),
+        ("allow_long_horizon", "false"),
+    ],
+)
+def test_cli_converge_malformed_field_is_a_config_error(tmp_path, capsys, field, value):
+    path = FsPath(converge_config(tmp_path))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload[field] = value
+    cfg = write_config(tmp_path, payload, "bad.json")
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_cli_converge_horizon_violation_exits_three(tmp_path, capsys):
     cfg = converge_config(
         tmp_path, span=(0.0, 0.2), model={"name": "harmonic", "params": {"stiffness": 2.0}}

@@ -8,8 +8,10 @@ from otmesh import (
     TimeGrid,
     closed_form_cost,
     continuous_action,
+    cosine_potential,
     discrete_el_step,
     discrete_flow,
+    double_well,
     el_residual,
     free_particle,
     harmonic_oscillator,
@@ -18,6 +20,7 @@ from otmesh import (
     solve_bvp,
     uniform_distance,
 )
+from otmesh.integrators import reference_flow_batch
 
 FREE = free_particle()
 HARMONIC = harmonic_oscillator()
@@ -62,6 +65,78 @@ def test_reference_flow_guard_radius():
         )
     with pytest.raises(ValueError):
         reference_flow(FREE, PhasePoint(0.0, 1.0), TimeGrid.uniform(0, 1, 4), 8)
+
+
+def scalar_rk4(model, x, v, grid, substeps=16):
+    """One-start RK4 loop: the oracle the batched reference flow must match."""
+    m = model.mass
+    x = np.array(x, dtype=float)
+    v = np.array(v, dtype=float)
+    nodes = [x]
+    for dt in grid.spacings:
+        sub = dt / substeps
+        for _ in range(substeps):
+            k1x = v
+            k1v = -np.asarray(model.grad_potential(x), dtype=float) / m
+            x2 = x + 0.5 * sub * k1x
+            k2x = v + 0.5 * sub * k1v
+            k2v = -np.asarray(model.grad_potential(x2), dtype=float) / m
+            x3 = x + 0.5 * sub * k2x
+            k3x = v + 0.5 * sub * k2v
+            k3v = -np.asarray(model.grad_potential(x3), dtype=float) / m
+            x4 = x + sub * k3x
+            k4x = v + sub * k3v
+            k4v = -np.asarray(model.grad_potential(x4), dtype=float) / m
+            x = x + (sub / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            v = v + (sub / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        nodes.append(x)
+    return np.array(nodes), x, v
+
+
+@pytest.mark.parametrize(
+    "model, dim",
+    [
+        (free_particle(), 2),
+        (harmonic_oscillator(mass=0.7, stiffness=2.0), 1),
+        (double_well(), 2),
+        (cosine_potential(amplitude=2.0, dim=2), 2),
+    ],
+    ids=["free_particle", "harmonic", "double_well", "cosine"],
+)
+@pytest.mark.parametrize(
+    "grid",
+    [
+        TimeGrid.uniform(0.0, 1.0, 7),
+        TimeGrid(np.array([0.0, 0.05, 0.2, 0.31, 0.55, 0.6])),
+    ],
+    ids=["uniform", "nonuniform"],
+)
+def test_reference_flow_batch_matches_scalar_loop_bitwise(model, dim, grid):
+    rng = np.random.default_rng(17)
+    starts = rng.uniform(-1.2, 1.2, (9, dim))
+    launches = rng.uniform(-1.0, 1.0, (9, dim))
+    nodes, x_end, v_end = reference_flow_batch(model, starts, launches, grid)
+    assert nodes.shape == (9, grid.n_intervals + 1, dim)
+    for i in range(9):
+        want_nodes, want_x, want_v = scalar_rk4(model, starts[i], launches[i], grid)
+        assert np.array_equal(nodes[i], want_nodes)
+        assert np.array_equal(x_end[i], want_x)
+        assert np.array_equal(v_end[i], want_v)
+        single = reference_flow(model, PhasePoint(starts[i], launches[i]), grid)
+        assert np.array_equal(single.path.nodes, want_nodes)
+        assert np.array_equal(single.final_state.position, want_x)
+        assert np.array_equal(single.final_state.velocity, want_v)
+
+
+def test_reference_flow_batch_blow_up_of_one_path_raises():
+    # only path 5 leaves the radius, at t = 1/3, inside interval 3
+    launches = np.zeros((8, 1))
+    launches[5] = 300.0
+    with pytest.raises(BlowUpError, match="within grid interval 3$"):
+        reference_flow_batch(
+            FREE, np.zeros((8, 1)), launches, TimeGrid.uniform(0, 1, 10),
+            guard_radius=100.0,
+        )
 
 
 # -- single implicit step --------------------------------------------------------

@@ -9,12 +9,16 @@ from otmesh import (
     TimeGrid,
     bl_distance_bound,
     concentration_diagnostics,
+    el_residual,
     free_particle,
     harmonic_oscillator,
     marginal_at_time,
+    midpoint_action,
     push_forward_flow,
+    reference_flow,
     uniform_distance,
 )
+from otmesh.measures import _pairwise_sup_distances
 
 FREE = free_particle()
 HARMONIC = harmonic_oscillator()
@@ -22,6 +26,17 @@ HARMONIC = harmonic_oscillator()
 
 def line_measure(grid, pairs):
     return EmpiricalPathMeasure(tuple(Path.line(grid, x, y) for x, y in pairs))
+
+
+def random_measure(rng, grid, size, dim):
+    return EmpiricalPathMeasure(
+        tuple(Path(grid, rng.uniform(-2, 2, (grid.n_intervals + 1, dim))) for _ in range(size))
+    )
+
+
+def per_pair_distances(p, q):
+    """The per-pair oracle for the batched sup-distance matrix."""
+    return np.array([[uniform_distance(a, b) for b in q.paths] for a in p.paths])
 
 
 # -- measures as containers -------------------------------------------------------
@@ -100,6 +115,8 @@ def test_bl_bound_examples():
     assert bl_distance_bound(p, p) == 0.0
     assert bl_distance_bound(p, q_near) == pytest.approx(0.5)
     assert bl_distance_bound(p, q_far) == pytest.approx(2.0)  # truncated
+    for q in (p, q_near, q_far):
+        assert np.array_equal(_pairwise_sup_distances(p, q), per_pair_distances(p, q))
 
 
 def test_bl_bound_requires_equal_sizes():
@@ -122,6 +139,9 @@ def test_bl_bound_is_bounded_by_cutoff_and_metric_on_samples():
     ]
     for p in measures:
         for q in measures:
+            assert np.array_equal(
+                _pairwise_sup_distances(p, q), per_pair_distances(p, q)
+            )
             d_pq = bl_distance_bound(p, q)
             assert d_pq <= 2.0 + 1e-15
             assert d_pq == pytest.approx(bl_distance_bound(q, p), abs=1e-12)
@@ -137,6 +157,31 @@ def test_bl_bound_mixed_grids_falls_back_to_pairwise():
     p = EmpiricalPathMeasure((Path.line(g1, 0.0, 1.0), Path.line(g2, 1.0, 0.0)))
     q = EmpiricalPathMeasure((Path.line(g2, 0.0, 1.0), Path.line(g1, 1.0, 0.0)))
     assert bl_distance_bound(p, q) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "coarse, fine",
+    [
+        (TimeGrid.uniform(0, 1, 10), TimeGrid.uniform(0, 1, 20)),
+        (TimeGrid.uniform(0, 1, 7), TimeGrid(np.array([0.0, 0.1, 0.45, 0.5, 0.9, 1.0]))),
+    ],
+    ids=["nested", "non_nested"],
+)
+def test_bl_bound_on_two_common_grids_matches_per_pair_distances(coarse, fine):
+    # the convergence-study shape: a replicated coarse level against a fine one
+    rng = np.random.default_rng(8)
+    p = random_measure(rng, coarse, 8, 2).replicate(4)
+    q = random_measure(rng, fine, 32, 2)
+    assert np.array_equal(_pairwise_sup_distances(p, q), per_pair_distances(p, q))
+    assert np.array_equal(_pairwise_sup_distances(q, p), per_pair_distances(q, p))
+
+
+def test_bl_bound_rejects_measures_on_different_spans():
+    rng = np.random.default_rng(9)
+    p = random_measure(rng, TimeGrid.uniform(0, 1, 4), 3, 1)
+    q = random_measure(rng, TimeGrid.uniform(0, 2, 4), 3, 1)
+    with pytest.raises(ValueError, match="time spans"):
+        bl_distance_bound(p, q)
 
 
 def test_bl_bound_between_template_samples_decreases_in_n():
@@ -206,3 +251,30 @@ def test_diagnostics_threaded_matches_serial():
     many = concentration_diagnostics(HARMONIC, pi, threads=4)
     assert np.array_equal(one.reconstruction_distances, many.reconstruction_distances)
     assert np.array_equal(one.el_residuals, many.el_residuals)
+
+
+def test_diagnostics_match_per_path_oracle_on_mixed_grids():
+    # three grids in one measure: each group is batched, results stay in order
+    rng = np.random.default_rng(12)
+    grids = [TimeGrid.uniform(0, 1, 12), TimeGrid.uniform(0, 1, 1), TimeGrid.uniform(0, 1, 5)]
+    paths = tuple(
+        Path(grids[i % 3], rng.uniform(-1, 1, (grids[i % 3].n_intervals + 1, 2)))
+        for i in range(10)
+    )
+    report = concentration_diagnostics(HARMONIC, EmpiricalPathMeasure(paths))
+    for i, path in enumerate(paths):
+        v0 = (path.nodes[1] - path.nodes[0]) / path.grid.spacings[0]
+        orbit = reference_flow(HARMONIC, PhasePoint(path.nodes[0], v0), path.grid).path
+        resid = el_residual(HARMONIC, path) if path.grid.n_intervals >= 2 else 0.0
+        assert report.el_residuals[i] == resid
+        assert report.reconstruction_distances[i] == uniform_distance(path, orbit)
+        assert report.midpoint_actions[i] == midpoint_action(HARMONIC, path)
+
+
+def test_push_forward_reference_matches_per_atom_flow():
+    rng = np.random.default_rng(13)
+    eta = PhaseMeasure(rng.uniform(-1, 1, (9, 2)), rng.uniform(-1, 1, (9, 2)))
+    grid = TimeGrid.uniform(0, 0.8, 6)
+    pi = push_forward_flow(HARMONIC, eta, grid, kind="reference")
+    for path, state in zip(pi.paths, eta.states()):
+        assert np.array_equal(path.nodes, reference_flow(HARMONIC, state, grid).path.nodes)

@@ -369,3 +369,14 @@ def test_stationarity_study_harmonic_rates():
         assert coarse / fine >= 1.8
     # warm-started Newton needs very few iterations after the first level
     assert all(lv.max_newton_iterations <= 5 for lv in report.levels[1:])
+
+
+def test_convergence_study_reports_blow_up_of_one_path_as_error_row():
+    # one matched pair travels 3e6 in unit time, past the reference flow's
+    # guard radius 1e6; the other three stay near the origin
+    source = MarginalSpec("custom_points", points=[[0.0], [0.1], [0.2], [0.3]])
+    target = MarginalSpec("custom_points", points=[[1.0], [1.1], [1.2], [3e6]])
+    report = run_convergence_study(FREE, source, target, [4], [0.1], (0.0, 1.0))
+    (row,) = report.rows
+    assert row.status == "error"
+    assert "guard radius" in row.error
