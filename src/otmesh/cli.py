@@ -4,7 +4,7 @@ Subcommands: ``bvp``, ``flow``, ``transport``, ``converge``, ``stationary``.
 Each reads a single JSON config (the experiment record), writes JSON/CSV
 artifacts to the output directory, and exits with 0 on success, 1 on config
 errors, 2 on solver failures, and 3 on partial per-row failures.  Identical
-config and seed produce byte-identical CSV artifacts for any thread count.
+config and seed produce byte-identical CSV artifacts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, HorizonError, OtmeshError, SolverError
 from .integrators import discrete_flow, reference_flow, solve_bvp
 from .measures import EmpiricalPathMeasure
-from .models import LagrangianModel, MODEL_CATALOG, make_model
+from .models import LagrangianModel, MODEL_CATALOG, has_closed_form_cost, make_model
 from .paths import Path, PhasePoint, TimeGrid
 from .pipeline import (
     MarginalSpec,
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument("--threads", type=int, default=None, help="worker threads")
+        cmd.add_argument("--threads", type=int, default=None, help="accepted and ignored")
         cmd.add_argument(
             "--allow-long-horizon",
             action="store_true",
@@ -128,16 +128,26 @@ def _number(value, what: str, positive: bool = False) -> float:
     return float(value)
 
 
-def _positive_int(value, what: str) -> int:
-    """An integer >= 1; integral floats such as 32.0 are accepted."""
-    if not _is_number(value) or value < 1 or value != int(value):
-        raise ConfigError(f"{what} must be a positive integer, got {value!r}")
+def _int_from(value, what: str, minimum: int = 1) -> int:
+    """An integer >= minimum; integral floats such as 32.0 are accepted."""
+    if not _is_number(value) or value < minimum or value != int(value):
+        raise ConfigError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
 
-def _threads_from(args, cfg: dict) -> int:
-    threads = _positive_int(cfg.get("threads", 1), "'threads'")
-    return args.threads or threads
+def _check_threads(cfg: dict) -> None:
+    """Validate the config's 'threads'; like --threads it is then ignored."""
+    _int_from(cfg.get("threads", 1), "'threads'")
+
+
+def _cost_kind_from(cfg: dict, model: LagrangianModel, kinds: tuple[str, ...]) -> str:
+    """The config's 'cost_kind', one of kinds; the first one is the default."""
+    kind = cfg.get("cost_kind", kinds[0])
+    if kind not in kinds:
+        raise ConfigError(f"'cost_kind' must be one of {list(kinds)}, got {kind!r}")
+    if kind == "closed_form" and not has_closed_form_cost(model):
+        raise ConfigError(f"model {model.name!r} has no closed-form cost")
+    return kind
 
 
 def _span_from(cfg: dict) -> tuple[float, float]:
@@ -189,9 +199,30 @@ def _marginal_from(cfg: dict, key: str, seed: int) -> MarginalSpec:
 def _point_from(cfg: dict, key: str) -> np.ndarray:
     value = _require(cfg, key)
     try:
-        return np.atleast_1d(np.asarray(value, dtype=float))
+        point = np.atleast_1d(np.asarray(value, dtype=float))
     except (TypeError, ValueError):
         raise ConfigError(f"'{key}' must be a number or vector") from None
+    if point.ndim != 1 or point.size == 0:
+        raise ConfigError(f"'{key}' must be a number or vector")
+    if not np.all(np.isfinite(point)):
+        raise ConfigError(f"'{key}' must be finite")
+    return point
+
+
+def _points_from(cfg: dict, *keys: str) -> list[np.ndarray]:
+    """Points of one common dimension."""
+    points = [_point_from(cfg, key) for key in keys]
+    if len({p.size for p in points}) != 1:
+        dims = ", ".join(f"'{k}' {p.size}" for k, p in zip(keys, points))
+        raise ConfigError(f"points must have the same dimension, got {dims}")
+    return points
+
+
+def _cloud_from(cfg: dict, key: str) -> PointCloud:
+    try:
+        return PointCloud(np.asarray(_require(cfg, key), dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid '{key}': {exc}") from None
 
 
 def _out_dir(args, cfg: dict) -> FsPath:
@@ -215,11 +246,9 @@ def _write(path: FsPath, text: str) -> None:
 def cmd_bvp(args, cfg: dict) -> int:
     model = _model_from(cfg)
     grid = _grid_from(cfg)
-    x = _point_from(cfg, "x")
-    y = _point_from(cfg, "y")
-    result = solve_bvp(
-        model, x, y, grid, n_restarts=int(cfg.get("restarts", 0))
-    )
+    x, y = _points_from(cfg, "x", "y")
+    restarts = _int_from(cfg.get("restarts", 0), "'restarts'", minimum=0)
+    result = solve_bvp(model, x, y, grid, n_restarts=restarts)
     out = _out_dir(args, cfg)
     payload = {
         "kind": "bvp_result",
@@ -245,7 +274,7 @@ def cmd_bvp(args, cfg: dict) -> int:
 def cmd_flow(args, cfg: dict) -> int:
     model = _model_from(cfg)
     grid = _grid_from(cfg)
-    start = PhasePoint(_point_from(cfg, "x"), _point_from(cfg, "v"))
+    start = PhasePoint(*_points_from(cfg, "x", "v"))
     kind = cfg.get("flow", "discrete")
     if kind == "reference":
         result = reference_flow(model, start, grid)
@@ -272,7 +301,7 @@ def cmd_flow(args, cfg: dict) -> int:
 
 
 def cmd_transport(args, cfg: dict) -> int:
-    threads = _threads_from(args, cfg)
+    _check_threads(cfg)
     if "costs_csv" in cfg:
         try:
             costs = matrix_from_csv(FsPath(cfg["costs_csv"]).read_text(encoding="utf-8"))
@@ -281,13 +310,17 @@ def cmd_transport(args, cfg: dict) -> int:
     else:
         model = _model_from(cfg)
         grid = _grid_from(cfg)
-        source = PointCloud(np.asarray(_require(cfg, "source_points"), dtype=float))
-        target = PointCloud(np.asarray(_require(cfg, "target_points"), dtype=float))
+        source = _cloud_from(cfg, "source_points")
+        target = _cloud_from(cfg, "target_points")
+        if (source.size, source.dim) != (target.size, target.dim):
+            raise ConfigError(
+                f"'source_points' and 'target_points' must have the same size and "
+                f"dimension, got {source.size}x{source.dim} and {target.size}x{target.dim}"
+            )
+        cost_kind = _cost_kind_from(cfg, model, ("bvp", "closed_form"))
         from .transport import cost_matrix as build_costs
 
-        costs = build_costs(
-            model, source, target, grid, cfg.get("cost_kind", "bvp"), threads
-        )
+        costs = build_costs(model, source, target, grid, cost_kind)
     plan = solve_assignment(costs)
     out = _out_dir(args, cfg)
     payload = {
@@ -306,6 +339,8 @@ def cmd_transport(args, cfg: dict) -> int:
 def cmd_converge(args, cfg: dict) -> int:
     model = _model_from(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed")
+    if seed is not None:
+        seed = _int_from(seed, "'seed'", minimum=0)
     spec_a = _marginal_from(cfg, "marginal_a", seed)
     spec_b = _marginal_from(
         cfg, "marginal_b", seed + 1 if seed is not None else None
@@ -315,9 +350,10 @@ def cmd_converge(args, cfg: dict) -> int:
     hs = _require(cfg, "hs")
     if not isinstance(Ns, list) or not isinstance(hs, list) or len(Ns) != len(hs) or not Ns:
         raise ConfigError("'Ns' and 'hs' must be nonempty lists of equal length")
-    Ns = [_positive_int(n, "an 'Ns' entry") for n in Ns]
+    Ns = [_int_from(n, "an 'Ns' entry") for n in Ns]
     hs = [_number(h, "an 'hs' entry", positive=True) for h in hs]
-    threads = _threads_from(args, cfg)
+    _check_threads(cfg)
+    cost_kind = _cost_kind_from(cfg, model, ("auto", "bvp", "closed_form"))
     allow = cfg.get("allow_long_horizon", False)
     if not isinstance(allow, bool):
         raise ConfigError(f"'allow_long_horizon' must be true or false, got {allow!r}")
@@ -331,9 +367,8 @@ def cmd_converge(args, cfg: dict) -> int:
         Ns,
         hs,
         span,
-        cost_kind=cfg.get("cost_kind", "auto"),
+        cost_kind=cost_kind,
         reference_action=reference,
-        threads=threads,
         allow_long_horizon=args.allow_long_horizon or allow,
     )
     out = _out_dir(args, cfg)
@@ -348,7 +383,7 @@ def cmd_stationary(args, cfg: dict) -> int:
     if not isinstance(hs, list) or not hs:
         raise ConfigError("'hs' must be a nonempty list")
     hs = [_number(h, "an 'hs' entry", positive=True) for h in hs]
-    threads = _threads_from(args, cfg)
+    _check_threads(cfg)
     if "paths_csv" in cfg:
         try:
             pi0 = measure_from_csv(FsPath(cfg["paths_csv"]).read_text(encoding="utf-8"))
@@ -358,20 +393,21 @@ def cmd_stationary(args, cfg: dict) -> int:
         lines = cfg["lines"]
         grid = TimeGrid.uniform(*_span_from(cfg), 1)
         try:
-            paths = tuple(
-                Path.line(
-                    grid,
-                    np.atleast_1d(np.asarray(seg["x"], dtype=float)),
-                    np.atleast_1d(np.asarray(seg["y"], dtype=float)),
+            pi0 = EmpiricalPathMeasure(
+                tuple(
+                    Path.line(
+                        grid,
+                        np.atleast_1d(np.asarray(seg["x"], dtype=float)),
+                        np.atleast_1d(np.asarray(seg["y"], dtype=float)),
+                    )
+                    for seg in lines
                 )
-                for seg in lines
             )
         except (TypeError, ValueError, KeyError, IndexError) as exc:
             raise ConfigError(f"invalid 'lines': {exc}") from None
-        pi0 = EmpiricalPathMeasure(paths)
     else:
         raise ConfigError("stationary runs need 'paths_csv' or 'lines'")
-    report = run_stationarity_study(model, pi0, hs, threads=threads)
+    report = run_stationarity_study(model, pi0, hs)
     out = _out_dir(args, cfg)
     _write(out / "stationarity.csv", stationarity_report_to_csv(report))
     _write(out / "stationarity_summary.json", dumps_json(stationarity_report_to_json(report)))

@@ -107,7 +107,6 @@ def push_forward_flow(
     eta: PhaseMeasure,
     grid: TimeGrid,
     kind: str = "discrete",
-    threads: int = 1,
     substeps_per_interval: int = 16,
     guard_radius: float = 1e6,
 ) -> EmpiricalPathMeasure:
@@ -115,10 +114,9 @@ def push_forward_flow(
 
     ``kind="reference"`` integrates all atoms in one batched RK4 reference
     flow, ``kind="discrete"`` marches the midpoint recurrence atom by atom.
-    ``threads`` is accepted and ignored.  For unbounded potentials the caller
-    is responsible for keeping the span within the admissible horizon when
-    the resulting measure feeds a minimization; pure flow studies remain
-    valid beyond it.
+    For unbounded potentials the caller is responsible for keeping the span
+    within the admissible horizon when the resulting measure feeds a
+    minimization; pure flow studies remain valid beyond it.
     """
     from .integrators import discrete_flow  # local import keeps module load light
 
@@ -241,7 +239,6 @@ class ConcentrationReport:
 def concentration_diagnostics(
     model: LagrangianModel,
     pi: EmpiricalPathMeasure,
-    threads: int = 1,
     substeps_per_interval: int = 16,
     guard_radius: float = 1e6,
 ) -> ConcentrationReport:
@@ -251,8 +248,7 @@ def concentration_diagnostics(
     batched RK4 reference flow from the first nodes and first difference
     quotients, sup-distances over the shared nodes, and EL residuals from the
     batched interior defects.  The values are bitwise those of ``el_residual``
-    and ``uniform_distance`` applied path by path.  ``threads`` is accepted
-    and ignored.
+    and ``uniform_distance`` applied path by path.
     """
     resids = np.zeros(pi.size)
     dists = np.empty(pi.size)

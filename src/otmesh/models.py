@@ -50,8 +50,10 @@ class LagrangianModel:
         V and its gradient, both batched over leading axes.
     hess_bound
         Map from a radius R to an upper bound on the operator norm of the
-        potential's Hessian over the ball |x| <= R.  Used by the quadrature
-        error bound and by Jacobian conditioning estimates.
+        potential's Hessian over the ball |x| <= R.  The library does not
+        read it; the quadrature-error checks in the tests bound the gap
+        between midpoint and continuous action by
+        h^2 * hess_bound(R) * int |v|^2, so every model must supply one.
     quadratic_growth
         Constant c with |V(x)| <= c (1 + |x|^2) on the working region;
         validated on sample grids, not proven.
@@ -65,7 +67,7 @@ class LagrangianModel:
         transport costs are dispatched on the name.
 
     The reference point for all growth statements is the origin of R^n.
-    Instances are immutable and safe to share across concurrent workers.
+    Instances are immutable.
     """
 
     mass: float

@@ -262,13 +262,12 @@ def many_particle_action(
     return float(np.mean(values))
 
 
-def uniform_distance(p: Path, q: Path, probe_points_per_interval: int = 0) -> float:
+def uniform_distance(p: Path, q: Path) -> float:
     """Supremum over time of the Euclidean distance between two paths.
 
     Both paths must cover the same time span.  For piecewise-affine pairs the
     pointwise distance is convex on every interval of the merged node set, so
-    the supremum over merged nodes is already exact; probe points are accepted
-    for interface compatibility but add nothing.
+    the supremum over merged nodes is exact.
     """
     if p.dim != q.dim:
         raise DimensionMismatchError("paths have different space dimensions")
@@ -278,10 +277,5 @@ def uniform_distance(p: Path, q: Path, probe_points_per_interval: int = 0) -> fl
             f"vs [{q.grid.start}, {q.grid.end}]"
         )
     times = np.union1d(p.grid.nodes, q.grid.nodes)
-    if probe_points_per_interval > 0:
-        left, right = times[:-1], times[1:]
-        u = (np.arange(1, probe_points_per_interval + 1) / (probe_points_per_interval + 1))
-        probes = left[:, None] + u[None, :] * (right - left)[:, None]
-        times = np.union1d(times, probes.ravel())
     diff = p.evaluate(times) - q.evaluate(times)
     return float(np.max(np.linalg.norm(diff, axis=1)))

@@ -11,7 +11,6 @@ marginals at an O(eps) action premium), and the refinement studies.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,9 +187,7 @@ def solve_discrete_otm(
     target: PointCloud,
     grid: TimeGrid,
     cost_kind: str = "auto",
-    threads: int = 1,
     allow_long_horizon: bool = False,
-    bvp_options: dict | None = None,
 ) -> OtmResult:
     """Match two clouds at minimal average action and join the matched pairs.
 
@@ -210,30 +207,20 @@ def solve_discrete_otm(
         raise ValueError(f"cloud sizes differ: {source.size} vs {target.size}")
     if cost_kind == "auto":
         cost_kind = "closed_form" if has_closed_form_cost(model) else "bvp"
-    costs = cost_matrix(model, source, target, grid, cost_kind, threads, bvp_options)
+    costs = cost_matrix(model, source, target, grid, cost_kind)
     plan = solve_assignment(costs)
-    options = bvp_options or {}
-
-    def connect(i: int) -> tuple[Path, float]:
-        result = solve_bvp(
-            model, source.points[i], target.points[plan.perm[i]], grid, **options
-        )
+    paths, actions = [], []
+    for i in range(source.size):
+        result = solve_bvp(model, source.points[i], target.points[plan.perm[i]], grid)
         if not result.converged:
             raise SolverError(
                 f"boundary-value solve failed for matched pair "
                 f"({i}, {plan.perm[i]}): {result.message}"
             )
-        return result.path, result.cost
-
-    indices = range(source.size)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            joined = list(pool.map(connect, indices))
-    else:
-        joined = [connect(i) for i in indices]
-    paths = tuple(p for p, _ in joined)
-    min_action = float(np.mean([c for _, c in joined]))
-    return OtmResult(EmpiricalPathMeasure(paths), plan, min_action)
+        paths.append(result.path)
+        actions.append(result.cost)
+    min_action = float(np.mean(actions))
+    return OtmResult(EmpiricalPathMeasure(tuple(paths)), plan, min_action)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +343,7 @@ def run_convergence_study(
     span: tuple[float, float],
     cost_kind: str = "auto",
     reference_action: float | None = None,
-    threads: int = 1,
     allow_long_horizon: bool = False,
-    bvp_options: dict | None = None,
 ) -> ConvergenceReport:
     """Minimal average actions and diagnostics along an (N, h) schedule.
 
@@ -389,11 +374,9 @@ def run_convergence_study(
                 target,
                 grid,
                 cost_kind=cost_kind,
-                threads=threads,
                 allow_long_horizon=allow_long_horizon,
-                bvp_options=bvp_options,
             )
-            diag = concentration_diagnostics(model, result.measure, threads=threads)
+            diag = concentration_diagnostics(model, result.measure)
             row.min_action = result.min_action
             row.max_el_residual = float(np.max(diag.el_residuals))
             row.max_reconstruction_dist = float(np.max(diag.reconstruction_distances))
@@ -485,8 +468,6 @@ def run_stationarity_study(
     model: LagrangianModel,
     pi0: EmpiricalPathMeasure,
     hs,
-    threads: int = 1,
-    bvp_options: dict | None = None,
 ) -> StationarityReport:
     """Re-solve each path's boundary problem across resolutions.
 
@@ -500,34 +481,24 @@ def run_stationarity_study(
     if not hs:
         raise ValueError("need at least one step size")
     a, b = pi0.time_span
-    options = dict(bvp_options or {})
-    options["check_minimum"] = False
     report = StationarityReport()
     warm: list[Path] = list(pi0.paths)
     for h in hs:
         grid = TimeGrid.from_step(a, b, h)
-
-        def refine(path: Path) -> tuple[Path, int]:
+        solved, iters = [], 0
+        for path in warm:
             result = solve_bvp(
-                model, path.start_point, path.end_point, grid, init=path, **options
+                model, path.start_point, path.end_point, grid, init=path, check_minimum=False
             )
             if not result.converged:
                 raise SolverError(
                     f"stationarity solve failed at h={grid.max_spacing:g}: "
                     f"{result.message}"
                 )
-            return result.path, result.newton_iterations
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                solved = list(pool.map(refine, warm))
-        else:
-            solved = [refine(p) for p in warm]
-        warm = [p for p, _ in solved]
-        iters = max(it for _, it in solved)
-        diag = concentration_diagnostics(
-            model, EmpiricalPathMeasure(tuple(warm)), threads=threads
-        )
+            solved.append(result.path)
+            iters = max(iters, result.newton_iterations)
+        warm = solved
+        diag = concentration_diagnostics(model, EmpiricalPathMeasure(tuple(warm)))
         report.levels.append(
             StationarityLevel(
                 h=grid.max_spacing,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +64,6 @@ def cost_matrix(
     target: PointCloud,
     grid: TimeGrid,
     cost_kind: str = "bvp",
-    threads: int = 1,
-    bvp_options: dict | None = None,
 ) -> np.ndarray:
     """Matrix of connection costs c(x_i, y_j) over the grid's time span.
 
@@ -74,10 +71,6 @@ def cost_matrix(
     SolverError on the first pair whose solve fails to converge.
     ``cost_kind="closed_form"`` uses the catalog formula (free particle or
     harmonic oscillator) and ignores the grid resolution.
-
-    Entries for the bvp kind are computed independently (optionally on a
-    thread pool) and written to pre-assigned slots, so the result does not
-    depend on the worker count.
     """
     if source.size != target.size:
         raise ValueError(f"cloud sizes differ: {source.size} vs {target.size}")
@@ -90,27 +83,16 @@ def cost_matrix(
     if cost_kind != "bvp":
         raise ValueError(f"unknown cost kind {cost_kind!r}")
 
-    options = bvp_options or {}
     N = source.size
     costs = np.empty((N, N))
-
-    def entry(pair: tuple[int, int]) -> float:
-        i, j = pair
-        result = solve_bvp(model, source.points[i], target.points[j], grid, **options)
-        if not result.converged:
-            raise SolverError(
-                f"boundary-value solve failed for pair ({i}, {j}): {result.message}"
-            )
-        return result.cost
-
-    pairs = [(i, j) for i in range(N) for j in range(N)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(entry, pairs))
-    else:
-        values = [entry(p) for p in pairs]
-    for (i, j), c in zip(pairs, values):
-        costs[i, j] = c
+    for i in range(N):
+        for j in range(N):
+            result = solve_bvp(model, source.points[i], target.points[j], grid)
+            if not result.converged:
+                raise SolverError(
+                    f"boundary-value solve failed for pair ({i}, {j}): {result.message}"
+                )
+            costs[i, j] = result.cost
     return costs
 
 

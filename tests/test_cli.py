@@ -237,6 +237,76 @@ def test_cli_converge_iid_requires_seed(tmp_path):
     assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+# -- config validation ---------------------------------------------------------------------
+
+# trimmed copies of the configs the tests above run successfully
+VALID_CONFIGS = {
+    "bvp": {
+        "model": {"name": "free_particle"},
+        "x": 0.0,
+        "y": 1.0,
+        "span": [0.0, 1.0],
+        "intervals": 4,
+    },
+    "flow": {
+        "model": {"name": "free_particle"},
+        "x": 0.0,
+        "v": 1.0,
+        "span": [0.0, 1.0],
+        "h": 0.25,
+    },
+    "transport": {
+        "model": {"name": "free_particle"},
+        "source_points": [[0.0], [1.0]],
+        "target_points": [[0.0], [1.0]],
+        "span": [0.0, 1.0],
+        "intervals": 4,
+        "cost_kind": "closed_form",
+    },
+    "stationary": {
+        "model": {"name": "free_particle"},
+        "span": [0.0, 1.0],
+        "lines": [{"x": 0.0, "y": 1.0}],
+        "hs": [0.25],
+    },
+}
+
+
+def valid_config(tmp_path, command: str) -> dict:
+    if command == "converge":
+        return json.loads(FsPath(converge_config(tmp_path)).read_text(encoding="utf-8"))
+    return dict(VALID_CONFIGS[command])
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("bvp", "restarts", "x"),
+        ("bvp", "restarts", 1.5),
+        ("bvp", "restarts", -1),
+        ("bvp", "x", [0.0, 1.0]),
+        ("bvp", "y", "NaN"),
+        ("flow", "v", [1.0, 0.0]),
+        ("transport", "cost_kind", "nope"),
+        ("transport", "model", {"name": "double_well"}),
+        ("transport", "source_points", []),
+        ("transport", "target_points", [[0.0]]),
+        ("converge", "seed", "abc"),
+        ("converge", "cost_kind", "nope"),
+        ("stationary", "lines", []),
+    ],
+)
+def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, command, field, value):
+    payload = valid_config(tmp_path, command)
+    payload[field] = value
+    cfg = write_config(tmp_path, payload, "bad.json")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert field in err
+    assert "Traceback" not in err
+
+
 # -- stationary ----------------------------------------------------------------------------
 
 

@@ -242,17 +242,6 @@ def test_diagnostics_reconstruction_distance_shrinks_with_h():
     assert maxima[0] / maxima[1] >= 1.8
 
 
-def test_diagnostics_threaded_matches_serial():
-    rng = np.random.default_rng(2)
-    eta = PhaseMeasure(rng.uniform(-1, 1, (4, 1)), rng.uniform(-1, 1, (4, 1)))
-    grid = TimeGrid.uniform(0, 1, 20)
-    pi = push_forward_flow(HARMONIC, eta, grid, kind="discrete")
-    one = concentration_diagnostics(HARMONIC, pi, threads=1)
-    many = concentration_diagnostics(HARMONIC, pi, threads=4)
-    assert np.array_equal(one.reconstruction_distances, many.reconstruction_distances)
-    assert np.array_equal(one.el_residuals, many.el_residuals)
-
-
 def test_diagnostics_match_per_path_oracle_on_mixed_grids():
     # three grids in one measure: each group is batched, results stay in order
     rng = np.random.default_rng(12)

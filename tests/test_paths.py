@@ -263,7 +263,6 @@ def test_uniform_distance_merges_unequal_grids():
     p = Path.line(coarse, 0.0, 0.0)
     q = Path(fine, np.array([[0.0], [1.0], [0.0]]))
     assert uniform_distance(p, q) == pytest.approx(1.0)
-    assert uniform_distance(p, q, probe_points_per_interval=3) == pytest.approx(1.0)
 
 
 def test_uniform_distance_rejects_mismatched_spans():

@@ -43,17 +43,6 @@ def test_cost_matrix_closed_form_matches_bvp():
     assert exact[0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_cost_matrix_threaded_matches_serial():
-    grid = TimeGrid.uniform(0, 0.5, 10)
-    model = harmonic_oscillator()
-    rng = np.random.default_rng(1)
-    source = PointCloud(rng.uniform(-1, 1, (4, 2)))
-    target = PointCloud(rng.uniform(-1, 1, (4, 2)))
-    serial = cost_matrix(model, source, target, grid, cost_kind="bvp", threads=1)
-    threaded = cost_matrix(model, source, target, grid, cost_kind="bvp", threads=4)
-    assert np.array_equal(serial, threaded)
-
-
 def test_cost_matrix_rejects_bad_input():
     grid = TimeGrid.uniform(0, 1, 4)
     with pytest.raises(ValueError):
