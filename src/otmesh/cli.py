@@ -171,10 +171,7 @@ def _grid_from(cfg: dict) -> TimeGrid:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid 'h': {exc}") from None
     if "intervals" in cfg:
-        try:
-            return TimeGrid.uniform(a, b, int(cfg["intervals"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid 'intervals': {exc}") from None
+        return TimeGrid.uniform(a, b, _int_from(cfg["intervals"], "'intervals'"))
     raise ConfigError("config needs either 'h' or 'intervals' next to 'span'")
 
 
@@ -223,6 +220,17 @@ def _cloud_from(cfg: dict, key: str) -> PointCloud:
         return PointCloud(np.asarray(_require(cfg, key), dtype=float))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid '{key}': {exc}") from None
+
+
+def _file_text(cfg: dict, key: str) -> str:
+    """Contents of the file that the config's field names."""
+    name = cfg[key]
+    if not isinstance(name, str):
+        raise ConfigError(f"'{key}' must be a file path, got {name!r}")
+    try:
+        return FsPath(name).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read '{key}': {exc}") from None
 
 
 def _out_dir(args, cfg: dict) -> FsPath:
@@ -304,9 +312,15 @@ def cmd_transport(args, cfg: dict) -> int:
     _check_threads(cfg)
     if "costs_csv" in cfg:
         try:
-            costs = matrix_from_csv(FsPath(cfg["costs_csv"]).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load cost matrix: {exc}") from None
+            costs = matrix_from_csv(_file_text(cfg, "costs_csv"))
+        except ValueError as exc:
+            raise ConfigError(f"cannot load 'costs_csv': {exc}") from None
+        if costs.shape[0] != costs.shape[1]:
+            raise ConfigError(
+                f"'costs_csv' must be a square matrix, got shape {costs.shape}"
+            )
+        if not np.all(np.isfinite(costs)):
+            raise ConfigError("'costs_csv' entries must be finite")
     else:
         model = _model_from(cfg)
         grid = _grid_from(cfg)
@@ -351,6 +365,12 @@ def cmd_converge(args, cfg: dict) -> int:
     if not isinstance(Ns, list) or not isinstance(hs, list) or len(Ns) != len(hs) or not Ns:
         raise ConfigError("'Ns' and 'hs' must be nonempty lists of equal length")
     Ns = [_int_from(n, "an 'Ns' entry") for n in Ns]
+    for key, spec in (("marginal_a", spec_a), ("marginal_b", spec_b)):
+        if spec.kind == "custom_points" and any(n != spec.points.shape[0] for n in Ns):
+            raise ConfigError(
+                f"'{key}' has {spec.points.shape[0]} custom points, "
+                f"but 'Ns' asks for {Ns}"
+            )
     hs = [_number(h, "an 'hs' entry", positive=True) for h in hs]
     _check_threads(cfg)
     cost_kind = _cost_kind_from(cfg, model, ("auto", "bvp", "closed_form"))
@@ -386,9 +406,9 @@ def cmd_stationary(args, cfg: dict) -> int:
     _check_threads(cfg)
     if "paths_csv" in cfg:
         try:
-            pi0 = measure_from_csv(FsPath(cfg["paths_csv"]).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load initial paths: {exc}") from None
+            pi0 = measure_from_csv(_file_text(cfg, "paths_csv"))
+        except ValueError as exc:
+            raise ConfigError(f"cannot load 'paths_csv': {exc}") from None
     elif "lines" in cfg:
         lines = cfg["lines"]
         grid = TimeGrid.uniform(*_span_from(cfg), 1)

@@ -21,7 +21,14 @@ import scipy.sparse.linalg as spla
 
 from .errors import BlowUpError, NewtonError
 from .models import LagrangianModel, as_point
-from .paths import Path, PhasePoint, TimeGrid, midpoint_action, uniform_distance
+from .paths import (
+    Path,
+    PhasePoint,
+    TimeGrid,
+    _midpoint_actions,
+    midpoint_action,
+    uniform_distance,
+)
 
 
 @dataclass(frozen=True)
@@ -46,17 +53,47 @@ class BvpResult:
     message: str = ""
 
 
+@dataclass(frozen=True)
+class BvpBatchResult:
+    """P two-point solves on one grid, pair p in entry p of every field.
+
+    ``nodes`` is (P, l+1, n); ``costs``, ``residuals``, ``converged`` and
+    ``newton_iterations`` are (P,); ``messages`` holds one string per pair.
+    """
+
+    nodes: np.ndarray
+    costs: np.ndarray
+    residuals: np.ndarray
+    converged: np.ndarray
+    newton_iterations: np.ndarray
+    messages: tuple[str, ...]
+
+
+_NEWTON_FAILED = "Newton did not reach the residual tolerance"
+_SADDLE_FOUND = (
+    "saddle-point check failed: a nodal perturbation of size h^2 decreased the action"
+)
+# perturbations in the minimality screen unless solve_bvp is told otherwise
+_N_PERTURBATIONS = 20
+
+
 def _hessian_at(model: LagrangianModel, x: np.ndarray) -> np.ndarray:
-    """Analytic Hessian when available, else forward differences of the gradient."""
+    """Analytic Hessian when available, else forward differences of the gradient.
+
+    ``x`` is one point (n,) or a batch (..., n); the result is (..., n, n).
+    The difference step is set per point.
+    """
+    n = x.shape[-1]
     if model.hess_potential is not None:
-        return np.asarray(model.hess_potential(x), dtype=float).reshape(x.size, x.size)
-    step = 1e-7 * max(1.0, float(np.max(np.abs(x))))
+        return np.asarray(model.hess_potential(x), dtype=float).reshape(x.shape + (n,))
+    step = 1e-7 * np.maximum(1.0, np.max(np.abs(x), axis=-1))
     g0 = np.asarray(model.grad_potential(x), dtype=float)
-    H = np.empty((x.size, x.size))
-    for i in range(x.size):
+    H = np.empty(x.shape + (n,))
+    for i in range(n):
         xi = x.copy()
-        xi[i] += step
-        H[:, i] = (np.asarray(model.grad_potential(xi), dtype=float) - g0) / step
+        xi[..., i] += step
+        grad = np.asarray(model.grad_potential(xi), dtype=float)
+        H[..., :, i] = (grad - g0) / step[..., None]
     return H
 
 
@@ -258,41 +295,99 @@ def el_residual(model: LagrangianModel, path: Path) -> float:
     return float(np.max(np.linalg.norm(defects, axis=1)))
 
 
+def _bvp_blocks(
+    model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of the Jacobian of the stacked interior defects.
+
+    ``nodes`` is (l+1, n) or a batch (P, l+1, n) on one grid.  Returns the
+    diagonal blocks (..., l-1, n, n) and the blocks (..., l-2, n, n) that
+    couple interior nodes j and j+1; each one is both the upper block of row
+    j and the lower block of row j+1.
+    """
+    m = model.mass
+    mids = 0.5 * (nodes[..., 1:, :] + nodes[..., :-1, :])
+    # d(force term)/d(node) on interval j contributes (dt_j/4) Hess V(mid_j)
+    hess = 0.25 * dt[:, None, None] * _hessian_at(model, mids)
+    eye = np.eye(nodes.shape[-1])
+    diag = (
+        (m / dt[:-1] + m / dt[1:])[:, None, None] * eye
+        - hess[..., :-1, :, :]
+        - hess[..., 1:, :, :]
+    )
+    off = -(m / dt[1:-1])[:, None, None] * eye - hess[..., 1:-1, :, :]
+    return diag, off
+
+
 def _bvp_jacobian(
     model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray
 ) -> sp.csc_matrix:
-    """Block-tridiagonal Jacobian of the stacked interior defects."""
-    m = model.mass
+    """Block-tridiagonal Jacobian of the stacked interior defects, sparse."""
+    diag, off = _bvp_blocks(model, nodes, dt)
+    k = np.arange(diag.shape[0])
     n = nodes.shape[1]
-    l = dt.size
-    mids = 0.5 * (nodes[1:] + nodes[:-1])
-    # d(force term)/d(node) on interval j contributes (dt_j/4) Hess V(mid_j)
-    hess = np.empty((l, n, n))
-    for j in range(l):
-        hess[j] = 0.25 * dt[j] * _hessian_at(model, mids[j])
-    eye = np.eye(n)
-    rows, cols, data = [], [], []
-
-    def add_block(bi: int, bj: int, block: np.ndarray) -> None:
-        r = np.repeat(np.arange(n), n) + bi * n
-        c = np.tile(np.arange(n), n) + bj * n
-        rows.append(r)
-        cols.append(c)
-        data.append(block.ravel())
-
-    for j in range(1, l):  # interior node index, block row j-1
-        bi = j - 1
-        diag = (m / dt[j - 1] + m / dt[j]) * eye - hess[j - 1] - hess[j]
-        add_block(bi, bi, diag)
-        if j - 1 >= 1:
-            add_block(bi, bi - 1, -(m / dt[j - 1]) * eye - hess[j - 1])
-        if j + 1 <= l - 1:
-            add_block(bi, bi + 1, -(m / dt[j]) * eye - hess[j])
-    size = (l - 1) * n
+    block_row = np.concatenate([k, k[:-1], k[1:]])
+    block_col = np.concatenate([k, k[1:], k[:-1]])
+    within = np.arange(n)
+    rows, cols = np.broadcast_arrays(
+        block_row[:, None, None] * n + within[:, None],
+        block_col[:, None, None] * n + within,
+    )
+    size = k.size * n
     return sp.csc_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate([diag, off, off]).ravel(), (rows.ravel(), cols.ravel())),
         shape=(size, size),
     )
+
+
+def _solve_blocks(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve M X = B for a stack of small blocks (P, n, n) and (P, n, k).
+
+    An exactly singular block gives a non-finite solution, as a sparse LU
+    does, so the line search rejects the step instead of the batch failing.
+    """
+    if M.shape[-1] == 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return B / M
+    try:
+        return np.linalg.solve(M, B)
+    except np.linalg.LinAlgError:
+        out = np.full(B.shape, np.nan)
+        for p in range(M.shape[0]):
+            try:
+                out[p] = np.linalg.solve(M[p], B[p])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _block_tridiagonal_solve(
+    diag: np.ndarray, off: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Solve P block-tridiagonal systems by block elimination.
+
+    ``diag`` (P, K, n, n) and ``off`` (P, K-1, n, n) are the blocks returned
+    by ``_bvp_blocks`` and ``rhs`` is (P, K, n).  The forward sweep keeps one
+    gain block and one reduced right-hand side per unknown: O(P K n^3) work
+    and O(P K n^2) memory.
+    """
+    K = diag.shape[1]
+    gains = np.empty_like(off)
+    z = np.empty(rhs.shape + (1,))
+    for k in range(K):
+        M = diag[:, k]
+        b = rhs[:, k, :, None]
+        if k:
+            M = M - off[:, k - 1] @ gains[:, k - 1]
+            b = b - off[:, k - 1] @ z[:, k - 1]
+        if k < K - 1:
+            sol = _solve_blocks(M, np.concatenate([off[:, k], b], axis=-1))
+            gains[:, k], z[:, k] = sol[..., :-1], sol[..., -1:]
+        else:
+            z[:, k] = _solve_blocks(M, b)
+    for k in range(K - 2, -1, -1):
+        z[:, k] -= gains[:, k] @ z[:, k + 1]
+    return z[..., 0]
 
 
 def _bvp_newton(
@@ -330,6 +425,97 @@ def _bvp_newton(
     return nodes, err, max_iter, err <= tol * scale
 
 
+def _bvp_newton_batch(
+    model: LagrangianModel,
+    nodes: np.ndarray,
+    dt: np.ndarray,
+    tol: float,
+    max_iter: int,
+    scale: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_bvp_newton`` for P stacked problems (P, l+1, n) with per-pair masks.
+
+    Every pair takes its own Newton steps and Armijo step lengths and stops
+    on its own test; the pairs still iterating share one block elimination
+    per iteration.  Returns (nodes, residuals, iterations, converged).
+    """
+    nodes = nodes.copy()
+    defects = _interior_defects(model, nodes, dt)
+    err = np.max(np.abs(defects), axis=(1, 2))
+    iters = np.full(nodes.shape[0], max_iter)
+    active = np.arange(nodes.shape[0])
+    for it in range(max_iter):
+        done = err[active] <= tol * scale[active]
+        iters[active[done]] = it
+        active = active[~done]
+        if active.size == 0:
+            break
+        base, base_defects = nodes[active], defects[active]
+        step = _block_tridiagonal_solve(*_bvp_blocks(model, base, dt), -base_defects)
+        phi = 0.5 * np.sum(base_defects * base_defects, axis=(1, 2))
+        t = np.ones(active.size)
+        trial, trial_defects = np.empty_like(base), np.empty_like(base_defects)
+        searching = np.arange(active.size)
+        while searching.size:  # Armijo backtracking on the squared residual
+            cand = base[searching]
+            cand[:, 1:-1] += t[searching, None, None] * step[searching]
+            cand_defects = _interior_defects(model, cand, dt)
+            cand_phi = 0.5 * np.sum(cand_defects * cand_defects, axis=(1, 2))
+            ts = t[searching]
+            stop = (cand_phi <= phi[searching] * (1.0 - 1e-4 * ts)) | (ts < 1e-12)
+            trial[searching[stop]] = cand[stop]
+            trial_defects[searching[stop]] = cand_defects[stop]
+            t[searching[~stop]] *= 0.5
+            searching = searching[~stop]
+        stalled = t < 1e-12
+        iters[active[stalled]] = it
+        moved = active[~stalled]
+        nodes[moved] = trial[~stalled]
+        defects[moved] = trial_defects[~stalled]
+        err[moved] = np.max(np.abs(trial_defects[~stalled]), axis=(1, 2))
+        active = moved
+    # a stalled pair stopped above the tolerance, so this test fails it too
+    return nodes, err, iters, err <= tol * scale
+
+
+def _residual_scale(
+    model: LagrangianModel, x: np.ndarray, y: np.ndarray, grid: TimeGrid, tol: float
+) -> np.ndarray:
+    """Newton residual scale of the pairs x -> y, points (n,) or (P, n).
+
+    Momenta of size m |y - x| / span set the scale, which never drops below
+    the evaluation-noise floor of the single step: residual components are
+    differences of momenta of size m |x| / dt known only to eps relative.
+    """
+    size = np.maximum(
+        1.0, np.maximum(np.max(np.abs(x), axis=-1), np.max(np.abs(y), axis=-1))
+    )
+    noise = 64.0 * np.finfo(float).eps * model.mass / float(np.min(grid.spacings)) * size
+    return np.maximum(
+        np.maximum(1.0, model.mass * np.max(np.abs(y - x), axis=-1) / grid.span),
+        noise / tol,
+    )
+
+
+def _perturbations(grid: TimeGrid, dim: int, count: int, rng: np.random.Generator):
+    """Interior-node displacements (l-1, n) of size h^2 for the minimality screen.
+
+    Random amplitudes on low-frequency modes: minimality fails in the lowest
+    modes first (conjugate points), which white noise on the nodes would
+    almost never probe.  Drawn lazily, so a screen that stops early leaves
+    the generator's later draws untaken.
+    """
+    l = grid.n_intervals
+    h2 = grid.max_spacing**2
+    phase = np.pi * (grid.nodes[1:-1] - grid.start) / grid.span
+    for k in range(count):
+        mode = np.sin((k % max(1, min(l - 1, count)) + 1) * phase)
+        direction = rng.standard_normal(dim)
+        direction /= max(1e-300, float(np.linalg.norm(direction)))
+        amp = h2 * rng.uniform(0.5, 1.5)
+        yield amp * mode[:, None] * direction[None, :]
+
+
 def _cluster_paths(paths: list[Path], threshold: float) -> list[list[int]]:
     """Greedy clustering of paths by sup-distance below the threshold."""
     clusters: list[list[int]] = []
@@ -352,7 +538,7 @@ def solve_bvp(
     tol: float = 1e-12,
     max_iter: int = 50,
     check_minimum: bool = True,
-    n_perturbations: int = 20,
+    n_perturbations: int = _N_PERTURBATIONS,
     n_restarts: int = 0,
     cluster_threshold: float = 1e-3,
     rng: np.random.Generator | None = None,
@@ -391,18 +577,7 @@ def solve_bvp(
     rng = rng if rng is not None else np.random.default_rng(0)
     dt = grid.spacings
     l = grid.n_intervals
-    # same evaluation-noise floor as the single step: residual components are
-    # differences of momenta of size m |x| / dt known only to eps relative
-    noise = (
-        64.0
-        * np.finfo(float).eps
-        * model.mass
-        / float(np.min(dt))
-        * max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(y))))
-    )
-    scale = max(
-        1.0, model.mass * float(np.max(np.abs(y - x))) / grid.span, noise / tol
-    )
+    scale = float(_residual_scale(model, x, y, grid, tol))
 
     line = Path.line(grid, x, y)
     if l == 1:
@@ -423,27 +598,14 @@ def solve_bvp(
         )
         solved = Path(grid, nodes)
         cost = midpoint_action(model, solved)
-        message = "" if ok else "Newton did not reach the residual tolerance"
+        message = "" if ok else _NEWTON_FAILED
         if ok and check_minimum:
-            h2 = grid.max_spacing**2
             slack = 1e-10 * max(1.0, abs(cost))
-            # random amplitudes on low-frequency modes: minimality fails in
-            # the lowest modes first (conjugate points), which white noise on
-            # the nodes would almost never probe
-            phase = np.pi * (grid.nodes[1:-1] - grid.start) / grid.span
-            for k in range(n_perturbations):
-                mode = np.sin((k % max(1, min(l - 1, n_perturbations)) + 1) * phase)
-                direction = rng.standard_normal(x.size)
-                direction /= max(1e-300, float(np.linalg.norm(direction)))
-                amp = h2 * rng.uniform(0.5, 1.5)
+            for bump in _perturbations(grid, x.size, n_perturbations, rng):
                 pert = nodes.copy()
-                pert[1:-1] += amp * mode[:, None] * direction[None, :]
+                pert[1:-1] += bump
                 if midpoint_action(model, Path(grid, pert)) < cost - slack:
-                    ok = False
-                    message = (
-                        "saddle-point check failed: a nodal perturbation of "
-                        "size h^2 decreased the action"
-                    )
+                    ok, message = False, _SADDLE_FOUND
                     break
         return BvpResult(solved, cost, resid, ok, iters, 1, message), solved
 
@@ -478,3 +640,61 @@ def solve_bvp(
         multiplicity=len(clusters),
         message=winner.message,
     )
+
+
+def solve_bvp_batch(
+    model: LagrangianModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    grid: TimeGrid,
+    tol: float = 1e-12,
+    max_iter: int = 50,
+) -> BvpBatchResult:
+    """Connect x[p] to y[p] for P pairs of points (P, n) on one grid at once.
+
+    Pair by pair this is ``solve_bvp`` with its defaults: the straight-line
+    start, the residual scale, Armijo-damped Newton and the minimality
+    screen.  Every scalar solve draws its 20 perturbations from a fresh
+    ``default_rng(0)`` and nothing before them, so all pairs share one draw.
+    Only the linear algebra differs: each Newton step comes from one
+    block-tridiagonal elimination over the pairs still iterating, so costs
+    agree with ``solve_bvp`` to rounding.  Failures are reported per pair
+    through ``converged`` and ``messages``, not by raising.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValueError("endpoints must be two arrays of the same shape (P, n)")
+    P, n = x.shape
+    dt = grid.spacings
+    u = ((grid.nodes - grid.start) / grid.span)[:, None]
+    nodes = (1.0 - u) * x[:, None, :] + u * y[:, None, :]
+    if grid.n_intervals == 1:
+        return BvpBatchResult(
+            nodes,
+            _midpoint_actions(model, nodes, dt),
+            np.zeros(P),
+            np.ones(P, dtype=bool),
+            np.zeros(P, dtype=int),
+            ("",) * P,
+        )
+    scale = _residual_scale(model, x, y, grid, tol)
+    nodes, residuals, iters, converged = _bvp_newton_batch(
+        model, nodes, dt, tol, max_iter, scale
+    )
+    costs = _midpoint_actions(model, nodes, dt)
+    messages = [""] * P
+    for p in np.flatnonzero(~converged):
+        messages[p] = _NEWTON_FAILED
+    slack = 1e-10 * np.maximum(1.0, np.abs(costs))
+    screened = np.flatnonzero(converged)
+    for bump in _perturbations(grid, n, _N_PERTURBATIONS, np.random.default_rng(0)):
+        if screened.size == 0:
+            break
+        pert = nodes[screened]
+        pert[:, 1:-1] += bump
+        lower = _midpoint_actions(model, pert, dt) < costs[screened] - slack[screened]
+        for p in screened[lower]:
+            converged[p], messages[p] = False, _SADDLE_FOUND
+        screened = screened[~lower]
+    return BvpBatchResult(nodes, costs, residuals, converged, iters, tuple(messages))

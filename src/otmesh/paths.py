@@ -232,11 +232,15 @@ def midpoint_action(model: LagrangianModel, path: Path) -> float:
 
     sum_j (m/2)|x_j - x_{j-1}|^2 / dt_j - V((x_j + x_{j-1}) / 2) dt_j.
     """
-    dt = path.grid.spacings
-    d = np.diff(path.nodes, axis=0)
-    kinetic = 0.5 * model.mass * float(np.sum(np.sum(d * d, axis=1) / dt))
-    mids = 0.5 * (path.nodes[1:] + path.nodes[:-1])
-    potential = float(np.sum(np.asarray(model.potential(mids), dtype=float) * dt))
+    return float(_midpoint_actions(model, path.nodes, path.grid.spacings))
+
+
+def _midpoint_actions(model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray):
+    """Midpoint action of nodes (l+1, n), or of each path of a batch (P, l+1, n)."""
+    d = np.diff(nodes, axis=-2)
+    kinetic = 0.5 * model.mass * np.sum(np.sum(d * d, axis=-1) / dt, axis=-1)
+    mids = 0.5 * (nodes[..., 1:, :] + nodes[..., :-1, :])
+    potential = np.sum(np.asarray(model.potential(mids), dtype=float) * dt, axis=-1)
     return kinetic - potential
 
 

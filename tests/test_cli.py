@@ -294,10 +294,19 @@ def valid_config(tmp_path, command: str) -> dict:
         ("converge", "seed", "abc"),
         ("converge", "cost_kind", "nope"),
         ("stationary", "lines", []),
+        ("transport", "costs_csv", "0,nan\n1,0\n"),
+        ("transport", "costs_csv", "1,2\n"),
+        ("converge", "marginal_a", {"kind": "custom_points", "points": [0.5]}),
+        ("bvp", "intervals", 2.5),
+        ("stationary", "paths_csv", None),
     ],
 )
 def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, command, field, value):
     payload = valid_config(tmp_path, command)
+    if field == "costs_csv":  # the value is the content of the file it names
+        costs = tmp_path / "costs.csv"
+        costs.write_text(value, encoding="utf-8")
+        value = str(costs)
     payload[field] = value
     cfg = write_config(tmp_path, payload, "bad.json")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1

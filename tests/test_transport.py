@@ -1,15 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from otmesh import (
     PointCloud,
+    SolverError,
     TimeGrid,
     brute_force_assignment,
+    cosine_potential,
     cost_matrix,
+    double_well,
     free_particle,
     harmonic_oscillator,
     solve_assignment,
+    solve_bvp,
 )
+from otmesh.integrators import solve_bvp_batch
 
 
 # -- cost matrices -------------------------------------------------------------
@@ -41,6 +48,135 @@ def test_cost_matrix_closed_form_matches_bvp():
     assert solved == pytest.approx(exact, abs=1e-4)
     # entry (0, 0) connects 0 to 1 over a quarter period: cost 0
     assert exact[0, 0] == pytest.approx(0.0, abs=1e-14)
+
+
+# the batched per-row solve against a per-pair solve_bvp loop
+
+BATCH_MODELS = {
+    "free_particle": (free_particle(), 1),
+    "harmonic": (harmonic_oscillator(), 1),
+    "double_well": (double_well(), 1),
+    "cosine": (cosine_potential(amplitude=2.0, dim=2), 2),
+    # without an analytic Hessian the solvers difference the gradient
+    "double_well_fd": (replace(double_well(), hess_potential=None), 2),
+    "cosine_fd": (replace(cosine_potential(dim=2), hess_potential=None), 2),
+}
+BATCH_GRIDS = {
+    "uniform": TimeGrid.uniform(0.0, 0.3, 24),
+    "nonuniform": TimeGrid([0.0, 0.01, 0.05, 0.08, 0.15, 0.16, 0.22, 0.3]),
+}
+
+
+def per_pair_solves(model, source, target, grid, **options):
+    return [[solve_bvp(model, x, y, grid, **options) for y in target] for x in source]
+
+
+@pytest.mark.parametrize("grid_name", sorted(BATCH_GRIDS))
+@pytest.mark.parametrize("model_name", sorted(BATCH_MODELS))
+def test_cost_matrix_bvp_matches_per_pair_solves(model_name, grid_name):
+    model, dim = BATCH_MODELS[model_name]
+    grid = BATCH_GRIDS[grid_name]
+    rng = np.random.default_rng(len(model_name) + 10 * dim)
+    source = PointCloud(rng.uniform(-1.2, 1.2, (4, dim)))
+    target = PointCloud(rng.uniform(-0.5, 1.5, (4, dim)))
+    oracle = per_pair_solves(model, source.points, target.points, grid)
+    assert all(r.converged for row in oracle for r in row)
+    expected = np.array([[r.cost for r in row] for row in oracle])
+    costs = cost_matrix(model, source, target, grid, cost_kind="bvp")
+    np.testing.assert_allclose(costs, expected, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("max_iter", [50, 2])
+@pytest.mark.parametrize("grid_name", sorted(BATCH_GRIDS))
+@pytest.mark.parametrize("model_name", sorted(BATCH_MODELS))
+def test_bvp_batch_matches_per_pair_solves(model_name, grid_name, max_iter):
+    # max_iter=2 stops nonlinear pairs early: per-pair masks and flags must agree
+    model, dim = BATCH_MODELS[model_name]
+    grid = BATCH_GRIDS[grid_name]
+    rng = np.random.default_rng(7 + dim)
+    x = rng.uniform(-1.2, 1.2, (9, dim))
+    y = rng.uniform(-0.8, 1.5, (9, dim))
+    batch = solve_bvp_batch(model, x, y, grid, max_iter=max_iter)
+    oracle = [solve_bvp(model, a, b, grid, max_iter=max_iter) for a, b in zip(x, y)]
+    assert batch.converged.tolist() == [r.converged for r in oracle]
+    assert list(batch.messages) == [r.message for r in oracle]
+    assert batch.newton_iterations.tolist() == [r.newton_iterations for r in oracle]
+    expected = np.array([r.cost for r in oracle])
+    np.testing.assert_allclose(batch.costs, expected, rtol=1e-12, atol=1e-14)
+    nodes = np.array([r.path.nodes for r in oracle])
+    np.testing.assert_allclose(batch.nodes, nodes, rtol=0, atol=1e-12)
+
+
+def far_up_the_quartic():
+    rng = np.random.default_rng(9)
+    return rng.uniform(-1.5, 1.5, (9, 2)), rng.uniform(-1.0, 2.0, (9, 2))
+
+
+@pytest.mark.parametrize(
+    "model, x, y, grid",
+    [
+        # one of these pairs takes 19 damped Newton steps and then stalls
+        (double_well(), *far_up_the_quartic(), TimeGrid.uniform(0.0, 0.3, 24)),
+        # an exactly singular Jacobian (m/dt = k dt/2) stalls at once
+        (harmonic_oscillator(), [[0.3], [0.0]], [[-0.2], [0.0]], TimeGrid.uniform(0, 4.0, 2)),
+    ],
+    ids=["damped", "singular"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_bvp_batch_matches_per_pair_solves_when_damped_or_stalled(model, x, y, grid):
+    batch = solve_bvp_batch(model, x, y, grid)
+    oracle = [solve_bvp(model, a, b, grid) for a, b in zip(x, y)]
+    assert not all(r.converged for r in oracle)
+    assert batch.converged.tolist() == [r.converged for r in oracle]
+    assert list(batch.messages) == [r.message for r in oracle]
+    assert batch.newton_iterations.tolist() == [r.newton_iterations for r in oracle]
+    ok = batch.converged
+    expected = np.array([r.cost for r in oracle])
+    np.testing.assert_allclose(batch.costs[ok], expected[ok], rtol=1e-12, atol=1e-14)
+
+
+def test_bvp_batch_single_interval_is_the_segment():
+    grid = TimeGrid.uniform(0, 1, 1)
+    x, y = np.array([[0.5], [-1.0]]), np.array([[1.5], [2.0]])
+    batch = solve_bvp_batch(harmonic_oscillator(), x, y, grid)
+    oracle = [solve_bvp(harmonic_oscillator(), a, b, grid) for a, b in zip(x, y)]
+    assert batch.converged.all() and not batch.residuals.any()
+    assert batch.costs.tolist() == [r.cost for r in oracle]
+
+
+@pytest.mark.parametrize(
+    "model, points, grid, reason",
+    [
+        # past the conjugate span the Jacobian is indefinite: every pair is a saddle
+        (harmonic_oscillator(), [0.0, 0.5], TimeGrid.uniform(0, 1.5 * np.pi, 60), "saddle"),
+        # only pairs near the potential's top at pi reach a conjugate point
+        (cosine_potential(), [0.1, 3.0, 3.3], TimeGrid.uniform(0, 4.0, 40), "saddle"),
+        # m/dt = k dt/2 at dt = 2: the Jacobian is exactly singular, in 1-D and 2-D
+        (harmonic_oscillator(), [0.3, -0.2], TimeGrid.uniform(0, 4.0, 2), "Newton"),
+        (
+            harmonic_oscillator(),
+            [[0.0, 0.5], [1.0, -0.5]],
+            TimeGrid.uniform(0, 4.0, 2),
+            "Newton",
+        ),
+    ],
+    ids=["harmonic", "cosine", "singular_1d", "singular_2d"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_cost_matrix_reports_first_failure_like_per_pair_loop(model, points, grid, reason):
+    cloud = PointCloud(points)
+    oracle = per_pair_solves(model, cloud.points, cloud.points, grid)
+    i, j = next(
+        (i, j) for i, row in enumerate(oracle) for j, r in enumerate(row) if not r.converged
+    )
+    assert reason in oracle[i][j].message
+    with pytest.raises(SolverError) as raised:
+        cost_matrix(model, cloud, cloud, grid, cost_kind="bvp")
+    assert str(raised.value) == (
+        f"boundary-value solve failed for pair ({i}, {j}): {oracle[i][j].message}"
+    )
 
 
 def test_cost_matrix_rejects_bad_input():
