@@ -58,7 +58,7 @@ class BvpBatchResult:
     """P two-point solves on one grid, pair p in entry p of every field.
 
     ``nodes`` is (P, l+1, n); ``costs``, ``residuals``, ``converged`` and
-    ``newton_iterations`` are (P,); ``messages`` holds one string per pair.
+    ``newton_iterations`` are (P,).
     """
 
     nodes: np.ndarray
@@ -66,14 +66,12 @@ class BvpBatchResult:
     residuals: np.ndarray
     converged: np.ndarray
     newton_iterations: np.ndarray
-    messages: tuple[str, ...]
 
 
-_NEWTON_FAILED = "Newton did not reach the residual tolerance"
-_SADDLE_FOUND = (
-    "saddle-point check failed: a nodal perturbation of size h^2 decreased the action"
-)
-# perturbations in the minimality screen unless solve_bvp is told otherwise
+# Newton tolerance, iteration cap and minimality-screen size unless
+# solve_bvp is told otherwise; solve_bvp_batch always uses them
+_BVP_TOL = 1e-12
+_BVP_MAX_ITER = 50
 _N_PERTURBATIONS = 20
 
 
@@ -535,8 +533,8 @@ def solve_bvp(
     y,
     grid: TimeGrid,
     init: Path | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 50,
+    tol: float = _BVP_TOL,
+    max_iter: int = _BVP_MAX_ITER,
     check_minimum: bool = True,
     n_perturbations: int = _N_PERTURBATIONS,
     n_restarts: int = 0,
@@ -598,14 +596,18 @@ def solve_bvp(
         )
         solved = Path(grid, nodes)
         cost = midpoint_action(model, solved)
-        message = "" if ok else _NEWTON_FAILED
+        message = "" if ok else "Newton did not reach the residual tolerance"
         if ok and check_minimum:
             slack = 1e-10 * max(1.0, abs(cost))
             for bump in _perturbations(grid, x.size, n_perturbations, rng):
                 pert = nodes.copy()
                 pert[1:-1] += bump
                 if midpoint_action(model, Path(grid, pert)) < cost - slack:
-                    ok, message = False, _SADDLE_FOUND
+                    ok = False
+                    message = (
+                        "saddle-point check failed: a nodal perturbation of "
+                        "size h^2 decreased the action"
+                    )
                     break
         return BvpResult(solved, cost, resid, ok, iters, 1, message), solved
 
@@ -647,8 +649,6 @@ def solve_bvp_batch(
     x: np.ndarray,
     y: np.ndarray,
     grid: TimeGrid,
-    tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> BvpBatchResult:
     """Connect x[p] to y[p] for P pairs of points (P, n) on one grid at once.
 
@@ -659,7 +659,7 @@ def solve_bvp_batch(
     Only the linear algebra differs: each Newton step comes from one
     block-tridiagonal elimination over the pairs still iterating, so costs
     agree with ``solve_bvp`` to rounding.  Failures are reported per pair
-    through ``converged`` and ``messages``, not by raising.
+    through ``converged``, not by raising.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -676,16 +676,12 @@ def solve_bvp_batch(
             np.zeros(P),
             np.ones(P, dtype=bool),
             np.zeros(P, dtype=int),
-            ("",) * P,
         )
-    scale = _residual_scale(model, x, y, grid, tol)
+    scale = _residual_scale(model, x, y, grid, _BVP_TOL)
     nodes, residuals, iters, converged = _bvp_newton_batch(
-        model, nodes, dt, tol, max_iter, scale
+        model, nodes, dt, _BVP_TOL, _BVP_MAX_ITER, scale
     )
     costs = _midpoint_actions(model, nodes, dt)
-    messages = [""] * P
-    for p in np.flatnonzero(~converged):
-        messages[p] = _NEWTON_FAILED
     slack = 1e-10 * np.maximum(1.0, np.abs(costs))
     screened = np.flatnonzero(converged)
     for bump in _perturbations(grid, n, _N_PERTURBATIONS, np.random.default_rng(0)):
@@ -694,7 +690,6 @@ def solve_bvp_batch(
         pert = nodes[screened]
         pert[:, 1:-1] += bump
         lower = _midpoint_actions(model, pert, dt) < costs[screened] - slack[screened]
-        for p in screened[lower]:
-            converged[p], messages[p] = False, _SADDLE_FOUND
+        converged[screened[lower]] = False
         screened = screened[~lower]
-    return BvpBatchResult(nodes, costs, residuals, converged, iters, tuple(messages))
+    return BvpBatchResult(nodes, costs, residuals, converged, iters)

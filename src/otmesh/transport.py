@@ -9,9 +9,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatchError, SolverError
-from .integrators import solve_bvp_batch
-# unused here, but bench/tracing.py wraps this name in this module
-from .integrators import solve_bvp  # noqa: F401
+from .integrators import solve_bvp, solve_bvp_batch
 from .models import LagrangianModel, closed_form_cost_matrix, has_closed_form_cost
 from .paths import TimeGrid
 
@@ -72,8 +70,11 @@ def cost_matrix(
     ``cost_kind="bvp"`` solves one boundary-value problem per pair, pair by
     pair as ``solve_bvp`` does, but a whole source row at once: one batched
     Newton whose steps come from a block-tridiagonal elimination over the N
-    targets (``solve_bvp_batch``), so memory stays O(N l n^2).  SolverError
-    names the first failing pair in row-major order with the solver's reason.
+    targets (``solve_bvp_batch``), so memory stays O(N l n^2).  The
+    elimination does not pivot between blocks, so on an indefinite Jacobian
+    a pair can stall where the sparse LU of ``solve_bvp`` does not; each pair
+    the batch fails is solved again by ``solve_bvp``, and SolverError names
+    the first pair in row-major order that fails there too, with its reason.
     ``cost_kind="closed_form"`` uses the catalog formula (free particle or
     harmonic oscillator) and ignores the grid resolution.
     """
@@ -93,13 +94,14 @@ def cost_matrix(
     for i in range(N):
         x = np.broadcast_to(source.points[i], target.points.shape)
         row = solve_bvp_batch(model, x, target.points, grid)
-        failed = np.flatnonzero(~row.converged)
-        if failed.size:
-            j = int(failed[0])
-            raise SolverError(
-                f"boundary-value solve failed for pair ({i}, {j}): {row.messages[j]}"
-            )
         costs[i] = row.costs
+        for j in np.flatnonzero(~row.converged):
+            result = solve_bvp(model, source.points[i], target.points[j], grid)
+            if not result.converged:
+                raise SolverError(
+                    f"boundary-value solve failed for pair ({i}, {j}): {result.message}"
+                )
+            costs[i, j] = result.cost
     return costs
 
 
