@@ -58,7 +58,6 @@ result = solve_bvp(
     np.array([1.0, 0.0]),
     grid,
     n_restarts=5,
-    rng=np.random.default_rng(0),
 )
 midway = result.path.evaluate(1.5)
 print(f"converged: {result.converged},  distinct minimizer clusters: {result.multiplicity}")

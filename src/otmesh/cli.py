@@ -4,7 +4,9 @@ Subcommands: ``bvp``, ``flow``, ``transport``, ``converge``, ``stationary``.
 Each reads a single JSON config (the experiment record), writes JSON/CSV
 artifacts to the output directory, and exits with 0 on success, 1 on config
 errors, 2 on solver failures, and 3 on partial per-row failures.  Identical
-config and seed produce byte-identical CSV artifacts.
+config and seed produce byte-identical CSV artifacts.  A time grid may have
+at most ``MAX_INTERVALS`` intervals; a config asking for more is a config
+error, raised before anything is allocated.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .models import LagrangianModel, MODEL_CATALOG, has_closed_form_cost, make_m
 from .paths import Path, PhasePoint, TimeGrid
 from .pipeline import (
     MarginalSpec,
+    check_horizon,
     run_convergence_study,
     run_stationarity_study,
 )
@@ -44,6 +47,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_PARTIAL = 3
+
+# Most intervals a config may ask of one time grid.  Nodes, paths and
+# Jacobians grow linearly with it (cost matrices by N^2 times it); the README
+# examples use at most 1000.
+MAX_INTERVALS = 1_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,6 +143,23 @@ def _int_from(value, what: str, minimum: int = 1) -> int:
     return int(value)
 
 
+def _check_intervals(count: float, what: str) -> None:
+    """Reject a grid of more than MAX_INTERVALS intervals before it is built."""
+    if count > MAX_INTERVALS:
+        raise ConfigError(
+            f"{what} asks for {count:.6g} intervals per time grid; "
+            f"at most {MAX_INTERVALS} are allowed"
+        )
+
+
+def _allow_long_horizon(args, cfg: dict) -> bool:
+    """--allow-long-horizon or the config's 'allow_long_horizon', a JSON boolean."""
+    allow = cfg.get("allow_long_horizon", False)
+    if not isinstance(allow, bool):
+        raise ConfigError(f"'allow_long_horizon' must be true or false, got {allow!r}")
+    return args.allow_long_horizon or allow
+
+
 def _check_threads(cfg: dict) -> None:
     """Validate the config's 'threads'; like --threads it is then ignored."""
     _int_from(cfg.get("threads", 1), "'threads'")
@@ -166,12 +191,13 @@ def _span_from(cfg: dict) -> tuple[float, float]:
 def _grid_from(cfg: dict) -> TimeGrid:
     a, b = _span_from(cfg)
     if "h" in cfg:
-        try:
-            return TimeGrid.from_step(a, b, float(cfg["h"]))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid 'h': {exc}") from None
+        h = _number(cfg["h"], "'h'", positive=True)
+        _check_intervals((b - a) / h, "'h'")
+        return TimeGrid.from_step(a, b, h)
     if "intervals" in cfg:
-        return TimeGrid.uniform(a, b, _int_from(cfg["intervals"], "'intervals'"))
+        intervals = _int_from(cfg["intervals"], "'intervals'")
+        _check_intervals(intervals, "'intervals'")
+        return TimeGrid.uniform(a, b, intervals)
     raise ConfigError("config needs either 'h' or 'intervals' next to 'span'")
 
 
@@ -332,6 +358,10 @@ def cmd_transport(args, cfg: dict) -> int:
                 f"dimension, got {source.size}x{source.dim} and {target.size}x{target.dim}"
             )
         cost_kind = _cost_kind_from(cfg, model, ("bvp", "closed_form"))
+        allow = _allow_long_horizon(args, cfg)
+        if cost_kind == "bvp":
+            # the horizon bounds the midpoint action, which closed-form costs skip
+            check_horizon(model, grid.span, allow)
         from .transport import cost_matrix as build_costs
 
         costs = build_costs(model, source, target, grid, cost_kind)
@@ -372,11 +402,11 @@ def cmd_converge(args, cfg: dict) -> int:
                 f"but 'Ns' asks for {Ns}"
             )
     hs = [_number(h, "an 'hs' entry", positive=True) for h in hs]
+    for h in hs:
+        _check_intervals((span[1] - span[0]) / h, "an 'hs' entry")
     _check_threads(cfg)
     cost_kind = _cost_kind_from(cfg, model, ("auto", "bvp", "closed_form"))
-    allow = cfg.get("allow_long_horizon", False)
-    if not isinstance(allow, bool):
-        raise ConfigError(f"'allow_long_horizon' must be true or false, got {allow!r}")
+    allow = _allow_long_horizon(args, cfg)
     reference = cfg.get("reference_action")
     if reference is not None:
         reference = _number(reference, "'reference_action'")
@@ -389,7 +419,7 @@ def cmd_converge(args, cfg: dict) -> int:
         span,
         cost_kind=cost_kind,
         reference_action=reference,
-        allow_long_horizon=args.allow_long_horizon or allow,
+        allow_long_horizon=allow,
     )
     out = _out_dir(args, cfg)
     _write(out / "convergence.csv", convergence_report_to_csv(report))
@@ -427,6 +457,9 @@ def cmd_stationary(args, cfg: dict) -> int:
             raise ConfigError(f"invalid 'lines': {exc}") from None
     else:
         raise ConfigError("stationary runs need 'paths_csv' or 'lines'")
+    a, b = pi0.time_span
+    for h in hs:
+        _check_intervals((b - a) / h, "an 'hs' entry")
     report = run_stationarity_study(model, pi0, hs)
     out = _out_dir(args, cfg)
     _write(out / "stationarity.csv", stationarity_report_to_csv(report))

@@ -13,7 +13,7 @@ nodal trajectories of the midpoint action with pinned endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,14 +21,9 @@ import scipy.sparse.linalg as spla
 
 from .errors import BlowUpError, NewtonError
 from .models import LagrangianModel, as_point
-from .paths import (
-    Path,
-    PhasePoint,
-    TimeGrid,
-    _midpoint_actions,
-    midpoint_action,
-    uniform_distance,
-)
+from .paths import Path, PhasePoint, TimeGrid, _midpoint_actions, uniform_distance
+# unused here, but bench/tracing.py wraps this name in this module
+from .paths import midpoint_action  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -68,11 +63,16 @@ class BvpBatchResult:
     newton_iterations: np.ndarray
 
 
-# Newton tolerance, iteration cap and minimality-screen size unless
-# solve_bvp is told otherwise; solve_bvp_batch always uses them
+# Newton tolerance and iteration cap of every boundary-value solve, the size
+# of its minimality screen and the sup-distance that clusters restarts
 _BVP_TOL = 1e-12
 _BVP_MAX_ITER = 50
 _N_PERTURBATIONS = 20
+_CLUSTER_RADIUS = 1e-3
+
+# Newton tolerance and iteration cap of the implicit midpoint step
+_EL_TOL = 1e-12
+_EL_MAX_ITER = 50
 
 
 def _hessian_at(model: LagrangianModel, x: np.ndarray) -> np.ndarray:
@@ -175,10 +175,9 @@ def _el_step(
     curr: np.ndarray,
     dt_prev: float,
     dt_next: float,
-    tol: float,
-    max_iter: int,
 ) -> tuple[np.ndarray, int]:
     """Newton solve of the implicit midpoint step; returns (next, iterations)."""
+    tol, max_iter = _EL_TOL, _EL_MAX_ITER
     m = model.mass
     outgoing = m * (curr - prev) / dt_prev - 0.5 * dt_prev * np.asarray(
         model.grad_potential(0.5 * (prev + curr)), dtype=float
@@ -225,8 +224,6 @@ def discrete_el_step(
     curr,
     dt_prev: float,
     dt_next: float,
-    tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> np.ndarray:
     """Advance the midpoint three-term recurrence by one node."""
     prev, curr = as_point(prev), as_point(curr)
@@ -234,7 +231,7 @@ def discrete_el_step(
         raise ValueError("prev and curr have different dimensions")
     if dt_prev <= 0 or dt_next <= 0:
         raise ValueError("time steps must be positive")
-    nxt, _ = _el_step(model, prev, curr, dt_prev, dt_next, tol, max_iter)
+    nxt, _ = _el_step(model, prev, curr, dt_prev, dt_next)
     return nxt
 
 
@@ -242,8 +239,6 @@ def discrete_flow(
     model: LagrangianModel,
     start: PhasePoint,
     grid: TimeGrid,
-    tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> FlowResult:
     """March the discrete stationarity recurrence from (x, v).
 
@@ -257,9 +252,7 @@ def discrete_flow(
     nodes[1] = start.position + start.velocity * dt[0]
     iters_max = 0
     for j in range(1, grid.n_intervals):
-        nodes[j + 1], iters = _el_step(
-            model, nodes[j - 1], nodes[j], dt[j - 1], dt[j], tol, max_iter
-        )
+        nodes[j + 1], iters = _el_step(model, nodes[j - 1], nodes[j], dt[j - 1], dt[j])
         iters_max = max(iters_max, iters)
     v_final = (nodes[-1] - nodes[-2]) / dt[-1]
     return FlowResult(Path(grid, nodes), PhasePoint(nodes[-1], v_final), iters_max)
@@ -388,92 +381,19 @@ def _block_tridiagonal_solve(
     return z[..., 0]
 
 
-def _bvp_newton(
-    model: LagrangianModel,
-    nodes: np.ndarray,
-    dt: np.ndarray,
-    tol: float,
-    max_iter: int,
-    scale: float,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Damped Newton on the stacked system; returns (nodes, residual, iters, ok)."""
-    l = dt.size
-    n = nodes.shape[1]
-    defects = _interior_defects(model, nodes, dt)
-    err = float(np.max(np.abs(defects)))
-    for it in range(max_iter):
-        if err <= tol * scale:
-            return nodes, err, it, True
-        jac = _bvp_jacobian(model, nodes, dt)
-        step = spla.spsolve(jac, -defects.ravel()).reshape(l - 1, n)
-        phi = 0.5 * float(np.sum(defects * defects))
-        t = 1.0
-        while True:  # Armijo backtracking on the squared residual
-            trial = nodes.copy()
-            trial[1:-1] += t * step
-            trial_defects = _interior_defects(model, trial, dt)
-            trial_phi = 0.5 * float(np.sum(trial_defects * trial_defects))
-            if trial_phi <= phi * (1.0 - 1e-4 * t) or t < 1e-12:
-                break
-            t *= 0.5
-        if t < 1e-12:
-            return nodes, err, it, False
-        nodes, defects = trial, trial_defects
-        err = float(np.max(np.abs(defects)))
-    return nodes, err, max_iter, err <= tol * scale
+def _sparse_step(
+    model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Newton step of one problem, nodes (1, l+1, n), by a pivoted sparse LU."""
+    jac = _bvp_jacobian(model, nodes[0], dt)
+    return spla.spsolve(jac, rhs.ravel()).reshape(rhs.shape)
 
 
-def _bvp_newton_batch(
-    model: LagrangianModel,
-    nodes: np.ndarray,
-    dt: np.ndarray,
-    tol: float,
-    max_iter: int,
-    scale: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``_bvp_newton`` for P stacked problems (P, l+1, n) with per-pair masks.
-
-    Every pair takes its own Newton steps and Armijo step lengths and stops
-    on its own test; the pairs still iterating share one block elimination
-    per iteration.  Returns (nodes, residuals, iterations, converged).
-    """
-    nodes = nodes.copy()
-    defects = _interior_defects(model, nodes, dt)
-    err = np.max(np.abs(defects), axis=(1, 2))
-    iters = np.full(nodes.shape[0], max_iter)
-    active = np.arange(nodes.shape[0])
-    for it in range(max_iter):
-        done = err[active] <= tol * scale[active]
-        iters[active[done]] = it
-        active = active[~done]
-        if active.size == 0:
-            break
-        base, base_defects = nodes[active], defects[active]
-        step = _block_tridiagonal_solve(*_bvp_blocks(model, base, dt), -base_defects)
-        phi = 0.5 * np.sum(base_defects * base_defects, axis=(1, 2))
-        t = np.ones(active.size)
-        trial, trial_defects = np.empty_like(base), np.empty_like(base_defects)
-        searching = np.arange(active.size)
-        while searching.size:  # Armijo backtracking on the squared residual
-            cand = base[searching]
-            cand[:, 1:-1] += t[searching, None, None] * step[searching]
-            cand_defects = _interior_defects(model, cand, dt)
-            cand_phi = 0.5 * np.sum(cand_defects * cand_defects, axis=(1, 2))
-            ts = t[searching]
-            stop = (cand_phi <= phi[searching] * (1.0 - 1e-4 * ts)) | (ts < 1e-12)
-            trial[searching[stop]] = cand[stop]
-            trial_defects[searching[stop]] = cand_defects[stop]
-            t[searching[~stop]] *= 0.5
-            searching = searching[~stop]
-        stalled = t < 1e-12
-        iters[active[stalled]] = it
-        moved = active[~stalled]
-        nodes[moved] = trial[~stalled]
-        defects[moved] = trial_defects[~stalled]
-        err[moved] = np.max(np.abs(trial_defects[~stalled]), axis=(1, 2))
-        active = moved
-    # a stalled pair stopped above the tolerance, so this test fails it too
-    return nodes, err, iters, err <= tol * scale
+def _block_step(
+    model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray, rhs: np.ndarray
+) -> np.ndarray:
+    """Newton steps of P problems (P, l+1, n) by one unpivoted block elimination."""
+    return _block_tridiagonal_solve(*_bvp_blocks(model, nodes, dt), rhs)
 
 
 def _residual_scale(
@@ -514,6 +434,85 @@ def _perturbations(grid: TimeGrid, dim: int, count: int, rng: np.random.Generato
         yield amp * mode[:, None] * direction[None, :]
 
 
+def _bvp_core(
+    model: LagrangianModel,
+    grid: TimeGrid,
+    nodes: np.ndarray,
+    linear_step,
+    check_minimum: bool,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, ...]:
+    """Damped Newton and minimality screen for P stacked problems (P, l+1, n).
+
+    ``nodes`` holds the starts, endpoints pinned, and is overwritten.  Every
+    pair takes its own Newton steps and Armijo step lengths on the squared
+    residual and stops on its own test; the pairs still iterating share one
+    ``linear_step(model, nodes, dt, rhs)`` per iteration.  If
+    ``check_minimum``, the converged pairs then share one lazy draw of
+    perturbations from ``rng``, and a pair whose action one of them lowers is
+    a saddle.  Returns (nodes, costs, residuals, iterations, converged,
+    saddle); all but nodes are (P,), and a saddle is not converged.
+    """
+    P, _, n = nodes.shape
+    dt = grid.spacings
+    if grid.n_intervals == 1:  # no interior nodes: the segment is the solution
+        ok = np.ones(P, dtype=bool)
+        costs = _midpoint_actions(model, nodes, dt)
+        return nodes, costs, np.zeros(P), np.zeros(P, dtype=int), ok, ~ok
+    tol, max_iter = _BVP_TOL, _BVP_MAX_ITER
+    scale = _residual_scale(model, nodes[:, 0], nodes[:, -1], grid, tol)
+    defects = _interior_defects(model, nodes, dt)
+    err = np.max(np.abs(defects), axis=(1, 2))
+    iters = np.full(P, max_iter)
+    active = np.arange(P)
+    for it in range(max_iter):
+        done = err[active] <= tol * scale[active]
+        iters[active[done]] = it
+        active = active[~done]
+        if active.size == 0:
+            break
+        base, base_defects = nodes[active], defects[active]
+        step = linear_step(model, base, dt, -base_defects)
+        phi = 0.5 * np.sum(base_defects * base_defects, axis=(1, 2))
+        t = np.ones(active.size)
+        trial, trial_defects = np.empty_like(base), np.empty_like(base_defects)
+        searching = np.arange(active.size)
+        while searching.size:  # Armijo backtracking on the squared residual
+            cand = base[searching]
+            cand[:, 1:-1] += t[searching, None, None] * step[searching]
+            cand_defects = _interior_defects(model, cand, dt)
+            cand_phi = 0.5 * np.sum(cand_defects * cand_defects, axis=(1, 2))
+            ts = t[searching]
+            stop = (cand_phi <= phi[searching] * (1.0 - 1e-4 * ts)) | (ts < 1e-12)
+            trial[searching[stop]] = cand[stop]
+            trial_defects[searching[stop]] = cand_defects[stop]
+            t[searching[~stop]] *= 0.5
+            searching = searching[~stop]
+        stalled = t < 1e-12
+        iters[active[stalled]] = it
+        moved = active[~stalled]
+        nodes[moved] = trial[~stalled]
+        defects[moved] = trial_defects[~stalled]
+        err[moved] = np.max(np.abs(trial_defects[~stalled]), axis=(1, 2))
+        active = moved
+    # a stalled pair stopped above the tolerance, so this test fails it too
+    converged = err <= tol * scale
+    costs = _midpoint_actions(model, nodes, dt)
+    saddle = np.zeros(P, dtype=bool)
+    screened = np.flatnonzero(converged)
+    if check_minimum and screened.size:
+        floor = costs - 1e-10 * np.maximum(1.0, np.abs(costs))
+        for bump in _perturbations(grid, n, _N_PERTURBATIONS, rng):
+            pert = nodes[screened]
+            pert[:, 1:-1] += bump
+            lower = _midpoint_actions(model, pert, dt) < floor[screened]
+            saddle[screened[lower]] = True
+            screened = screened[~lower]
+            if screened.size == 0:  # leave the later perturbations undrawn
+                break
+    return nodes, costs, err, iters, converged & ~saddle, saddle
+
+
 def _cluster_paths(paths: list[Path], threshold: float) -> list[list[int]]:
     """Greedy clustering of paths by sup-distance below the threshold."""
     clusters: list[list[int]] = []
@@ -533,13 +532,8 @@ def solve_bvp(
     y,
     grid: TimeGrid,
     init: Path | None = None,
-    tol: float = _BVP_TOL,
-    max_iter: int = _BVP_MAX_ITER,
     check_minimum: bool = True,
-    n_perturbations: int = _N_PERTURBATIONS,
     n_restarts: int = 0,
-    cluster_threshold: float = 1e-3,
-    rng: np.random.Generator | None = None,
 ) -> BvpResult:
     """Connect x to y by a stationary trajectory of the midpoint action.
 
@@ -550,18 +544,21 @@ def solve_bvp(
         line from x to y.
     check_minimum
         Reject saddle points by verifying the action does not decrease under
-        ``n_perturbations`` random nodal perturbations of size h^2.  Failure
-        is reported through ``converged=False`` with a diagnostic message,
-        not by raising.
+        20 random nodal perturbations of size h^2.  Failure is reported
+        through ``converged=False`` with a diagnostic message, not by raising.
     n_restarts
         Additional solves from randomized warm starts.  Solutions are
-        clustered by sup-distance at ``cluster_threshold``; the lowest-cost
-        cluster is returned and the cluster count reported as multiplicity.
-        Useful near conjugate spans where minimizers are non-unique.
+        clustered by sup-distance at 1e-3; the lowest-cost cluster is
+        returned and the cluster count reported as multiplicity.  Useful near
+        conjugate spans where minimizers are non-unique.
 
     The solve works on the full stacked interior system (not shooting), with
-    Armijo-damped Newton steps; the Jacobian is assembled sparse and
-    block-tridiagonal.
+    Armijo-damped Newton steps.  It is the one-pair case of the Newton core
+    that ``solve_bvp_batch`` runs on P pairs, with a pivoted sparse LU of the
+    block-tridiagonal Jacobian for each step: unlike the batch's unpivoted
+    block elimination, it converges on indefinite Jacobians past a conjugate
+    span.  Restart noise and the perturbations come from one
+    ``default_rng(0)`` per call, so equal inputs give equal results.
 
     Returns
     -------
@@ -572,76 +569,51 @@ def solve_bvp(
     x, y = as_point(x), as_point(y)
     if x.shape != y.shape:
         raise ValueError("endpoints have different dimensions")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    dt = grid.spacings
-    l = grid.n_intervals
-    scale = float(_residual_scale(model, x, y, grid, tol))
+    rng = np.random.default_rng(0)
+    start = Path.line(grid, x, y).nodes if init is None else init.evaluate(grid.nodes)
 
-    line = Path.line(grid, x, y)
-    if l == 1:
-        return BvpResult(line, midpoint_action(model, line), 0.0, True, 0)
-
-    def initial_nodes(path: Path | None, noise: float) -> np.ndarray:
-        base = line.nodes if path is None else path.evaluate(grid.nodes)
-        nodes = np.array(base, dtype=float)
+    def attempt(noise: float) -> BvpResult:
+        nodes = np.array(start, dtype=float)
         nodes[0], nodes[-1] = x, y
         if noise > 0.0:
             bump = np.sin(np.pi * (grid.nodes[1:-1] - grid.start) / grid.span)
-            nodes[1:-1] += noise * bump[:, None] * rng.standard_normal((l - 1, x.size))
-        return nodes
-
-    def attempt(path: Path | None, noise: float) -> tuple[BvpResult, Path]:
-        nodes, resid, iters, ok = _bvp_newton(
-            model, initial_nodes(path, noise), dt, tol, max_iter, scale
+            nodes[1:-1] += noise * bump[:, None] * rng.standard_normal(nodes[1:-1].shape)
+        nodes, costs, resid, iters, ok, saddle = _bvp_core(
+            model, grid, nodes[None], _sparse_step, check_minimum, rng
         )
-        solved = Path(grid, nodes)
-        cost = midpoint_action(model, solved)
-        message = "" if ok else "Newton did not reach the residual tolerance"
-        if ok and check_minimum:
-            slack = 1e-10 * max(1.0, abs(cost))
-            for bump in _perturbations(grid, x.size, n_perturbations, rng):
-                pert = nodes.copy()
-                pert[1:-1] += bump
-                if midpoint_action(model, Path(grid, pert)) < cost - slack:
-                    ok = False
-                    message = (
-                        "saddle-point check failed: a nodal perturbation of "
-                        "size h^2 decreased the action"
-                    )
-                    break
-        return BvpResult(solved, cost, resid, ok, iters, 1, message), solved
+        if saddle[0]:
+            message = (
+                "saddle-point check failed: a nodal perturbation of "
+                "size h^2 decreased the action"
+            )
+        elif not ok[0]:
+            message = "Newton did not reach the residual tolerance"
+        else:
+            message = ""
+        return BvpResult(
+            Path(grid, nodes[0]),
+            float(costs[0]),
+            float(resid[0]),
+            bool(ok[0]),
+            int(iters[0]),
+            1,
+            message,
+        )
 
-    best, best_path = attempt(init, 0.0)
+    best = attempt(0.0)
     if n_restarts <= 0:
         return best
 
-    results = [best]
-    paths = [best_path]
     noise = 0.5 * (float(np.max(np.abs(y - x))) + 1.0)
-    for _ in range(n_restarts):
-        res, p = attempt(init, noise)
-        results.append(res)
-        paths.append(p)
-    converged = [i for i, r in enumerate(results) if r.converged]
+    results = [best] + [attempt(noise) for _ in range(n_restarts)]
+    converged = [r for r in results if r.converged]
     if not converged:
-        return results[0]
-    clusters = _cluster_paths([paths[i] for i in converged], cluster_threshold)
-    cluster_costs = [
-        min(results[converged[i]].cost for i in members) for members in clusters
-    ]
+        return best
+    clusters = _cluster_paths([r.path for r in converged], _CLUSTER_RADIUS)
+    cluster_costs = [min(converged[i].cost for i in members) for members in clusters]
     winner_cluster = clusters[int(np.argmin(cluster_costs))]
-    winner = min(
-        (results[converged[i]] for i in winner_cluster), key=lambda r: r.cost
-    )
-    return BvpResult(
-        winner.path,
-        winner.cost,
-        winner.residual,
-        winner.converged,
-        winner.newton_iterations,
-        multiplicity=len(clusters),
-        message=winner.message,
-    )
+    winner = min((converged[i] for i in winner_cluster), key=lambda r: r.cost)
+    return replace(winner, multiplicity=len(clusters))
 
 
 def solve_bvp_batch(
@@ -652,44 +624,24 @@ def solve_bvp_batch(
 ) -> BvpBatchResult:
     """Connect x[p] to y[p] for P pairs of points (P, n) on one grid at once.
 
-    Pair by pair this is ``solve_bvp`` with its defaults: the straight-line
-    start, the residual scale, Armijo-damped Newton and the minimality
-    screen.  Every scalar solve draws its 20 perturbations from a fresh
-    ``default_rng(0)`` and nothing before them, so all pairs share one draw.
-    Only the linear algebra differs: each Newton step comes from one
-    block-tridiagonal elimination over the pairs still iterating, so costs
-    agree with ``solve_bvp`` to rounding.  Failures are reported per pair
+    Pair by pair this is ``solve_bvp`` with its defaults: the same Newton
+    core with its straight-line start, residual scale, Armijo steps and
+    minimality screen.  Every ``solve_bvp`` draws its 20 perturbations from
+    a fresh ``default_rng(0)`` and nothing before them, so all pairs share
+    one draw.  Only the linear step differs: one block-tridiagonal
+    elimination over the pairs still iterating, which costs O(P l n^3) per
+    Newton iteration but does not pivot between blocks, so costs agree with
+    ``solve_bvp`` to rounding and a pair can stall on an indefinite
+    Jacobian where ``solve_bvp`` converges.  Failures are reported per pair
     through ``converged``, not by raising.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape != y.shape:
         raise ValueError("endpoints must be two arrays of the same shape (P, n)")
-    P, n = x.shape
-    dt = grid.spacings
     u = ((grid.nodes - grid.start) / grid.span)[:, None]
     nodes = (1.0 - u) * x[:, None, :] + u * y[:, None, :]
-    if grid.n_intervals == 1:
-        return BvpBatchResult(
-            nodes,
-            _midpoint_actions(model, nodes, dt),
-            np.zeros(P),
-            np.ones(P, dtype=bool),
-            np.zeros(P, dtype=int),
-        )
-    scale = _residual_scale(model, x, y, grid, _BVP_TOL)
-    nodes, residuals, iters, converged = _bvp_newton_batch(
-        model, nodes, dt, _BVP_TOL, _BVP_MAX_ITER, scale
+    nodes, costs, residuals, iters, converged, _ = _bvp_core(
+        model, grid, nodes, _block_step, True, np.random.default_rng(0)
     )
-    costs = _midpoint_actions(model, nodes, dt)
-    slack = 1e-10 * np.maximum(1.0, np.abs(costs))
-    screened = np.flatnonzero(converged)
-    for bump in _perturbations(grid, n, _N_PERTURBATIONS, np.random.default_rng(0)):
-        if screened.size == 0:
-            break
-        pert = nodes[screened]
-        pert[:, 1:-1] += bump
-        lower = _midpoint_actions(model, pert, dt) < costs[screened] - slack[screened]
-        converged[screened[lower]] = False
-        screened = screened[~lower]
     return BvpBatchResult(nodes, costs, residuals, converged, iters)

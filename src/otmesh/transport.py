@@ -67,14 +67,14 @@ def cost_matrix(
 ) -> np.ndarray:
     """Matrix of connection costs c(x_i, y_j) over the grid's time span.
 
-    ``cost_kind="bvp"`` solves one boundary-value problem per pair, pair by
-    pair as ``solve_bvp`` does, but a whole source row at once: one batched
-    Newton whose steps come from a block-tridiagonal elimination over the N
-    targets (``solve_bvp_batch``), so memory stays O(N l n^2).  The
-    elimination does not pivot between blocks, so on an indefinite Jacobian
-    a pair can stall where the sparse LU of ``solve_bvp`` does not; each pair
-    the batch fails is solved again by ``solve_bvp``, and SolverError names
-    the first pair in row-major order that fails there too, with its reason.
+    ``cost_kind="bvp"`` solves one boundary-value problem per pair with the
+    Newton core of ``solve_bvp``, a whole source row at once: its steps come
+    from one block-tridiagonal elimination over the N targets
+    (``solve_bvp_batch``), so memory stays O(N l n^2).  The elimination does
+    not pivot between blocks, so on an indefinite Jacobian a pair can stall
+    where the pivoted sparse LU of ``solve_bvp`` does not; each pair the
+    batch fails is solved again by ``solve_bvp``, and SolverError names the
+    first pair in row-major order that fails there too, with its reason.
     ``cost_kind="closed_form"`` uses the catalog formula (free particle or
     harmonic oscillator) and ignores the grid resolution.
     """

@@ -141,6 +141,41 @@ def test_cli_transport_from_clouds(tmp_path):
     assert payload["total_cost"] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize(
+    "model, cost_kind, extra, flags, code",
+    [
+        # span 2 is far past the double well's horizon 0.0699: the guard, not Newton, stops it
+        ("double_well", "bvp", {}, [], 2),
+        # span 2 is past the harmonic horizon 0.25 but short of the conjugate span pi
+        ("harmonic", "bvp", {}, [], 2),
+        ("harmonic", "bvp", {}, ["--allow-long-horizon"], 0),
+        ("harmonic", "bvp", {"allow_long_horizon": True}, [], 0),
+        # closed-form costs do not use the midpoint action, so no horizon applies
+        ("harmonic", "closed_form", {}, [], 0),
+    ],
+)
+def test_cli_transport_checks_the_horizon_for_bvp_costs(
+    tmp_path, capsys, model, cost_kind, extra, flags, code
+):
+    payload = {
+        "model": {"name": model},
+        "source_points": [[0.0, 0.5], [1.0, -0.5]],
+        "target_points": [[0.5, 0.0], [-0.5, 1.0]],
+        "span": [0.0, 2.0],
+        "intervals": 16,
+        "cost_kind": cost_kind,
+        **extra,
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["transport", "--config", cfg, "--out", str(out), *flags]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("solver error:") and "admissible horizon" in err
+    else:
+        assert (out / "transport_result.json").exists()
+
+
 # -- converge ---------------------------------------------------------------------------
 
 
@@ -299,6 +334,16 @@ def valid_config(tmp_path, command: str) -> dict:
         ("converge", "marginal_a", {"kind": "custom_points", "points": [0.5]}),
         ("bvp", "intervals", 2.5),
         ("stationary", "paths_csv", None),
+        ("bvp", "intervals", 1e12),
+        ("bvp", "h", 1e-12),
+        ("bvp", "h", True),
+        ("flow", "h", 1e-12),
+        ("flow", "h", True),
+        ("transport", "intervals", 1e12),
+        ("transport", "h", 1e-12),
+        ("transport", "allow_long_horizon", "false"),
+        ("converge", "hs", [0.25, 1e-13]),
+        ("stationary", "hs", [1e-13]),
     ],
 )
 def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, command, field, value):

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from otmesh import (
     BlowUpError,
@@ -20,6 +23,7 @@ from otmesh import (
     solve_bvp,
     uniform_distance,
 )
+from otmesh import integrators
 from otmesh.integrators import reference_flow_batch
 
 FREE = free_particle()
@@ -346,7 +350,6 @@ def test_bvp_multistart_clusters_mirror_minimizers():
         np.array([1.0, 0.0]),
         grid,
         n_restarts=5,
-        rng=np.random.default_rng(0),
     )
     assert result.converged
     assert result.multiplicity >= 2
@@ -381,3 +384,128 @@ def test_bvp_jacobian_matches_finite_differences():
             bumped[1:-1] = flat.reshape(bumped[1:-1].shape)
             fd[:, col] = (_interior_defects(model, bumped, dt).ravel() - base) / step
         assert np.max(np.abs(jac - fd)) <= 1e-5 * max(1.0, np.max(np.abs(jac)))
+
+
+# -- the one-pair Newton core against a written-out sparse Newton loop ---------------------
+
+
+def sparse_newton_loop(model, nodes, dt, tol, max_iter, scale):
+    """Damped Newton on one stacked system with a sparse LU step, written out."""
+    defects = integrators._interior_defects(model, nodes, dt)
+    err = float(np.max(np.abs(defects)))
+    for it in range(max_iter):
+        if err <= tol * scale:
+            return nodes, err, it, True
+        step = spsolve(integrators._bvp_jacobian(model, nodes, dt), -defects.ravel())
+        step = step.reshape(defects.shape)
+        phi = 0.5 * float(np.sum(defects * defects))
+        t = 1.0
+        while True:  # Armijo backtracking on the squared residual
+            trial = nodes.copy()
+            trial[1:-1] += t * step
+            trial_defects = integrators._interior_defects(model, trial, dt)
+            trial_phi = 0.5 * float(np.sum(trial_defects * trial_defects))
+            if trial_phi <= phi * (1.0 - 1e-4 * t) or t < 1e-12:
+                break
+            t *= 0.5
+        if t < 1e-12:
+            return nodes, err, it, False
+        nodes, defects = trial, trial_defects
+        err = float(np.max(np.abs(defects)))
+    return nodes, err, max_iter, err <= tol * scale
+
+
+def screen_finds_saddle(model, grid, nodes, cost, rng):
+    """The minimality screen for one path, written out: True if it is a saddle."""
+    slack = 1e-10 * max(1.0, abs(cost))
+    count = integrators._N_PERTURBATIONS
+    for bump in integrators._perturbations(grid, nodes.shape[1], count, rng):
+        pert = nodes.copy()
+        pert[1:-1] += bump
+        if midpoint_action(model, Path(grid, pert)) < cost - slack:
+            return True
+    return False
+
+
+def assert_core_matches_sparse_loop(model, grid, starts):
+    # one generator serves all starts, as it serves the restarts of solve_bvp
+    tol, max_iter = integrators._BVP_TOL, integrators._BVP_MAX_ITER
+    core_rng, loop_rng = np.random.default_rng(0), np.random.default_rng(0)
+    for start in starts:
+        x, y = start[0], start[-1]
+        scale = float(integrators._residual_scale(model, x, y, grid, tol))
+        nodes, resid, iters, ok = sparse_newton_loop(
+            model, start.copy(), grid.spacings, tol, max_iter, scale
+        )
+        cost = midpoint_action(model, Path(grid, nodes))
+        saddle = ok and screen_finds_saddle(model, grid, nodes, cost, loop_rng)
+        got = integrators._bvp_core(
+            model, grid, start[None].copy(), integrators._sparse_step, True, core_rng
+        )
+        assert np.array_equal(got[0][0], nodes)
+        assert tuple(a[0] for a in got[1:]) == (cost, resid, iters, ok and not saddle, saddle)
+    assert core_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def bvp_starts(grid, dim, seed, warm):
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(6):
+        x, y = rng.uniform(-1.2, 1.2, dim), rng.uniform(-0.8, 1.5, dim)
+        nodes = Path.line(grid, x, y).nodes.copy()
+        if warm:
+            nodes[1:-1] += rng.uniform(-0.5, 0.5, nodes[1:-1].shape)
+        starts.append(nodes)
+    return starts
+
+
+CORE_MODELS = {
+    "free_particle": (FREE, 1),
+    "harmonic": (HARMONIC, 1),
+    "double_well": (double_well(), 2),
+    "cosine": (cosine_potential(amplitude=2.0, dim=2), 2),
+    # without an analytic Hessian the Jacobian differences the gradient
+    "double_well_fd": (replace(double_well(), hess_potential=None), 2),
+    "cosine_fd": (replace(cosine_potential(dim=2), hess_potential=None), 2),
+}
+CORE_GRIDS = {
+    "uniform": TimeGrid.uniform(0.0, 0.6, 24),
+    "nonuniform": TimeGrid([0.0, 0.01, 0.05, 0.08, 0.15, 0.16, 0.22, 0.3]),
+    # past the conjugate span of the cosine's minimum: indefinite Jacobians
+    "long": TimeGrid.uniform(0.0, 2.5, 40),
+}
+
+
+@pytest.mark.parametrize("max_iter", [50, 2])
+@pytest.mark.parametrize("warm", [False, True], ids=["line", "warm"])
+@pytest.mark.parametrize("grid_name", sorted(CORE_GRIDS))
+@pytest.mark.parametrize("model_name", sorted(CORE_MODELS))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bvp_core_one_pair_equals_the_sparse_newton_loop(
+    model_name, grid_name, warm, max_iter, monkeypatch
+):
+    monkeypatch.setattr(integrators, "_BVP_MAX_ITER", max_iter)
+    model, dim = CORE_MODELS[model_name]
+    grid = CORE_GRIDS[grid_name]
+    assert_core_matches_sparse_loop(model, grid, bvp_starts(grid, dim, len(model_name), warm))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_bvp_core_one_pair_equals_the_sparse_newton_loop_when_damped_or_stalled():
+    # one of these pairs takes 19 Armijo-damped steps and then stalls
+    rng = np.random.default_rng(9)
+    grid = TimeGrid.uniform(0.0, 0.3, 24)
+    x, y = rng.uniform(-1.5, 1.5, (9, 2)), rng.uniform(-1.0, 2.0, (9, 2))
+    starts = [Path.line(grid, a, b).nodes.copy() for a, b in zip(x, y)]
+    assert_core_matches_sparse_loop(double_well(), grid, starts)
+    # an exactly singular Jacobian (m/dt = k dt/2) stalls at once
+    grid = TimeGrid.uniform(0.0, 4.0, 2)
+    assert_core_matches_sparse_loop(HARMONIC, grid, [Path.line(grid, 0.3, -0.2).nodes.copy()])
+
+
+def test_bvp_core_one_pair_equals_the_sparse_newton_loop_on_saddles():
+    # past the conjugate span pi every stationary path is a saddle
+    grid = TimeGrid.uniform(0.0, 1.5 * np.pi, 60)
+    starts = bvp_starts(grid, 1, 3, warm=False)
+    assert_core_matches_sparse_loop(HARMONIC, grid, starts)
