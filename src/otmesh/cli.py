@@ -185,6 +185,8 @@ def _span_from(cfg: dict) -> tuple[float, float]:
         raise ConfigError("'span' must be finite")
     if not b > a:
         raise ConfigError("'span' must satisfy a < b")
+    if not np.isfinite(b - a):
+        raise ConfigError("'span' must have a finite width b - a")
     return a, b
 
 

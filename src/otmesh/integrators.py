@@ -13,6 +13,7 @@ nodal trajectories of the midpoint action with pinned endpoints.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,15 +53,27 @@ class BvpResult:
 class BvpBatchResult:
     """P two-point solves on one grid, pair p in entry p of every field.
 
-    ``nodes`` is (P, l+1, n); ``costs``, ``residuals``, ``converged`` and
-    ``newton_iterations`` are (P,).
+    ``nodes`` is (P, l+1, n); ``costs``, ``residuals``, ``newton_iterations``,
+    ``converged`` and ``saddle`` are (P,).  A saddle is not converged.
     """
 
     nodes: np.ndarray
     costs: np.ndarray
     residuals: np.ndarray
-    converged: np.ndarray
     newton_iterations: np.ndarray
+    converged: np.ndarray
+    saddle: np.ndarray
+
+    def message(self, p: int) -> str:
+        """Why pair p failed, or "" if it converged."""
+        if self.saddle[p]:
+            return (
+                "saddle-point check failed: a nodal perturbation of "
+                "size h^2 decreased the action"
+            )
+        if not self.converged[p]:
+            return "Newton did not reach the residual tolerance"
+        return ""
 
 
 # Newton tolerance and iteration cap of every boundary-value solve, the size
@@ -310,13 +323,10 @@ def _bvp_blocks(
     return diag, off
 
 
-def _bvp_jacobian(
-    model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray
-) -> sp.csc_matrix:
-    """Block-tridiagonal Jacobian of the stacked interior defects, sparse."""
-    diag, off = _bvp_blocks(model, nodes, dt)
+def _bvp_jacobian(diag: np.ndarray, off: np.ndarray) -> sp.csc_matrix:
+    """Sparse Jacobian of one problem from its blocks (l-1, n, n), (l-2, n, n)."""
     k = np.arange(diag.shape[0])
-    n = nodes.shape[1]
+    n = diag.shape[-1]
     block_row = np.concatenate([k, k[:-1], k[1:]])
     block_col = np.concatenate([k, k[1:], k[:-1]])
     within = np.arange(n)
@@ -384,9 +394,13 @@ def _block_tridiagonal_solve(
 def _sparse_step(
     model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Newton step of one problem, nodes (1, l+1, n), by a pivoted sparse LU."""
-    jac = _bvp_jacobian(model, nodes[0], dt)
-    return spla.spsolve(jac, rhs.ravel()).reshape(rhs.shape)
+    """Newton steps of P problems (P, l+1, n), one pivoted sparse LU each."""
+    diag, off = _bvp_blocks(model, nodes, dt)
+    step = np.empty_like(rhs)
+    for p in range(rhs.shape[0]):
+        jac = _bvp_jacobian(diag[p], off[p])
+        step[p] = spla.spsolve(jac, rhs[p].ravel()).reshape(rhs.shape[1:])
+    return step
 
 
 def _block_step(
@@ -441,7 +455,7 @@ def _bvp_core(
     linear_step,
     check_minimum: bool,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, ...]:
+) -> BvpBatchResult:
     """Damped Newton and minimality screen for P stacked problems (P, l+1, n).
 
     ``nodes`` holds the starts, endpoints pinned, and is overwritten.  Every
@@ -450,15 +464,15 @@ def _bvp_core(
     ``linear_step(model, nodes, dt, rhs)`` per iteration.  If
     ``check_minimum``, the converged pairs then share one lazy draw of
     perturbations from ``rng``, and a pair whose action one of them lowers is
-    a saddle.  Returns (nodes, costs, residuals, iterations, converged,
-    saddle); all but nodes are (P,), and a saddle is not converged.
+    a saddle.
     """
     P, _, n = nodes.shape
     dt = grid.spacings
     if grid.n_intervals == 1:  # no interior nodes: the segment is the solution
         ok = np.ones(P, dtype=bool)
         costs = _midpoint_actions(model, nodes, dt)
-        return nodes, costs, np.zeros(P), np.zeros(P, dtype=int), ok, ~ok
+        zeros = np.zeros(P, dtype=int)
+        return BvpBatchResult(nodes, costs, np.zeros(P), zeros, ok, ~ok)
     tol, max_iter = _BVP_TOL, _BVP_MAX_ITER
     scale = _residual_scale(model, nodes[:, 0], nodes[:, -1], grid, tol)
     defects = _interior_defects(model, nodes, dt)
@@ -510,7 +524,7 @@ def _bvp_core(
             screened = screened[~lower]
             if screened.size == 0:  # leave the later perturbations undrawn
                 break
-    return nodes, costs, err, iters, converged & ~saddle, saddle
+    return BvpBatchResult(nodes, costs, err, iters, converged & ~saddle, saddle)
 
 
 def _cluster_paths(paths: list[Path], threshold: float) -> list[list[int]]:
@@ -524,6 +538,27 @@ def _cluster_paths(paths: list[Path], threshold: float) -> list[list[int]]:
         else:
             clusters.append([i])
     return clusters
+
+
+def _pair_starts(grid: TimeGrid, x, y, init: Sequence[Path] | None) -> np.ndarray:
+    """Start nodes (P, l+1, n) of the pairs x[p] -> y[p], endpoints pinned.
+
+    Pair p starts from ``init[p]`` resampled onto the grid, or by default
+    from the straight line.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValueError("endpoints must be two arrays of the same shape (P, n)")
+    if init is None:
+        u = ((grid.nodes - grid.start) / grid.span)[:, None]
+        nodes = (1.0 - u) * x[:, None, :] + u * y[:, None, :]
+    elif len(init) != x.shape[0]:
+        raise ValueError(f"{len(init)} warm-start paths for {x.shape[0]} pairs")
+    else:
+        nodes = np.stack([path.evaluate(grid.nodes) for path in init])
+    nodes[:, 0], nodes[:, -1] = x, y
+    return nodes
 
 
 def solve_bvp(
@@ -554,11 +589,12 @@ def solve_bvp(
 
     The solve works on the full stacked interior system (not shooting), with
     Armijo-damped Newton steps.  It is the one-pair case of the Newton core
-    that ``solve_bvp_batch`` runs on P pairs, with a pivoted sparse LU of the
-    block-tridiagonal Jacobian for each step: unlike the batch's unpivoted
-    block elimination, it converges on indefinite Jacobians past a conjugate
-    span.  Restart noise and the perturbations come from one
-    ``default_rng(0)`` per call, so equal inputs give equal results.
+    that ``solve_bvp_pairs`` and ``solve_bvp_batch`` run on P pairs, with a
+    pivoted sparse LU of the block-tridiagonal Jacobian for each step:
+    unlike the batch's unpivoted block elimination, it converges on
+    indefinite Jacobians past a conjugate span.  Restart noise and the
+    perturbations come from one ``default_rng(0)`` per call, so equal inputs
+    give equal results.
 
     Returns
     -------
@@ -570,34 +606,23 @@ def solve_bvp(
     if x.shape != y.shape:
         raise ValueError("endpoints have different dimensions")
     rng = np.random.default_rng(0)
-    start = Path.line(grid, x, y).nodes if init is None else init.evaluate(grid.nodes)
+    start = _pair_starts(grid, x[None], y[None], None if init is None else [init])
 
     def attempt(noise: float) -> BvpResult:
-        nodes = np.array(start, dtype=float)
-        nodes[0], nodes[-1] = x, y
+        nodes = start.copy()
         if noise > 0.0:
             bump = np.sin(np.pi * (grid.nodes[1:-1] - grid.start) / grid.span)
-            nodes[1:-1] += noise * bump[:, None] * rng.standard_normal(nodes[1:-1].shape)
-        nodes, costs, resid, iters, ok, saddle = _bvp_core(
-            model, grid, nodes[None], _sparse_step, check_minimum, rng
-        )
-        if saddle[0]:
-            message = (
-                "saddle-point check failed: a nodal perturbation of "
-                "size h^2 decreased the action"
-            )
-        elif not ok[0]:
-            message = "Newton did not reach the residual tolerance"
-        else:
-            message = ""
+            interior = nodes[0, 1:-1]
+            interior += noise * bump[:, None] * rng.standard_normal(interior.shape)
+        res = _bvp_core(model, grid, nodes, _sparse_step, check_minimum, rng)
         return BvpResult(
-            Path(grid, nodes[0]),
-            float(costs[0]),
-            float(resid[0]),
-            bool(ok[0]),
-            int(iters[0]),
+            Path(grid, res.nodes[0]),
+            float(res.costs[0]),
+            float(res.residuals[0]),
+            bool(res.converged[0]),
+            int(res.newton_iterations[0]),
             1,
-            message,
+            res.message(0),
         )
 
     best = attempt(0.0)
@@ -616,6 +641,29 @@ def solve_bvp(
     return replace(winner, multiplicity=len(clusters))
 
 
+def solve_bvp_pairs(
+    model: LagrangianModel,
+    x: np.ndarray,
+    y: np.ndarray,
+    grid: TimeGrid,
+    init: Sequence[Path] | None = None,
+    check_minimum: bool = True,
+) -> BvpBatchResult:
+    """Connect x[p] to y[p] for P pairs of points (P, n) on one grid at once.
+
+    Pair p is bitwise ``solve_bvp(model, x[p], y[p], grid, init[p],
+    check_minimum)`` without restarts: the same start, Newton core and
+    pivoted sparse LU, one per pair still iterating.  Every ``solve_bvp``
+    draws its perturbations from a fresh ``default_rng(0)`` and nothing
+    before them, so all pairs share one draw.  Failures are reported per
+    pair through ``converged`` and ``message``, not by raising.
+    """
+    nodes = _pair_starts(grid, x, y, init)
+    return _bvp_core(
+        model, grid, nodes, _sparse_step, check_minimum, np.random.default_rng(0)
+    )
+
+
 def solve_bvp_batch(
     model: LagrangianModel,
     x: np.ndarray,
@@ -624,24 +672,11 @@ def solve_bvp_batch(
 ) -> BvpBatchResult:
     """Connect x[p] to y[p] for P pairs of points (P, n) on one grid at once.
 
-    Pair by pair this is ``solve_bvp`` with its defaults: the same Newton
-    core with its straight-line start, residual scale, Armijo steps and
-    minimality screen.  Every ``solve_bvp`` draws its 20 perturbations from
-    a fresh ``default_rng(0)`` and nothing before them, so all pairs share
-    one draw.  Only the linear step differs: one block-tridiagonal
-    elimination over the pairs still iterating, which costs O(P l n^3) per
-    Newton iteration but does not pivot between blocks, so costs agree with
-    ``solve_bvp`` to rounding and a pair can stall on an indefinite
-    Jacobian where ``solve_bvp`` converges.  Failures are reported per pair
-    through ``converged``, not by raising.
+    This is ``solve_bvp_pairs`` with its defaults except for the linear
+    step: one block-tridiagonal elimination over the pairs still iterating,
+    which costs O(P l n^3) per Newton iteration but does not pivot between
+    blocks, so costs agree with ``solve_bvp`` to rounding and a pair can
+    stall on an indefinite Jacobian where ``solve_bvp`` converges.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or x.shape != y.shape:
-        raise ValueError("endpoints must be two arrays of the same shape (P, n)")
-    u = ((grid.nodes - grid.start) / grid.span)[:, None]
-    nodes = (1.0 - u) * x[:, None, :] + u * y[:, None, :]
-    nodes, costs, residuals, iters, converged, _ = _bvp_core(
-        model, grid, nodes, _block_step, True, np.random.default_rng(0)
-    )
-    return BvpBatchResult(nodes, costs, residuals, converged, iters)
+    nodes = _pair_starts(grid, x, y, None)
+    return _bvp_core(model, grid, nodes, _block_step, True, np.random.default_rng(0))

@@ -17,7 +17,9 @@ import numpy as np
 from scipy.stats import truncnorm
 
 from .errors import DimensionMismatchError, HorizonError, OtmeshError, SolverError
-from .integrators import solve_bvp
+from .integrators import solve_bvp_pairs
+# unused here, but bench/tracing.py wraps this name in this module
+from .integrators import solve_bvp  # noqa: F401
 from .measures import (
     EmpiricalPathMeasure,
     bl_distance_bound,
@@ -191,10 +193,12 @@ def solve_discrete_otm(
 ) -> OtmResult:
     """Match two clouds at minimal average action and join the matched pairs.
 
-    Builds the pairwise cost matrix, solves the assignment, then solves one
-    boundary-value problem per matched pair so the returned measure consists
-    of discrete minimizing trajectories at the grid's resolution.  The
-    reported minimum is the average midpoint action of those trajectories.
+    Builds the pairwise cost matrix, solves the assignment, then connects
+    all matched pairs in one ``solve_bvp_pairs`` batch, each pair exactly as
+    its own ``solve_bvp`` would, so the returned measure consists of discrete
+    minimizing trajectories at the grid's resolution.  The first pair that
+    fails raises SolverError naming it.  The reported minimum is the average
+    midpoint action of those trajectories.
     The measure's time-a marginal equals the source cloud and its time-b
     marginal the permuted target cloud, exactly.
 
@@ -209,18 +213,17 @@ def solve_discrete_otm(
         cost_kind = "closed_form" if has_closed_form_cost(model) else "bvp"
     costs = cost_matrix(model, source, target, grid, cost_kind)
     plan = solve_assignment(costs)
-    paths, actions = [], []
-    for i in range(source.size):
-        result = solve_bvp(model, source.points[i], target.points[plan.perm[i]], grid)
-        if not result.converged:
-            raise SolverError(
-                f"boundary-value solve failed for matched pair "
-                f"({i}, {plan.perm[i]}): {result.message}"
-            )
-        paths.append(result.path)
-        actions.append(result.cost)
-    min_action = float(np.mean(actions))
-    return OtmResult(EmpiricalPathMeasure(tuple(paths)), plan, min_action)
+    pairs = solve_bvp_pairs(model, source.points, target.points[plan.perm], grid)
+    failed = np.flatnonzero(~pairs.converged)
+    if failed.size:
+        i = int(failed[0])
+        raise SolverError(
+            f"boundary-value solve failed for matched pair "
+            f"({i}, {plan.perm[i]}): {pairs.message(i)}"
+        )
+    paths = tuple(Path(grid, nodes) for nodes in pairs.nodes)
+    min_action = float(np.mean(pairs.costs))
+    return OtmResult(EmpiricalPathMeasure(paths), plan, min_action)
 
 
 # ---------------------------------------------------------------------------
@@ -469,13 +472,14 @@ def run_stationarity_study(
     pi0: EmpiricalPathMeasure,
     hs,
 ) -> StationarityReport:
-    """Re-solve each path's boundary problem across resolutions.
+    """Solve every path's boundary problem again at each resolution.
 
-    Each level solves the stationarity system (no minimality check) at
-    spacing h, warm-starting Newton from the previous level's trajectory
-    (first level: from the input path itself), then measures stationarity
-    residuals and distances to the reference orbit launched from each path's
-    own initial phase point.
+    Each level solves the stationarity systems of all paths (no minimality
+    check) at spacing h in one ``solve_bvp_pairs`` batch, warm-starting each
+    path's Newton from its trajectory at the previous level (first level:
+    from the input path itself), then measures stationarity residuals and
+    distances to the reference orbit launched from each path's own initial
+    phase point.
     """
     hs = list(hs)
     if not hs:
@@ -485,19 +489,22 @@ def run_stationarity_study(
     warm: list[Path] = list(pi0.paths)
     for h in hs:
         grid = TimeGrid.from_step(a, b, h)
-        solved, iters = [], 0
-        for path in warm:
-            result = solve_bvp(
-                model, path.start_point, path.end_point, grid, init=path, check_minimum=False
+        pairs = solve_bvp_pairs(
+            model,
+            np.stack([path.start_point for path in warm]),
+            np.stack([path.end_point for path in warm]),
+            grid,
+            init=warm,
+            check_minimum=False,
+        )
+        failed = np.flatnonzero(~pairs.converged)
+        if failed.size:
+            raise SolverError(
+                f"stationarity solve failed at h={grid.max_spacing:g}: "
+                f"{pairs.message(int(failed[0]))}"
             )
-            if not result.converged:
-                raise SolverError(
-                    f"stationarity solve failed at h={grid.max_spacing:g}: "
-                    f"{result.message}"
-                )
-            solved.append(result.path)
-            iters = max(iters, result.newton_iterations)
-        warm = solved
+        warm = [Path(grid, nodes) for nodes in pairs.nodes]
+        iters = int(np.max(pairs.newton_iterations))
         diag = concentration_diagnostics(model, EmpiricalPathMeasure(tuple(warm)))
         report.levels.append(
             StationarityLevel(

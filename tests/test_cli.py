@@ -344,6 +344,8 @@ def valid_config(tmp_path, command: str) -> dict:
         ("transport", "allow_long_horizon", "false"),
         ("converge", "hs", [0.25, 1e-13]),
         ("stationary", "hs", [1e-13]),
+        ("bvp", "span", [-1e308, 1e308]),
+        ("converge", "span", [-1e308, 1e308]),
     ],
 )
 def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, command, field, value):

@@ -365,7 +365,7 @@ def test_bvp_single_interval_is_the_segment():
 
 
 def test_bvp_jacobian_matches_finite_differences():
-    from otmesh.integrators import _bvp_jacobian, _interior_defects
+    from otmesh.integrators import _bvp_blocks, _bvp_jacobian, _interior_defects
     from otmesh import double_well
 
     rng = np.random.default_rng(31)
@@ -373,7 +373,7 @@ def test_bvp_jacobian_matches_finite_differences():
         grid = TimeGrid(np.sort(np.concatenate(([0.0, 0.7], rng.uniform(0.05, 0.65, 4)))))
         nodes = rng.uniform(-1.5, 1.5, (grid.n_intervals + 1, 2))
         dt = grid.spacings
-        jac = _bvp_jacobian(model, nodes, dt).toarray()
+        jac = _bvp_jacobian(*_bvp_blocks(model, nodes, dt)).toarray()
         step = 1e-6
         fd = np.zeros_like(jac)
         base = _interior_defects(model, nodes, dt).ravel()
@@ -396,7 +396,8 @@ def sparse_newton_loop(model, nodes, dt, tol, max_iter, scale):
     for it in range(max_iter):
         if err <= tol * scale:
             return nodes, err, it, True
-        step = spsolve(integrators._bvp_jacobian(model, nodes, dt), -defects.ravel())
+        jac = integrators._bvp_jacobian(*integrators._bvp_blocks(model, nodes, dt))
+        step = spsolve(jac, -defects.ravel())
         step = step.reshape(defects.shape)
         phi = 0.5 * float(np.sum(defects * defects))
         t = 1.0
@@ -442,8 +443,9 @@ def assert_core_matches_sparse_loop(model, grid, starts):
         got = integrators._bvp_core(
             model, grid, start[None].copy(), integrators._sparse_step, True, core_rng
         )
-        assert np.array_equal(got[0][0], nodes)
-        assert tuple(a[0] for a in got[1:]) == (cost, resid, iters, ok and not saddle, saddle)
+        assert np.array_equal(got.nodes[0], nodes)
+        fields = (got.costs, got.residuals, got.newton_iterations, got.converged, got.saddle)
+        assert tuple(a[0] for a in fields) == (cost, resid, iters, ok and not saddle, saddle)
     assert core_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
@@ -509,3 +511,88 @@ def test_bvp_core_one_pair_equals_the_sparse_newton_loop_on_saddles():
     grid = TimeGrid.uniform(0.0, 1.5 * np.pi, 60)
     starts = bvp_starts(grid, 1, 3, warm=False)
     assert_core_matches_sparse_loop(HARMONIC, grid, starts)
+
+
+# -- P pairs in one batch against one solve_bvp per pair -------------------------
+
+
+def assert_pairs_match_solve_bvp(model, x, y, grid, init=None, check_minimum=True):
+    got = integrators.solve_bvp_pairs(model, x, y, grid, init, check_minimum)
+    for p in range(x.shape[0]):
+        want = solve_bvp(
+            model, x[p], y[p], grid, None if init is None else init[p], check_minimum
+        )
+        assert np.array_equal(got.nodes[p], want.path.nodes)
+        assert got.costs[p] == want.cost
+        assert got.residuals[p] == want.residual
+        assert got.newton_iterations[p] == want.newton_iterations
+        assert got.converged[p] == want.converged
+        assert got.message(p) == want.message
+    return got
+
+
+# each case lies within its model's admissible horizon
+PAIR_CASES = {
+    "free_particle": (FREE, 1, TimeGrid.uniform(0.0, 1.0, 12)),
+    "harmonic": (HARMONIC, 1, TimeGrid.uniform(0.0, 0.2, 10)),
+    "cosine_2d": (cosine_potential(amplitude=2.0, dim=2), 2, TimeGrid.uniform(0.0, 1.0, 16)),
+    "double_well": (double_well(), 2, TimeGrid([0.0, 0.01, 0.025, 0.04, 0.06])),
+    "single_interval": (cosine_potential(dim=2), 2, TimeGrid.uniform(0.0, 0.5, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_bvp_pairs_connect_equals_solve_bvp_per_pair_bitwise(case):
+    model, dim, grid = PAIR_CASES[case]
+    rng = np.random.default_rng(len(case))
+    x, y = rng.uniform(-1.5, 1.5, (7, dim)), rng.uniform(-1.0, 2.0, (7, dim))
+    got = assert_pairs_match_solve_bvp(model, x, y, grid)
+    assert np.all(got.converged)
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_bvp_pairs_warm_started_level_equals_solve_bvp_per_pair_bitwise(case):
+    # warm starts on another grid, as one level of the stationarity study gets them
+    model, dim, grid = PAIR_CASES[case]
+    rng = np.random.default_rng(len(case) + 1)
+    coarse = TimeGrid(grid.start + grid.span * np.array([0.0, 0.3, 0.45, 0.8, 1.0]))
+    interior = np.array([[0], [1], [1], [1], [0]])
+    warm = []
+    for _ in range(5):
+        nodes = Path.line(coarse, rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim)).nodes
+        warm.append(Path(coarse, nodes + interior * rng.uniform(-0.3, 0.3, nodes.shape)))
+    x = np.stack([path.start_point for path in warm])
+    y = np.stack([path.end_point for path in warm])
+    got = assert_pairs_match_solve_bvp(model, x, y, grid, init=warm, check_minimum=False)
+    assert np.all(got.converged)
+    if grid.n_intervals > 1:
+        assert np.any(got.newton_iterations > 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_bvp_pairs_failures_equal_solve_bvp_per_pair():
+    # past the conjugate span of the cosine's minimum at pi: minimizers near 0,
+    # a saddle and stalled pairs in one batch
+    model, grid = cosine_potential(amplitude=2.0, dim=2), TimeGrid.uniform(0.0, 2.5, 40)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-0.5, 0.5, (8, 2)) + np.pi * rng.integers(0, 2, (8, 1))
+    y = rng.uniform(-0.5, 0.5, (8, 2)) + np.pi * rng.integers(0, 2, (8, 1))
+    got = assert_pairs_match_solve_bvp(model, x, y, grid)
+    assert np.any(got.saddle) and np.any(got.converged)
+    assert np.any(~got.converged & ~got.saddle)
+    # an exactly singular Jacobian (m/dt = k dt/2) stalls at once unless the
+    # straight line is already stationary, as it is from 0.5 to -0.5
+    x, y = np.array([[0.3], [0.5]]), np.array([[-0.2], [-0.5]])
+    got = assert_pairs_match_solve_bvp(HARMONIC, x, y, TimeGrid.uniform(0.0, 4.0, 2))
+    assert list(got.converged) == [False, True]
+
+
+def test_bvp_pairs_rejects_mismatched_inputs():
+    grid = TimeGrid.uniform(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="same shape"):
+        integrators.solve_bvp_pairs(FREE, np.zeros((2, 1)), np.zeros((3, 1)), grid)
+    with pytest.raises(ValueError, match="warm-start paths"):
+        integrators.solve_bvp_pairs(
+            FREE, np.zeros((2, 1)), np.zeros((2, 1)), grid, init=[Path.line(grid, 0.0, 0.0)]
+        )

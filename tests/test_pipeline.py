@@ -9,9 +9,12 @@ from otmesh import (
     MarginalSpec,
     Path,
     PointCloud,
+    SolverError,
     TimeGrid,
     bl_distance_bound,
     build_recovery_measure,
+    cosine_potential,
+    double_well,
     free_particle,
     harmonic_oscillator,
     many_particle_action,
@@ -20,8 +23,11 @@ from otmesh import (
     run_convergence_study,
     run_stationarity_study,
     sample_marginal,
+    solve_bvp,
     solve_discrete_otm,
 )
+from otmesh import pipeline
+from otmesh.transport import cost_matrix, solve_assignment
 
 FREE = free_particle()
 
@@ -153,6 +159,72 @@ def test_otm_horizon_guard():
     solve_discrete_otm(model, clouds, clouds, TimeGrid.uniform(0, 0.17, 8))
     solve_discrete_otm(
         model, clouds, clouds, TimeGrid.uniform(0, 0.2, 8), allow_long_horizon=True
+    )
+
+
+def connect_pair_by_pair(model, source, target, grid, cost_kind):
+    """The connect step with one solve_bvp per matched pair, written out."""
+    plan = solve_assignment(cost_matrix(model, source, target, grid, cost_kind))
+    results = [
+        solve_bvp(model, source.points[i], target.points[plan.perm[i]], grid)
+        for i in range(source.size)
+    ]
+    return plan, results
+
+
+# each case lies within its model's admissible horizon
+CONNECT_CASES = {
+    "free_particle": (FREE, 1, TimeGrid.uniform(0.0, 1.0, 10), "closed_form"),
+    "harmonic": (harmonic_oscillator(), 2, TimeGrid.uniform(0.0, 0.2, 8), "closed_form"),
+    "cosine_2d": (
+        cosine_potential(amplitude=2.0, dim=2), 2, TimeGrid.uniform(0.0, 1.0, 12), "bvp"
+    ),
+    "double_well": (double_well(), 2, TimeGrid.uniform(0.0, 0.06, 6), "bvp"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONNECT_CASES))
+def test_otm_connect_equals_solve_bvp_per_matched_pair_bitwise(case):
+    model, dim, grid, cost_kind = CONNECT_CASES[case]
+    rng = np.random.default_rng(len(case))
+    source = PointCloud(rng.uniform(-1.5, 1.5, (6, dim)))
+    target = PointCloud(rng.uniform(-1.0, 2.0, (6, dim)))
+    result = solve_discrete_otm(model, source, target, grid, cost_kind)
+    plan, want = connect_pair_by_pair(model, source, target, grid, cost_kind)
+    assert np.array_equal(result.plan.perm, plan.perm)
+    for path, single in zip(result.measure.paths, want):
+        assert np.array_equal(path.nodes, single.path.nodes)
+    assert result.min_action == float(np.mean([single.cost for single in want]))
+
+
+@pytest.mark.parametrize(
+    "grid, source, target, failing, reason",
+    [
+        # past the conjugate span pi every stationary path is a saddle
+        (TimeGrid.uniform(0.0, 1.5 * np.pi, 30), [0.3, 0.5, -0.9], [-0.5, 0.1, 0.7], (0, 1),
+         "saddle-point check failed"),
+        # m/dt = k dt/2 makes the Jacobian exactly singular: only the pair
+        # (0.5, -0.5), whose straight line is stationary, converges
+        (TimeGrid.uniform(0.0, 4.0, 2), [0.5, 0.2, -0.1], [0.1, -0.5, 0.7], (1, 0),
+         "Newton did not reach the residual tolerance"),
+    ],
+    ids=["saddle", "stalled"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_otm_connect_failure_names_the_first_failing_matched_pair(
+    grid, source, target, failing, reason
+):
+    model, source, target = harmonic_oscillator(), PointCloud(source), PointCloud(target)
+    plan, want = connect_pair_by_pair(model, source, target, grid, "closed_form")
+    i = next(i for i, single in enumerate(want) if not single.converged)
+    assert (i, plan.perm[i]) == failing
+    assert want[i].message.startswith(reason)
+    with pytest.raises(SolverError) as err:
+        solve_discrete_otm(model, source, target, grid, allow_long_horizon=True)
+    assert str(err.value) == (
+        f"boundary-value solve failed for matched pair ({i}, {plan.perm[i]}): "
+        f"{want[i].message}"
     )
 
 
@@ -369,6 +441,60 @@ def test_stationarity_study_harmonic_rates():
         assert coarse / fine >= 1.8
     # warm-started Newton needs very few iterations after the first level
     assert all(lv.max_newton_iterations <= 5 for lv in report.levels[1:])
+
+
+@pytest.mark.parametrize(
+    "model, dim, span",
+    [
+        (harmonic_oscillator(), 1, 0.2),
+        (cosine_potential(amplitude=2.0, dim=2), 2, 1.0),
+        (double_well(), 2, 0.06),
+    ],
+    ids=["harmonic", "cosine_2d", "double_well"],
+)
+def test_stationarity_levels_equal_solve_bvp_per_path_bitwise(model, dim, span, monkeypatch):
+    rng = np.random.default_rng(dim)
+    grid = TimeGrid([0.0, 0.3 * span, 0.45 * span, span])
+    interior = np.array([[0], [1], [1], [0]])
+    paths = []
+    for _ in range(4):
+        nodes = Path.line(grid, rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim)).nodes
+        paths.append(Path(grid, nodes + interior * rng.uniform(-0.3, 0.3, nodes.shape)))
+    levels = []  # the measure of every level, as the diagnostics receive it
+
+    def record(model, measure):
+        levels.append(measure)
+        return diagnostics(model, measure)
+
+    diagnostics = pipeline.concentration_diagnostics
+    monkeypatch.setattr(pipeline, "concentration_diagnostics", record)
+    hs = (span / 5, span / 10, span / 15)
+    report = run_stationarity_study(model, EmpiricalPathMeasure(tuple(paths)), hs)
+    assert len(levels) == len(hs) and report.levels[0].max_newton_iterations > 0
+    warm = paths
+    for h, measure, level in zip(hs, levels, report.levels):
+        level_grid = TimeGrid.from_step(0.0, span, h)
+        want = [
+            solve_bvp(model, p.start_point, p.end_point, level_grid, p, check_minimum=False)
+            for p in warm
+        ]
+        for path, single in zip(measure.paths, want):
+            assert np.array_equal(path.nodes, single.path.nodes)
+        assert level.max_newton_iterations == max(single.newton_iterations for single in want)
+        warm = [single.path for single in want]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_stationarity_failure_names_the_level_and_reason():
+    # at h = 2 on [0, 4] the harmonic Jacobian is exactly singular
+    grid = TimeGrid.uniform(0.0, 4.0, 2)
+    pi0 = EmpiricalPathMeasure((Path.line(grid, 0.5, -0.5), Path.line(grid, 0.3, 0.2)))
+    with pytest.raises(SolverError) as err:
+        run_stationarity_study(harmonic_oscillator(), pi0, hs=(2.0,))
+    assert str(err.value) == (
+        "stationarity solve failed at h=2: Newton did not reach the residual tolerance"
+    )
 
 
 def test_convergence_study_reports_blow_up_of_one_path_as_error_row():
