@@ -5,8 +5,9 @@ Each reads a single JSON config (the experiment record), writes JSON/CSV
 artifacts to the output directory, and exits with 0 on success, 1 on config
 errors, 2 on solver failures, and 3 on partial per-row failures.  Identical
 config and seed produce byte-identical CSV artifacts.  A time grid may have
-at most ``MAX_INTERVALS`` intervals; a config asking for more is a config
-error, raised before anything is allocated.
+at most ``MAX_INTERVALS`` intervals, a run at most ``MAX_PARTICLES``
+particles and a batched solve at most ``MAX_BATCH`` entries; a config asking
+for more is a config error, raised before anything is allocated.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ EXIT_PARTIAL = 3
 # Jacobians grow linearly with it (cost matrices by N^2 times it); the README
 # examples use at most 1000.
 MAX_INTERVALS = 1_000_000
+# Most particles a run may ask for: each 'Ns' entry, each 'transport' cloud,
+# the 'stationary' paths and the attempts of a 'bvp' with 'restarts'.  Cost
+# and sup-distance matrices hold N^2 entries, 134 MB each at the cap, which
+# is the largest study of the paper (N = 4096).
+MAX_PARTICLES = 4096
+# Most entries N * l * n^2 of one batched solve of N paths over l intervals
+# in dimension n, the size of its Newton Jacobian blocks.  A 1-D study at
+# N = 4096, h = 0.005 over a unit span needs 819200.
+MAX_BATCH = 10_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument("--threads", type=int, default=None, help="accepted and ignored")
         cmd.add_argument(
             "--allow-long-horizon",
             action="store_true",
@@ -109,7 +118,7 @@ def _model_from(cfg: dict) -> LagrangianModel:
     if not isinstance(spec, dict):
         raise ConfigError("'model' must be an object with 'name' and optional 'params'")
     name = _require(spec, "name", "'model'")
-    if name not in MODEL_CATALOG:
+    if not isinstance(name, str) or name not in MODEL_CATALOG:
         raise ConfigError(f"unknown model {name!r}; available: {sorted(MODEL_CATALOG)}")
     params = spec.get("params", {})
     if not isinstance(params, dict):
@@ -152,17 +161,25 @@ def _check_intervals(count: float, what: str) -> None:
         )
 
 
+def _check_size(paths: int, intervals: float, dim: int, what: str) -> None:
+    """Reject more than MAX_PARTICLES paths or MAX_BATCH batch entries."""
+    if paths > MAX_PARTICLES:
+        raise ConfigError(
+            f"{what} asks for {paths} paths; at most {MAX_PARTICLES} are allowed"
+        )
+    if paths * intervals * dim * dim > MAX_BATCH:
+        raise ConfigError(
+            f"{what} asks for a batch of {paths} paths x {intervals:.6g} intervals "
+            f"x dimension {dim} squared; at most {MAX_BATCH} entries are allowed"
+        )
+
+
 def _allow_long_horizon(args, cfg: dict) -> bool:
     """--allow-long-horizon or the config's 'allow_long_horizon', a JSON boolean."""
     allow = cfg.get("allow_long_horizon", False)
     if not isinstance(allow, bool):
         raise ConfigError(f"'allow_long_horizon' must be true or false, got {allow!r}")
     return args.allow_long_horizon or allow
-
-
-def _check_threads(cfg: dict) -> None:
-    """Validate the config's 'threads'; like --threads it is then ignored."""
-    _int_from(cfg.get("threads", 1), "'threads'")
 
 
 def _cost_kind_from(cfg: dict, model: LagrangianModel, kinds: tuple[str, ...]) -> str:
@@ -185,8 +202,9 @@ def _span_from(cfg: dict) -> tuple[float, float]:
         raise ConfigError("'span' must be finite")
     if not b > a:
         raise ConfigError("'span' must satisfy a < b")
-    if not np.isfinite(b - a):
-        raise ConfigError("'span' must have a finite width b - a")
+    # the solvers square time steps, so the width's square must be finite
+    if not b - a < sys.float_info.max**0.5:
+        raise ConfigError("'span' must have a width b - a whose square is finite")
     return a, b
 
 
@@ -284,6 +302,7 @@ def cmd_bvp(args, cfg: dict) -> int:
     grid = _grid_from(cfg)
     x, y = _points_from(cfg, "x", "y")
     restarts = _int_from(cfg.get("restarts", 0), "'restarts'", minimum=0)
+    _check_size(restarts + 1, grid.n_intervals, x.size, "'bvp' with its 'restarts'")
     result = solve_bvp(model, x, y, grid, n_restarts=restarts)
     out = _out_dir(args, cfg)
     payload = {
@@ -311,6 +330,7 @@ def cmd_flow(args, cfg: dict) -> int:
     model = _model_from(cfg)
     grid = _grid_from(cfg)
     start = PhasePoint(*_points_from(cfg, "x", "v"))
+    _check_size(1, grid.n_intervals, start.dim, "'flow'")
     kind = cfg.get("flow", "discrete")
     if kind == "reference":
         result = reference_flow(model, start, grid)
@@ -337,7 +357,6 @@ def cmd_flow(args, cfg: dict) -> int:
 
 
 def cmd_transport(args, cfg: dict) -> int:
-    _check_threads(cfg)
     if "costs_csv" in cfg:
         try:
             costs = matrix_from_csv(_file_text(cfg, "costs_csv"))
@@ -360,6 +379,9 @@ def cmd_transport(args, cfg: dict) -> int:
                 f"dimension, got {source.size}x{source.dim} and {target.size}x{target.dim}"
             )
         cost_kind = _cost_kind_from(cfg, model, ("bvp", "closed_form"))
+        # a bvp cost matrix solves one batch of N paths per source point
+        intervals = grid.n_intervals if cost_kind == "bvp" else 0
+        _check_size(source.size, intervals, source.dim, "'source_points'")
         allow = _allow_long_horizon(args, cfg)
         if cost_kind == "bvp":
             # the horizon bounds the midpoint action, which closed-form costs skip
@@ -404,9 +426,10 @@ def cmd_converge(args, cfg: dict) -> int:
                 f"but 'Ns' asks for {Ns}"
             )
     hs = [_number(h, "an 'hs' entry", positive=True) for h in hs]
-    for h in hs:
-        _check_intervals((span[1] - span[0]) / h, "an 'hs' entry")
-    _check_threads(cfg)
+    for N, h in zip(Ns, hs):
+        intervals = (span[1] - span[0]) / h
+        _check_intervals(intervals, "an 'hs' entry")
+        _check_size(N, intervals, spec_a.dim, "an 'Ns' entry")
     cost_kind = _cost_kind_from(cfg, model, ("auto", "bvp", "closed_form"))
     allow = _allow_long_horizon(args, cfg)
     reference = cfg.get("reference_action")
@@ -435,7 +458,6 @@ def cmd_stationary(args, cfg: dict) -> int:
     if not isinstance(hs, list) or not hs:
         raise ConfigError("'hs' must be a nonempty list")
     hs = [_number(h, "an 'hs' entry", positive=True) for h in hs]
-    _check_threads(cfg)
     if "paths_csv" in cfg:
         try:
             pi0 = measure_from_csv(_file_text(cfg, "paths_csv"))
@@ -462,6 +484,7 @@ def cmd_stationary(args, cfg: dict) -> int:
     a, b = pi0.time_span
     for h in hs:
         _check_intervals((b - a) / h, "an 'hs' entry")
+        _check_size(pi0.size, (b - a) / h, pi0.dim, "the paths with an 'hs' entry")
     report = run_stationarity_study(model, pi0, hs)
     out = _out_dir(args, cfg)
     _write(out / "stationarity.csv", stationarity_report_to_csv(report))

@@ -83,6 +83,14 @@ _BVP_MAX_ITER = 50
 _N_PERTURBATIONS = 20
 _CLUSTER_RADIUS = 1e-3
 
+# RK4 substeps per grid interval of the reference flow: they keep its O(dt^4)
+# error negligible against the O(h) / O(h^2) effects it referees.  A
+# trajectory leaving the guard radius raises BlowUpError instead of being
+# clamped; the quadratic-growth models have complete flows, so blow-up means
+# a modelling or usage error.
+_RK4_SUBSTEPS = 16
+_GUARD_RADIUS = 1e6
+
 # Newton tolerance and iteration cap of the implicit midpoint step
 _EL_TOL = 1e-12
 _EL_MAX_ITER = 50
@@ -109,28 +117,15 @@ def _hessian_at(model: LagrangianModel, x: np.ndarray) -> np.ndarray:
 
 
 def reference_flow(
-    model: LagrangianModel,
-    start: PhasePoint,
-    grid: TimeGrid,
-    substeps_per_interval: int = 16,
-    guard_radius: float = 1e6,
+    model: LagrangianModel, start: PhasePoint, grid: TimeGrid
 ) -> FlowResult:
     """Integrate m x'' = -grad V(x) with classical RK4, sampled on the grid.
 
-    At least 16 substeps per grid interval keep the O(dt^4) integrator error
-    negligible against the O(h) / O(h^2) effects it is used to referee.  A
-    trajectory leaving the guard radius raises BlowUpError instead of being
-    clamped; for the quadratic-growth model family the flow is complete, so
-    blow-up indicates a modelling or usage error.  This is the one-start case
-    of ``reference_flow_batch`` and returns bitwise the same trajectory.
+    This is the one-start case of ``reference_flow_batch`` and returns
+    bitwise the same trajectory.
     """
     nodes, x, v = reference_flow_batch(
-        model,
-        start.position[None, :],
-        start.velocity[None, :],
-        grid,
-        substeps_per_interval,
-        guard_radius,
+        model, start.position[None, :], start.velocity[None, :], grid
     )
     return FlowResult(Path(grid, nodes[0]), PhasePoint(x[0], v[0]), 0)
 
@@ -140,8 +135,6 @@ def reference_flow_batch(
     positions: np.ndarray,
     velocities: np.ndarray,
     grid: TimeGrid,
-    substeps_per_interval: int = 16,
-    guard_radius: float = 1e6,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """RK4 reference flow from P starts (P, n) at once on one grid.
 
@@ -150,16 +143,14 @@ def reference_flow_batch(
     one-start integration gives.  If any path leaves the guard radius,
     BlowUpError names the earliest grid interval where one did.
     """
-    if substeps_per_interval < 16:
-        raise ValueError("reference flow requires at least 16 substeps per interval")
     m = model.mass
     x = np.array(positions, dtype=float)
     v = np.array(velocities, dtype=float)
     nodes = np.empty((x.shape[0], grid.n_intervals + 1, x.shape[1]))
     nodes[:, 0] = x
     for j, dt in enumerate(grid.spacings):
-        sub = dt / substeps_per_interval
-        for _ in range(substeps_per_interval):
+        sub = dt / _RK4_SUBSTEPS
+        for _ in range(_RK4_SUBSTEPS):
             k1x = v
             k1v = -np.asarray(model.grad_potential(x), dtype=float) / m
             x2 = x + 0.5 * sub * k1x
@@ -173,9 +164,9 @@ def reference_flow_batch(
             k4v = -np.asarray(model.grad_potential(x4), dtype=float) / m
             x = x + (sub / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
             v = v + (sub / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            if np.any(np.max(np.abs(x), axis=1) > guard_radius):
+            if np.any(np.max(np.abs(x), axis=1) > _GUARD_RADIUS):
                 raise BlowUpError(
-                    f"trajectory left the guard radius {guard_radius:g} "
+                    f"trajectory left the guard radius {_GUARD_RADIUS:g} "
                     f"within grid interval {j}"
                 )
         nodes[:, j + 1] = x

@@ -107,8 +107,6 @@ def push_forward_flow(
     eta: PhaseMeasure,
     grid: TimeGrid,
     kind: str = "discrete",
-    substeps_per_interval: int = 16,
-    guard_radius: float = 1e6,
 ) -> EmpiricalPathMeasure:
     """Launch every phase-space atom along a flow; path i comes from state i.
 
@@ -121,14 +119,7 @@ def push_forward_flow(
     from .integrators import discrete_flow  # local import keeps module load light
 
     if kind == "reference":
-        nodes, _, _ = reference_flow_batch(
-            model,
-            eta.positions,
-            eta.velocities,
-            grid,
-            substeps_per_interval,
-            guard_radius,
-        )
+        nodes, _, _ = reference_flow_batch(model, eta.positions, eta.velocities, grid)
         paths = tuple(Path(grid, path_nodes) for path_nodes in nodes)
     elif kind == "discrete":
         paths = tuple(discrete_flow(model, s, grid).path for s in eta.states())
@@ -184,23 +175,21 @@ def _pairwise_sup_distances(
     return out
 
 
-def bl_distance_bound(
-    p: EmpiricalPathMeasure, q: EmpiricalPathMeasure, cutoff: float = 2.0
-) -> float:
+def bl_distance_bound(p: EmpiricalPathMeasure, q: EmpiricalPathMeasure) -> float:
     """Assignment upper bound for the bounded-Lipschitz distance.
 
-    Computes the optimal-matching average of min(sup-distance, cutoff).  Any
-    test function with sup-norm plus Lipschitz constant at most one changes by
-    at most min(d, 2) between paths at sup-distance d, so with cutoff 2 this
-    is an upper bound for the bounded-Lipschitz distance.  It is itself a
-    transport metric on equal-size multisets and vanishes iff the multisets
-    coincide; it is used as a convergence diagnostic, not as the exact value.
+    Computes the optimal-matching average of min(sup-distance, 2).  Any test
+    function with sup-norm plus Lipschitz constant at most one changes by at
+    most min(d, 2) between paths at sup-distance d, so this is an upper bound
+    for the bounded-Lipschitz distance.  It is itself a transport metric on
+    equal-size multisets and vanishes iff the multisets coincide; it is used
+    as a convergence diagnostic, not as the exact value.
     """
     if p.size != q.size:
         raise ValueError(f"measures have different sizes: {p.size} vs {q.size}")
     if p.dim != q.dim:
         raise DimensionMismatchError("measures have different space dimensions")
-    ground = np.minimum(_pairwise_sup_distances(p, q), cutoff)
+    ground = np.minimum(_pairwise_sup_distances(p, q), 2.0)
     return solve_assignment(ground).average_cost
 
 
@@ -239,8 +228,6 @@ class ConcentrationReport:
 def concentration_diagnostics(
     model: LagrangianModel,
     pi: EmpiricalPathMeasure,
-    substeps_per_interval: int = 16,
-    guard_radius: float = 1e6,
 ) -> ConcentrationReport:
     """Quantify how close a path measure is to flow-concentrated stationarity.
 
@@ -263,9 +250,7 @@ def concentration_diagnostics(
             defects = _interior_defects(model, X, dt)
             resids[members] = np.max(np.linalg.norm(defects, axis=-1), axis=-1)
         v0 = (X[:, 1] - X[:, 0]) / dt[0]
-        orbits, _, _ = reference_flow_batch(
-            model, X[:, 0], v0, grid, substeps_per_interval, guard_radius
-        )
+        orbits, _, _ = reference_flow_batch(model, X[:, 0], v0, grid)
         dists[members] = np.max(np.linalg.norm(X - orbits, axis=-1), axis=-1)
     actions = np.array([midpoint_action(model, path) for path in pi.paths])
     return ConcentrationReport(resids, dists, actions)

@@ -154,8 +154,9 @@ class LagrangianModel:
         bound = self.quadratic_growth * (1.0 + np.sum(pts * pts, axis=-1))
         return float(np.max(vals - bound))
 
-    def check_gradient(self, points: np.ndarray, step: float = 1e-5) -> float:
+    def check_gradient(self, points: np.ndarray) -> float:
         """Max relative error of grad_potential vs central differences of V."""
+        step = 1e-5
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         worst = 0.0
         for x in pts:

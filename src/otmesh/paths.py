@@ -10,13 +10,16 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .models import LagrangianModel, as_point
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+# 5-point Gauss-Legendre nodes on [-1, 1] and weights for continuous_action,
+# bitwise as numpy.polynomial.legendre.leggauss(5) returns them; written out
+# so that importing otmesh does not import numpy.polynomial
+_GL_NODES = np.array(
+    [-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664]
+)
+_GL_WEIGHTS = np.array(
+    [0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+     0.4786286704993663, 0.23692688505618928]
+)
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -204,26 +207,21 @@ class PhasePoint:
 # ---------------------------------------------------------------------------
 
 
-def continuous_action(
-    model: LagrangianModel, path: Path, quad_points_per_interval: int = 5
-) -> float:
+def continuous_action(model: LagrangianModel, path: Path) -> float:
     """Action integral of L along a piecewise-affine path.
 
     The kinetic part is exact per interval, (m/2)|dx|^2/dt; the potential part
-    is integrated with composite Gauss-Legendre quadrature of the given order
-    per interval.  Order 5 keeps the quadrature error of smooth potentials far
-    below the midpoint-rule effects this value is used to referee.
+    is integrated with composite 5-point Gauss-Legendre quadrature per
+    interval, which keeps the quadrature error of smooth potentials far below
+    the midpoint-rule effects this value is used to referee.
     """
-    if quad_points_per_interval < 1:
-        raise ValueError("need at least one quadrature point per interval")
     dt = path.grid.spacings
     d = np.diff(path.nodes, axis=0)
     kinetic = 0.5 * model.mass * float(np.sum(np.sum(d * d, axis=1) / dt))
-    xi, w = _gauss_legendre(quad_points_per_interval)
-    u = 0.5 * (xi + 1.0)  # quadrature abscissae mapped to [0, 1]
+    u = 0.5 * (_GL_NODES + 1.0)  # quadrature abscissae mapped to [0, 1]
     pos = path.nodes[:-1, None, :] + u[None, :, None] * d[:, None, :]
     vals = np.asarray(model.potential(pos), dtype=float)
-    potential = float(np.sum(0.5 * dt * (vals @ w)))
+    potential = float(np.sum(0.5 * dt * (vals @ _GL_WEIGHTS)))
     return kinetic - potential
 
 

@@ -65,14 +65,14 @@ class MarginalSpec:
         if self.sampler not in ("quantile", "grid", "iid"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.kind == "uniform_box":
-            low = np.atleast_1d(np.asarray(self.low, dtype=float))
-            high = np.atleast_1d(np.asarray(self.high, dtype=float))
+            low = _finite_array(self.low, 1, "uniform_box 'low'")
+            high = _finite_array(self.high, 1, "uniform_box 'high'")
             if low.shape != high.shape or np.any(low >= high):
                 raise ValueError("uniform_box needs low < high componentwise")
             object.__setattr__(self, "low", low)
             object.__setattr__(self, "high", high)
         elif self.kind == "gaussian":
-            mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+            mean = _finite_array(self.mean, 1, "gaussian 'mean'")
             cov = np.asarray(self.cov if self.cov is not None else 1.0, dtype=float)
             if cov.ndim == 0:
                 cov = np.diag(np.full(mean.size, float(cov)))
@@ -80,12 +80,18 @@ class MarginalSpec:
                 cov = np.diag(cov)
             if cov.shape != (mean.size, mean.size):
                 raise ValueError("covariance shape does not match the mean")
-            if self.radius is None or self.radius <= 0:
+            try:  # the iid sampler draws through this factor
+                factor = np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                factor = None
+            if factor is None or not np.all(np.isfinite(factor)):
+                raise ValueError("gaussian 'cov' must be finite and positive definite")
+            if self.radius is None or not self.radius > 0:
                 raise ValueError("gaussian marginals need a truncation radius > 0")
             object.__setattr__(self, "mean", mean)
             object.__setattr__(self, "cov", cov)
         elif self.kind == "custom_points":
-            pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+            pts = _finite_array(self.points, 2, "custom_points 'points'")
             object.__setattr__(self, "points", pts)
         else:
             raise ValueError(f"unknown marginal kind {self.kind!r}")
@@ -99,6 +105,21 @@ class MarginalSpec:
         if self.kind == "gaussian":
             return self.mean.size
         return self.points.shape[1]
+
+
+# Rounds of max(N, 64) draws the iid gaussian sampler makes before it gives
+# up; they run out when the truncation ball holds under about 1e-4 of the mass.
+_MAX_REJECTION_ROUNDS = 10_000
+
+
+def _finite_array(value, ndim: int, what: str) -> np.ndarray:
+    """A nonempty finite array of ndim axes; scalars and vectors are promoted."""
+    arr = np.asarray(value, dtype=float)
+    arr = np.atleast_1d(arr) if ndim == 1 else np.atleast_2d(arr)
+    if arr.ndim != ndim or arr.size == 0 or not np.all(np.isfinite(arr)):
+        axes = "a vector" if ndim == 1 else "a list of points"
+        raise ValueError(f"{what} must be a number or {axes}, finite and nonempty")
+    return arr
 
 
 def _equal_mass_boxes(low: np.ndarray, high: np.ndarray, count: int) -> np.ndarray:
@@ -149,13 +170,19 @@ def sample_marginal(spec: MarginalSpec, N: int) -> PointCloud:
     chol = np.linalg.cholesky(spec.cov)
     out = np.empty((N, spec.dim))
     filled = 0
-    while filled < N:
+    for _ in range(_MAX_REJECTION_ROUNDS):
         draw = spec.mean + rng.standard_normal((max(N, 64), spec.dim)) @ chol.T
         keep = draw[np.linalg.norm(draw - spec.mean, axis=1) <= spec.radius]
         take = min(N - filled, keep.shape[0])
         out[filled : filled + take] = keep[:take]
         filled += take
-    return PointCloud(out)
+        if filled == N:
+            return PointCloud(out)
+    raise SolverError(
+        f"iid gaussian sampling kept {filled} of {N} points after "
+        f"{_MAX_REJECTION_ROUNDS} rounds of draws; the truncation radius "
+        f"{spec.radius:g} holds too little of the distribution's mass"
+    )
 
 
 # ---------------------------------------------------------------------------

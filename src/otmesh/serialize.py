@@ -20,17 +20,17 @@ def format_float(value: float) -> str:
     return "%.17g" % float(value)
 
 
-def dumps_json(obj, indent: int = 2) -> str:
-    """JSON text with floats at 17 significant digits; NaN becomes null."""
+def dumps_json(obj) -> str:
+    """Pretty-printed JSON, two spaces per level; 17-digit floats, NaN as null."""
     out = io.StringIO()
-    _emit_json(obj, out, indent, 0)
+    _emit_json(obj, out, 0)
     out.write("\n")
     return out.getvalue()
 
 
-def _emit_json(obj, out: io.StringIO, indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    closing_pad = " " * (indent * level)
+def _emit_json(obj, out: io.StringIO, level: int) -> None:
+    pad = "  " * (level + 1)
+    closing_pad = "  " * level
     if isinstance(obj, dict):
         if not obj:
             out.write("{}")
@@ -38,7 +38,7 @@ def _emit_json(obj, out: io.StringIO, indent: int, level: int) -> None:
         out.write("{\n")
         for i, (key, value) in enumerate(obj.items()):
             out.write(pad + json.dumps(str(key)) + ": ")
-            _emit_json(value, out, indent, level + 1)
+            _emit_json(value, out, level + 1)
             out.write(",\n" if i < len(obj) - 1 else "\n")
         out.write(closing_pad + "}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
@@ -49,7 +49,7 @@ def _emit_json(obj, out: io.StringIO, indent: int, level: int) -> None:
         out.write("[\n")
         for i, value in enumerate(items):
             out.write(pad)
-            _emit_json(value, out, indent, level + 1)
+            _emit_json(value, out, level + 1)
             out.write(",\n" if i < len(items) - 1 else "\n")
         out.write(closing_pad + "]")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -115,9 +115,10 @@ def measure_from_csv(text: str) -> EmpiricalPathMeasure:
     return EmpiricalPathMeasure(tuple(paths))
 
 
-def matrix_to_csv(matrix: np.ndarray, prefix: str = "c") -> str:
+def matrix_to_csv(matrix: np.ndarray) -> str:
+    """Header c_1..c_m, then one row of the matrix per line."""
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [",".join(f"{prefix}_{j + 1}" for j in range(M.shape[1]))]
+    lines = [",".join(f"c_{j + 1}" for j in range(M.shape[1]))]
     for row in M:
         lines.append(",".join(format_float(v) for v in row))
     return "\n".join(lines) + "\n"
@@ -196,19 +197,7 @@ def rows_to_csv(columns: list[str], rows: Iterable[Iterable]) -> str:
 def convergence_report_to_csv(report) -> str:
     return rows_to_csv(
         CONVERGENCE_CSV_COLUMNS,
-        (
-            [
-                r.N,
-                r.h,
-                r.min_action,
-                r.d_bl_to_finest,
-                r.max_el_residual,
-                r.max_reconstruction_dist,
-                r.status,
-                r.error,
-            ]
-            for r in report.rows
-        ),
+        ([getattr(r, c) for c in CONVERGENCE_CSV_COLUMNS] for r in report.rows),
     )
 
 
@@ -220,36 +209,14 @@ def convergence_report_to_json(report) -> dict:
         "action_order": report.action_order,
         "trajectory_order": report.trajectory_order,
         "all_ok": report.all_ok,
-        "rows": [
-            {
-                "N": r.N,
-                "h": r.h,
-                "min_action": r.min_action,
-                "d_bl_to_finest": r.d_bl_to_finest,
-                "max_el_residual": r.max_el_residual,
-                "max_reconstruction_dist": r.max_reconstruction_dist,
-                "status": r.status,
-                "error": r.error,
-            }
-            for r in report.rows
-        ],
+        "rows": [{c: getattr(r, c) for c in CONVERGENCE_CSV_COLUMNS} for r in report.rows],
     }
 
 
 def stationarity_report_to_csv(report) -> str:
     return rows_to_csv(
         STATIONARITY_CSV_COLUMNS,
-        (
-            [
-                lv.h,
-                lv.max_el_residual,
-                lv.max_reconstruction_dist,
-                lv.mean_reconstruction_dist,
-                lv.max_newton_iterations,
-                lv.scaling_ok,
-            ]
-            for lv in report.levels
-        ),
+        ([getattr(lv, c) for c in STATIONARITY_CSV_COLUMNS] for lv in report.levels),
     )
 
 
@@ -260,14 +227,6 @@ def stationarity_report_to_json(report) -> dict:
         "fitted_rate": report.fitted_rate,
         "all_scaling_ok": report.all_scaling_ok,
         "levels": [
-            {
-                "h": lv.h,
-                "max_el_residual": lv.max_el_residual,
-                "max_reconstruction_dist": lv.max_reconstruction_dist,
-                "mean_reconstruction_dist": lv.mean_reconstruction_dist,
-                "max_newton_iterations": lv.max_newton_iterations,
-                "scaling_ok": lv.scaling_ok,
-            }
-            for lv in report.levels
+            {c: getattr(lv, c) for c in STATIONARITY_CSV_COLUMNS} for lv in report.levels
         ],
     }

@@ -13,6 +13,9 @@ from .integrators import solve_bvp, solve_bvp_batch
 from .models import LagrangianModel, closed_form_cost_matrix, has_closed_form_cost
 from .paths import TimeGrid
 
+# largest N the brute-force oracle enumerates (9! = 362880 permutations)
+_BRUTE_FORCE_MAX = 9
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -76,7 +79,8 @@ def cost_matrix(
     batch fails is solved again by ``solve_bvp``, and SolverError names the
     first pair in row-major order that fails there too, with its reason.
     ``cost_kind="closed_form"`` uses the catalog formula (free particle or
-    harmonic oscillator) and ignores the grid resolution.
+    harmonic oscillator) and ignores the grid resolution; SolverError reports
+    costs that overflow.
     """
     if source.size != target.size:
         raise ValueError(f"cloud sizes differ: {source.size} vs {target.size}")
@@ -85,7 +89,11 @@ def cost_matrix(
     if cost_kind == "closed_form":
         if not has_closed_form_cost(model):
             raise ValueError(f"model {model.name!r} has no closed-form cost")
-        return closed_form_cost_matrix(model, source.points, target.points, grid.span)
+        costs = closed_form_cost_matrix(model, source.points, target.points, grid.span)
+        # min and max are NaN or infinite if any entry is; no N x N temporary
+        if not (np.isfinite(costs.min()) and np.isfinite(costs.max())):
+            raise SolverError("closed-form costs overflow: the clouds lie too far apart")
+        return costs
     if cost_kind != "bvp":
         raise ValueError(f"unknown cost kind {cost_kind!r}")
 
@@ -126,7 +134,7 @@ def solve_assignment(costs: np.ndarray) -> AssignmentPlan:
     return AssignmentPlan(perm, total, total / M.shape[0])
 
 
-def brute_force_assignment(costs: np.ndarray, max_size: int = 9) -> AssignmentPlan:
+def brute_force_assignment(costs: np.ndarray) -> AssignmentPlan:
     """Exhaustive minimum over all permutations; oracle for solve_assignment.
 
     Ties are broken toward the lexicographically smallest permutation.
@@ -135,8 +143,8 @@ def brute_force_assignment(costs: np.ndarray, max_size: int = 9) -> AssignmentPl
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {M.shape}")
     N = M.shape[0]
-    if N > max_size:
-        raise ValueError(f"brute force limited to N <= {max_size}, got {N}")
+    if N > _BRUTE_FORCE_MAX:
+        raise ValueError(f"brute force limited to N <= {_BRUTE_FORCE_MAX}, got {N}")
     index = np.arange(N)
     best_perm = None
     best_total = np.inf

@@ -1,9 +1,14 @@
+import copy
 import json
 import math
+import signal
+from contextlib import contextmanager
 from pathlib import Path as FsPath
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from otmesh.cli import main
 
@@ -218,15 +223,12 @@ def test_cli_converge_writes_artifacts(tmp_path):
     assert len(lines) == 3
 
 
-def test_cli_converge_byte_identical_across_threads(tmp_path):
+def test_cli_converge_byte_identical_across_runs(tmp_path):
     cfg = converge_config(tmp_path)
     outs = []
-    for name, threads in (("a", "1"), ("b", "8"), ("c", "1")):
+    for name in ("a", "b", "c"):
         out = tmp_path / name
-        assert (
-            main(["converge", "--config", cfg, "--out", str(out), "--threads", threads])
-            == 0
-        )
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
         outs.append((out / "convergence.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
 
@@ -239,7 +241,6 @@ def test_cli_converge_byte_identical_across_threads(tmp_path):
         ("hs", [0.25, -0.1]),
         ("Ns", [4, "a"]),
         ("Ns", [4, 0]),
-        ("threads", "x"),
         ("reference_action", "abc"),
         ("allow_long_horizon", "false"),
     ],
@@ -304,13 +305,22 @@ VALID_CONFIGS = {
         "lines": [{"x": 0.0, "y": 1.0}],
         "hs": [0.25],
     },
+    # one particle count at both levels, so that custom points can match it
+    "converge": {
+        "model": {"name": "free_particle"},
+        "marginal_a": {"kind": "uniform_box", "low": 0.0, "high": 1.0, "sampler": "iid"},
+        "marginal_b": {"kind": "uniform_box", "low": 2.0, "high": 3.0, "sampler": "iid"},
+        "span": [0.0, 1.0],
+        "Ns": [4, 4],
+        "hs": [0.25, 0.125],
+        "seed": 11,
+        "reference_action": 2.0,
+    },
 }
 
 
-def valid_config(tmp_path, command: str) -> dict:
-    if command == "converge":
-        return json.loads(FsPath(converge_config(tmp_path)).read_text(encoding="utf-8"))
-    return dict(VALID_CONFIGS[command])
+def valid_config(command: str) -> dict:
+    return copy.deepcopy(VALID_CONFIGS[command])
 
 
 @pytest.mark.parametrize(
@@ -346,10 +356,38 @@ def valid_config(tmp_path, command: str) -> dict:
         ("stationary", "hs", [1e-13]),
         ("bvp", "span", [-1e308, 1e308]),
         ("converge", "span", [-1e308, 1e308]),
+        ("bvp", "span", [-1e308, 1.0]),
+        ("bvp", "model", {"name": ["free_particle"]}),
+        (
+            "converge",
+            "marginal_a",
+            {
+                "kind": "uniform_box",
+                "low": [[0, 0], [0, 0]],
+                "high": [[1, 1], [1, 1]],
+                "sampler": "iid",
+            },
+        ),
+        (
+            "converge",
+            "marginal_a",
+            {"kind": "custom_points", "points": [[[0.1]], [[0.2]], [[0.3]], [[0.4]]]},
+        ),
+        (
+            "converge",
+            "marginal_a",
+            {"kind": "custom_points", "points": [[0.1], [0.2], [0.3], [math.nan]]},
+        ),
+        (
+            "converge",
+            "marginal_a",
+            {"kind": "gaussian", "mean": 0.0, "cov": [[-1.0]], "radius": 1.0, "sampler": "iid"},
+        ),
+        ("converge", "Ns", [1_000_000, 4]),
     ],
 )
 def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, command, field, value):
-    payload = valid_config(tmp_path, command)
+    payload = valid_config(command)
     if field == "costs_csv":  # the value is the content of the file it names
         costs = tmp_path / "costs.csv"
         costs.write_text(value, encoding="utf-8")
@@ -361,6 +399,95 @@ def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, command, field
     assert err.startswith("config error:")
     assert field in err
     assert "Traceback" not in err
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block once it has run for the given seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "marginal, reason",
+    [
+        # the truncation ball holds about 1e-9 of the mass: rejection gives up
+        (
+            {"kind": "gaussian", "mean": 0.0, "cov": 1.0, "radius": 1e-9, "sampler": "iid"},
+            "truncation radius",
+        ),
+        # squared distances near 1e308 overflow the closed-form cost
+        (
+            {"kind": "uniform_box", "low": -1e308, "high": 1.0, "sampler": "iid"},
+            "overflow",
+        ),
+    ],
+)
+def test_cli_converge_unusable_marginal_gives_error_rows(tmp_path, capsys, marginal, reason):
+    payload = valid_config("converge")
+    payload["marginal_a"] = marginal
+    cfg = write_config(tmp_path, payload, "unusable.json")
+    out = tmp_path / "out"
+    with time_limit(10.0):
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    rows = csv_lines(out / "convergence.csv")[1:]
+    assert len(rows) == 2
+    assert all(",error," in row and reason in row for row in rows)
+
+
+# values the fuzz test puts in place of one config field: a wrong JSON type,
+# null, negative, zero, huge, an empty list and a nested object
+MALFORMED_VALUES = ["x", True, None, -1, -1e308, 0, 1e308, [], {"a": {"b": 1}}]
+DELETE = object()
+
+
+def field_paths(config: dict, prefix: tuple = ()):
+    """Key paths of every field of a config, nested objects included."""
+    for key, value in config.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config of one subcommand with one field replaced or deleted."""
+    command = draw(st.sampled_from(sorted(VALID_CONFIGS)))
+    config = valid_config(command)
+    path = draw(st.sampled_from(list(field_paths(config))))
+    value = draw(st.sampled_from(MALFORMED_VALUES + [DELETE]))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return command, config
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=mutated_configs())
+def test_cli_fuzzed_config_returns_an_exit_code(tmp_path, case):
+    command, config = case
+    cfg = write_config(tmp_path, config, "fuzzed.json")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) in (0, 1, 2, 3)
 
 
 # -- stationary ----------------------------------------------------------------------------

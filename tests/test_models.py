@@ -122,7 +122,7 @@ def test_kinetic_doubling_and_legendre_duality(model):
 def test_gradient_matches_finite_differences(model):
     rng = np.random.default_rng(3)
     points = rng.uniform(-2, 2, (20, 2))
-    assert model.check_gradient(points, step=1e-5) <= 1e-6
+    assert model.check_gradient(points) <= 1e-6
 
 
 @pytest.mark.parametrize(

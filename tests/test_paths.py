@@ -99,10 +99,12 @@ def test_continuous_action_sine_half_period():
     assert continuous_action(harmonic_oscillator(), path) == pytest.approx(0.0, abs=1e-5)
 
 
-def test_continuous_action_requires_quadrature_points():
-    grid = TimeGrid.uniform(0.0, 1.0, 2)
-    with pytest.raises(ValueError):
-        continuous_action(free_particle(), Path.line(grid, 0.0, 1.0), 0)
+def test_gauss_legendre_constants_are_numpy_order_five():
+    from otmesh.paths import _GL_NODES, _GL_WEIGHTS
+
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert np.array_equal(_GL_NODES, nodes)
+    assert np.array_equal(_GL_WEIGHTS, weights)
 
 
 def test_continuous_action_matches_adaptive_quadrature():
