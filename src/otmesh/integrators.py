@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbsv
 
 from .errors import BlowUpError, NewtonError
 from .models import LagrangianModel, as_point
@@ -66,6 +67,8 @@ class BvpBatchResult:
 
     def message(self, p: int) -> str:
         """Why pair p failed, or "" if it converged."""
+        if not np.isfinite(self.costs[p]):
+            return "the midpoint action is not finite"
         if self.saddle[p]:
             return (
                 "saddle-point check failed: a nodal perturbation of "
@@ -332,56 +335,6 @@ def _bvp_jacobian(diag: np.ndarray, off: np.ndarray) -> sp.csc_matrix:
     )
 
 
-def _solve_blocks(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve M X = B for a stack of small blocks (P, n, n) and (P, n, k).
-
-    An exactly singular block gives a non-finite solution, as a sparse LU
-    does, so the line search rejects the step instead of the batch failing.
-    """
-    if M.shape[-1] == 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return B / M
-    try:
-        return np.linalg.solve(M, B)
-    except np.linalg.LinAlgError:
-        out = np.full(B.shape, np.nan)
-        for p in range(M.shape[0]):
-            try:
-                out[p] = np.linalg.solve(M[p], B[p])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _block_tridiagonal_solve(
-    diag: np.ndarray, off: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve P block-tridiagonal systems by block elimination.
-
-    ``diag`` (P, K, n, n) and ``off`` (P, K-1, n, n) are the blocks returned
-    by ``_bvp_blocks`` and ``rhs`` is (P, K, n).  The forward sweep keeps one
-    gain block and one reduced right-hand side per unknown: O(P K n^3) work
-    and O(P K n^2) memory.
-    """
-    K = diag.shape[1]
-    gains = np.empty_like(off)
-    z = np.empty(rhs.shape + (1,))
-    for k in range(K):
-        M = diag[:, k]
-        b = rhs[:, k, :, None]
-        if k:
-            M = M - off[:, k - 1] @ gains[:, k - 1]
-            b = b - off[:, k - 1] @ z[:, k - 1]
-        if k < K - 1:
-            sol = _solve_blocks(M, np.concatenate([off[:, k], b], axis=-1))
-            gains[:, k], z[:, k] = sol[..., :-1], sol[..., -1:]
-        else:
-            z[:, k] = _solve_blocks(M, b)
-    for k in range(K - 2, -1, -1):
-        z[:, k] -= gains[:, k] @ z[:, k + 1]
-    return z[..., 0]
-
-
 def _sparse_step(
     model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
@@ -394,11 +347,50 @@ def _sparse_step(
     return step
 
 
-def _block_step(
+def _banded_step(
     model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Newton steps of P problems (P, l+1, n) by one unpivoted block elimination."""
-    return _block_tridiagonal_solve(*_bvp_blocks(model, nodes, dt), rhs)
+    """Newton steps of P problems (P, l+1, n) by one pivoted banded LU.
+
+    The P Jacobians sit block-diagonally in one LAPACK band matrix of
+    half-bandwidth w = 2n-1, solved by one ``dgbsv`` call; partial pivoting
+    never leaves a pair's own rows, since every entry coupling two pairs is
+    zero.  A pair with a non-finite block or right-hand side is replaced by
+    an identity system with zero right-hand side before the solve (0 * NaN
+    in the substitutions would reach its neighbours), and so is every pair
+    the LU finds singular, after which the solve is repeated once.  Those
+    pairs get a NaN step, which the line search rejects.
+    """
+    diag, off = _bvp_blocks(model, nodes, dt)
+    P, K, n = rhs.shape
+    w = 2 * n - 1
+    bad = ~(
+        np.isfinite(diag).all(axis=(1, 2, 3))
+        & np.isfinite(off).all(axis=(1, 2, 3))
+        & np.isfinite(rhs).all(axis=(1, 2))
+    )
+    rhs = rhs.copy()
+    while True:
+        # entry (i, j) of the stacked matrix is ab[2w + i - j, j], and column
+        # j = (p K + k) n + b is band[p, k, b]; dgbsv factors it in place
+        band = np.zeros((P, K, n, 3 * w + 1))
+        for a in range(n):
+            for b in range(n):
+                band[:, :, b, 2 * w + a - b] = diag[:, :, a, b]
+                band[:, 1:, b, 2 * w + a - b - n] = off[:, :, a, b]  # block (k, k+1)
+                band[:, :-1, b, 2 * w + a - b + n] = off[:, :, a, b]  # block (k+1, k)
+        band[bad] = 0.0
+        band[bad, :, :, 2 * w] = 1.0
+        rhs[bad] = 0.0
+        ab = band.reshape(P * K * n, 3 * w + 1).T
+        _, _, step, info = dgbsv(w, w, ab, rhs.reshape(-1, 1), overwrite_ab=True)
+        if info <= 0:
+            break
+        # the LU went on past every zero pivot and left each on U's diagonal
+        bad |= (band[..., 2 * w] == 0.0).any(axis=(1, 2))
+    step = step.reshape(P, K, n)
+    step[bad] = np.nan
+    return step
 
 
 def _residual_scale(
@@ -452,16 +444,17 @@ def _bvp_core(
     ``nodes`` holds the starts, endpoints pinned, and is overwritten.  Every
     pair takes its own Newton steps and Armijo step lengths on the squared
     residual and stops on its own test; the pairs still iterating share one
-    ``linear_step(model, nodes, dt, rhs)`` per iteration.  If
-    ``check_minimum``, the converged pairs then share one lazy draw of
+    ``linear_step(model, nodes, dt, rhs)`` per iteration.  A pair converges
+    if its residual meets the tolerance and its midpoint action is finite.
+    If ``check_minimum``, the converged pairs then share one lazy draw of
     perturbations from ``rng``, and a pair whose action one of them lowers is
     a saddle.
     """
     P, _, n = nodes.shape
     dt = grid.spacings
     if grid.n_intervals == 1:  # no interior nodes: the segment is the solution
-        ok = np.ones(P, dtype=bool)
         costs = _midpoint_actions(model, nodes, dt)
+        ok = np.isfinite(costs)
         zeros = np.zeros(P, dtype=int)
         return BvpBatchResult(nodes, costs, np.zeros(P), zeros, ok, ~ok)
     tol, max_iter = _BVP_TOL, _BVP_MAX_ITER
@@ -500,19 +493,20 @@ def _bvp_core(
         defects[moved] = trial_defects[~stalled]
         err[moved] = np.max(np.abs(trial_defects[~stalled]), axis=(1, 2))
         active = moved
-    # a stalled pair stopped above the tolerance, so this test fails it too
-    converged = err <= tol * scale
+    # a stalled pair stopped above the tolerance, so this test fails it too;
+    # an action that overflowed fails however small the scaled residual
     costs = _midpoint_actions(model, nodes, dt)
+    converged = (err <= tol * scale) & np.isfinite(costs)
     saddle = np.zeros(P, dtype=bool)
     screened = np.flatnonzero(converged)
     if check_minimum and screened.size:
-        floor = costs - 1e-10 * np.maximum(1.0, np.abs(costs))
+        floor = costs[screened] - 1e-10 * np.maximum(1.0, np.abs(costs[screened]))
         for bump in _perturbations(grid, n, _N_PERTURBATIONS, rng):
             pert = nodes[screened]
             pert[:, 1:-1] += bump
-            lower = _midpoint_actions(model, pert, dt) < floor[screened]
+            lower = _midpoint_actions(model, pert, dt) < floor
             saddle[screened[lower]] = True
-            screened = screened[~lower]
+            screened, floor = screened[~lower], floor[~lower]
             if screened.size == 0:  # leave the later perturbations undrawn
                 break
     return BvpBatchResult(nodes, costs, err, iters, converged & ~saddle, saddle)
@@ -581,11 +575,10 @@ def solve_bvp(
     The solve works on the full stacked interior system (not shooting), with
     Armijo-damped Newton steps.  It is the one-pair case of the Newton core
     that ``solve_bvp_pairs`` and ``solve_bvp_batch`` run on P pairs, with a
-    pivoted sparse LU of the block-tridiagonal Jacobian for each step:
-    unlike the batch's unpivoted block elimination, it converges on
-    indefinite Jacobians past a conjugate span.  Restart noise and the
-    perturbations come from one ``default_rng(0)`` per call, so equal inputs
-    give equal results.
+    pivoted sparse LU of the block-tridiagonal Jacobian for each step, as
+    ``solve_bvp_pairs`` takes it.  Restart noise and the perturbations come
+    from one ``default_rng(0)`` per call, so equal inputs give equal
+    results.
 
     Returns
     -------
@@ -664,10 +657,11 @@ def solve_bvp_batch(
     """Connect x[p] to y[p] for P pairs of points (P, n) on one grid at once.
 
     This is ``solve_bvp_pairs`` with its defaults except for the linear
-    step: one block-tridiagonal elimination over the pairs still iterating,
-    which costs O(P l n^3) per Newton iteration but does not pivot between
-    blocks, so costs agree with ``solve_bvp`` to rounding and a pair can
-    stall on an indefinite Jacobian where ``solve_bvp`` converges.
+    step: one pivoted banded LU (LAPACK ``dgbsv``) over the pairs still
+    iterating, O(P l n^3) work per Newton iteration, in place of one sparse
+    LU per pair.  Both pivot, but they order their arithmetic differently,
+    so costs and nodes agree with ``solve_bvp`` to rounding.  Each pair's
+    step is bitwise the same whether it is solved alone or in a batch.
     """
     nodes = _pair_starts(grid, x, y, None)
-    return _bvp_core(model, grid, nodes, _block_step, True, np.random.default_rng(0))
+    return _bvp_core(model, grid, nodes, _banded_step, True, np.random.default_rng(0))

@@ -445,6 +445,56 @@ def test_cli_converge_unusable_marginal_gives_error_rows(tmp_path, capsys, margi
     assert all(",error," in row and reason in row for row in rows)
 
 
+# endpoints near 1e308 or 1e200 overflow the midpoint action: a solver failure
+NON_FINITE_ACTION = "the midpoint action is not finite"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_bvp_non_finite_action_is_a_solver_failure(tmp_path, capsys):
+    payload = {**valid_config("bvp"), "x": 1e308}
+    cfg = write_config(tmp_path, payload, "overflow.json")
+    out = tmp_path / "out"
+    assert main(["bvp", "--config", cfg, "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    result = json.loads((out / "bvp_result.json").read_text())
+    assert result["converged"] is False
+    assert result["message"] == NON_FINITE_ACTION
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_transport_non_finite_bvp_cost_is_a_solver_failure(tmp_path, capsys):
+    payload = {
+        **valid_config("transport"),
+        "model": {"name": "cosine"},
+        "source_points": [1e200, 0.0],
+        "target_points": [0.0, 1.0],
+        "cost_kind": "bvp",
+    }
+    cfg = write_config(tmp_path, payload, "overflow.json")
+    assert main(["transport", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error:") and "pair (0, 0)" in err
+    assert NON_FINITE_ACTION in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_converge_non_finite_bvp_cost_gives_an_error_row(tmp_path, capsys):
+    payload = {
+        **valid_config("converge"),
+        "model": {"name": "cosine"},
+        "marginal_a": {"kind": "uniform_box", "low": 1e200, "high": 2e200, "sampler": "iid"},
+        "cost_kind": "bvp",
+        "Ns": [2],
+        "hs": [0.25],
+    }
+    cfg = write_config(tmp_path, payload, "overflow.json")
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    rows = csv_lines(out / "convergence.csv")[1:]
+    assert len(rows) == 1 and ",error," in rows[0] and NON_FINITE_ACTION in rows[0]
+
+
 # values the fuzz test puts in place of one config field: a wrong JSON type,
 # null, negative, zero, huge, an empty list and a nested object
 MALFORMED_VALUES = ["x", True, None, -1, -1e308, 0, 1e308, [], {"a": {"b": 1}}]

@@ -507,6 +507,66 @@ def test_bvp_core_one_pair_equals_the_sparse_newton_loop_on_saddles():
     assert_core_matches_sparse_loop(HARMONIC, grid, starts)
 
 
+# -- the banded step against the sparse step ----------------------------------------------
+
+BANDED_MODELS = {
+    "free_particle": FREE,
+    "harmonic": HARMONIC,
+    "double_well": double_well(),
+    "cosine": cosine_potential(amplitude=2.0),
+    "double_well_fd": replace(double_well(), hess_potential=None),
+    "cosine_fd": replace(cosine_potential(), hess_potential=None),
+}
+BANDED_GRIDS = {name: CORE_GRIDS[name] for name in ("uniform", "nonuniform")}
+
+
+def linear_steps(linear_step, model, grid, nodes):
+    """One Newton step of every pair (P, l+1, n) by the given linear step."""
+    dt = grid.spacings
+    return linear_step(model, nodes, dt, -integrators._interior_defects(model, nodes, dt))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("grid_name", sorted(BANDED_GRIDS))
+@pytest.mark.parametrize("model_name", sorted(BANDED_MODELS))
+def test_banded_step_matches_the_sparse_step(model_name, grid_name, dim):
+    model, grid = BANDED_MODELS[model_name], BANDED_GRIDS[grid_name]
+    rng = np.random.default_rng(10 * dim + len(model_name))
+    x, y = rng.uniform(-1.2, 1.2, (6, dim)), rng.uniform(-0.8, 1.5, (6, dim))
+    nodes = integrators._pair_starts(grid, x, y, None)
+    nodes[:, 1:-1] += rng.uniform(-0.3, 0.3, nodes[:, 1:-1].shape)
+    banded = linear_steps(integrators._banded_step, model, grid, nodes)
+    sparse = linear_steps(integrators._sparse_step, model, grid, nodes)
+    for p in range(nodes.shape[0]):
+        assert np.max(np.abs(banded[p] - sparse[p])) <= 1e-12 * np.max(np.abs(sparse[p]))
+
+
+def assert_broken_pairs_isolated(model, grid, nodes, broken):
+    steps = linear_steps(integrators._banded_step, model, grid, nodes)
+    assert np.isnan(steps[broken]).all()
+    for p in sorted(set(range(nodes.shape[0])) - set(broken)):
+        alone = linear_steps(integrators._banded_step, model, grid, nodes[p : p + 1])
+        assert np.isfinite(steps[p]).all() and np.array_equal(steps[p], alone[0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_banded_step_isolates_singular_and_non_finite_pairs():
+    # harmonic at dt = 2 (m/dt = k dt/2) makes every pair of a batch singular, so
+    # the singular pair comes from the 2-D double well: at mid = (1, 0.5) and
+    # dt = 2 its Jacobian I - Hess V = [[-8, -4], [-4, -2]] is exactly singular
+    rng = np.random.default_rng(5)
+    nodes = rng.uniform(-0.4, 0.4, (5, 3, 2))
+    nodes[1] = [1.0, 0.5]
+    nodes[3, 1, 0] = np.inf
+    assert_broken_pairs_isolated(double_well(), TimeGrid.uniform(0.0, 4.0, 2), nodes, [1, 3])
+    # a non-finite node between pairs of a longer grid
+    grid = TimeGrid.uniform(0.0, 0.6, 24)
+    x, y = rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (4, 2))
+    nodes = integrators._pair_starts(grid, x, y, None)
+    nodes[2, 7, 1] = np.inf
+    assert_broken_pairs_isolated(double_well(), grid, nodes, [2])
+
+
 # -- P pairs in one batch against one solve_bvp per pair -------------------------
 
 

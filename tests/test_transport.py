@@ -137,17 +137,17 @@ def test_bvp_batch_matches_per_pair_solves_when_damped_or_stalled(model, x, y, g
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_cost_matrix_bvp_resolves_pairs_the_batch_stalls_on():
+def test_cost_matrix_bvp_converges_where_the_jacobian_is_indefinite():
     # past the conjugate span pi/sqrt(2) the Jacobian near the potential's minimum
-    # is indefinite; the unpivoted block elimination stalls on (2.9 -> 2.4)
-    # where the sparse LU converges, so cost_matrix re-solves it per pair
+    # is indefinite; the pivoted banded step converges on (2.9 -> 2.4) as the
+    # sparse LU of solve_bvp does, with no per-pair re-solve
     model = cosine_potential(amplitude=2.0)
     grid = TimeGrid.uniform(0.0, 2.5, 40)
     source, target = PointCloud([2.9, 0.0]), PointCloud([2.4, 1.0])
     oracle = per_pair_solves(model, source.points, target.points, grid)
     assert all(r.converged for row in oracle for r in row)
-    stalled = solve_bvp_batch(model, source.points[:1], target.points[:1], grid)
-    assert not stalled.converged[0]
+    batch = solve_bvp_batch(model, source.points[:1], target.points[:1], grid)
+    assert batch.converged[0]
     expected = np.array([[r.cost for r in row] for row in oracle])
     costs = cost_matrix(model, source, target, grid, cost_kind="bvp")
     np.testing.assert_allclose(costs, expected, rtol=1e-12, atol=1e-14)
