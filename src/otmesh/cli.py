@@ -360,6 +360,8 @@ def cmd_flow(args, cfg: dict) -> int:
 
 
 def cmd_transport(args, cfg: dict) -> int:
+    # clouds, when given, let a 1-D Monge matrix skip the assignment solve
+    source = target = None
     if "costs_csv" in cfg:
         try:
             costs = matrix_from_csv(_file_text(cfg, "costs_csv"))
@@ -392,7 +394,7 @@ def cmd_transport(args, cfg: dict) -> int:
         from .transport import cost_matrix as build_costs
 
         costs = build_costs(model, source, target, grid, cost_kind)
-    plan = solve_assignment(costs)
+    plan = solve_assignment(costs, source=source, target=target)
     out = _out_dir(args, cfg)
     payload = {
         "kind": "transport_result",
@@ -508,7 +510,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        return _HANDLERS[args.command](args, cfg)
+        # overflowing inputs are reported as errors below, not as numpy warnings
+        with np.errstate(all="ignore"):
+            return _HANDLERS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -220,12 +220,13 @@ def solve_discrete_otm(
 ) -> OtmResult:
     """Match two clouds at minimal average action and join the matched pairs.
 
-    Builds the pairwise cost matrix, solves the assignment, then connects
-    all matched pairs in one ``solve_bvp_pairs`` batch, each pair exactly as
-    its own ``solve_bvp`` would, so the returned measure consists of discrete
-    minimizing trajectories at the grid's resolution.  The first pair that
-    fails raises SolverError naming it.  The reported minimum is the average
-    midpoint action of those trajectories.
+    Builds the pairwise cost matrix, solves the assignment (by sorting, for
+    1-D clouds whose costs pass the Monge check of ``solve_assignment``),
+    then connects all matched pairs in one ``solve_bvp_pairs`` batch, each
+    pair exactly as its own ``solve_bvp`` would, so the returned measure
+    consists of discrete minimizing trajectories at the grid's resolution.
+    The first pair that fails raises SolverError naming it.  The reported
+    minimum is the average midpoint action of those trajectories.
     The measure's time-a marginal equals the source cloud and its time-b
     marginal the permuted target cloud, exactly.
 
@@ -239,7 +240,7 @@ def solve_discrete_otm(
     if cost_kind == "auto":
         cost_kind = "closed_form" if has_closed_form_cost(model) else "bvp"
     costs = cost_matrix(model, source, target, grid, cost_kind)
-    plan = solve_assignment(costs)
+    plan = solve_assignment(costs, source=source, target=target)
     pairs = solve_bvp_pairs(model, source.points, target.points[plan.perm], grid)
     failed = np.flatnonzero(~pairs.converged)
     if failed.size:

@@ -119,8 +119,10 @@ def matrix_to_csv(matrix: np.ndarray) -> str:
     """Header c_1..c_m, then one row of the matrix per line."""
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
     lines = [",".join(f"c_{j + 1}" for j in range(M.shape[1]))]
-    for row in M:
-        lines.append(",".join(format_float(v) for v in row))
+    # format_float for each cell, one %-format per row; converting one row at
+    # a time keeps a single row of Python floats alive, not the whole matrix
+    fmt = ",".join(["%.17g"] * M.shape[1])
+    lines.extend(fmt % tuple(row.tolist()) for row in M)
     return "\n".join(lines) + "\n"
 
 

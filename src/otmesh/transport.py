@@ -111,25 +111,65 @@ def cost_matrix(
     return costs
 
 
-def solve_assignment(costs: np.ndarray) -> AssignmentPlan:
+def solve_assignment(
+    costs: np.ndarray,
+    *,
+    source: PointCloud | None = None,
+    target: PointCloud | None = None,
+) -> AssignmentPlan:
     """Minimum-total-cost perfect matching of rows to columns.
+
+    When both clouds are given and both are one-dimensional, rows and columns
+    are ordered by a stable sort of their points and the sorted matrix S is
+    checked for the adjacent Monge inequalities
+    S[i, j] + S[i+1, j+1] <= S[i, j+1] + S[i+1, j], exactly, with no
+    tolerance.  Where they hold the monotone matching (i-th smallest source
+    to i-th smallest target) is optimal, as for the free particle and the
+    harmonic model below its conjugate span, and is returned without an
+    assignment solve.  Every other matrix (no clouds, clouds of dimension
+    two or more, or a failed check) goes to scipy's ``linear_sum_assignment``.
 
     Negative entries are allowed (Lagrangian costs can be negative); the
     matrix is shifted by its minimum before the assignment solve, which does
     not change the minimizing permutation, and the reported totals are in the
-    original scale.  Ties are broken by the solver's deterministic scan
-    order, so only totals are stable under ties.
+    original scale.  Ties are broken by the stable sort or by the solver's
+    deterministic scan order, so only totals are stable under ties.
     """
     M = np.asarray(costs, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("cost matrix entries must be finite")
-    rows, cols = linear_sum_assignment(M - M.min())
+    matching = _monotone_matching(M, source, target)
+    if matching is None:
+        matching = linear_sum_assignment(M - M.min())
+    rows, cols = matching
     perm = np.empty(M.shape[0], dtype=int)
     perm[rows] = cols
     total = float(M[np.arange(M.shape[0]), perm].sum())
     return AssignmentPlan(perm, total, total / M.shape[0])
+
+
+def _monotone_matching(
+    M: np.ndarray, source: PointCloud | None, target: PointCloud | None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Sorting orders (rows, cols) of 1-D clouds if M passes the Monge check."""
+    if source is None or target is None:
+        return None
+    N = M.shape[0]
+    if source.size != N or target.size != N:
+        raise ValueError(
+            f"cloud sizes {source.size} and {target.size} do not match "
+            f"the {N} x {N} cost matrix"
+        )
+    if source.dim != 1 or target.dim != 1:
+        return None
+    rows = np.argsort(source.points[:, 0], kind="stable")
+    cols = np.argsort(target.points[:, 0], kind="stable")
+    S = M[np.ix_(rows, cols)]
+    if not np.all(np.diff(np.diff(S, axis=0), axis=1) <= 0):
+        return None
+    return rows, cols
 
 
 def brute_force_assignment(costs: np.ndarray) -> AssignmentPlan:

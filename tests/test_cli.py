@@ -1,7 +1,10 @@
 import copy
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 from pathlib import Path as FsPath
 
@@ -12,7 +15,8 @@ from hypothesis import strategies as st
 
 from otmesh.cli import main
 
-SCHEMA_DIR = FsPath(__file__).resolve().parents[1] / "src" / "otmesh" / "schemas"
+SRC_DIR = FsPath(__file__).resolve().parents[1] / "src"
+SCHEMA_DIR = SRC_DIR / "otmesh" / "schemas"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -449,7 +453,6 @@ def test_cli_converge_unusable_marginal_gives_error_rows(tmp_path, capsys, margi
 NON_FINITE_ACTION = "the midpoint action is not finite"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_bvp_non_finite_action_is_a_solver_failure(tmp_path, capsys):
     payload = {**valid_config("bvp"), "x": 1e308}
     cfg = write_config(tmp_path, payload, "overflow.json")
@@ -461,7 +464,6 @@ def test_cli_bvp_non_finite_action_is_a_solver_failure(tmp_path, capsys):
     assert result["message"] == NON_FINITE_ACTION
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_transport_non_finite_bvp_cost_is_a_solver_failure(tmp_path, capsys):
     payload = {
         **valid_config("transport"),
@@ -477,7 +479,6 @@ def test_cli_transport_non_finite_bvp_cost_is_a_solver_failure(tmp_path, capsys)
     assert NON_FINITE_ACTION in err and "Traceback" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_converge_non_finite_bvp_cost_gives_an_error_row(tmp_path, capsys):
     payload = {
         **valid_config("converge"),
@@ -493,6 +494,37 @@ def test_cli_converge_non_finite_bvp_cost_gives_an_error_row(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     rows = csv_lines(out / "convergence.csv")[1:]
     assert len(rows) == 1 and ",error," in rows[0] and NON_FINITE_ACTION in rows[0]
+
+
+def test_cli_overflow_reaches_stderr_as_the_solver_error_alone(tmp_path):
+    # a fresh interpreter shows numpy's RuntimeWarnings, which pytest would capture
+    payload = {
+        **valid_config("transport"),
+        "model": {"name": "cosine"},
+        "source_points": [1e200, 0.0],
+        "target_points": [0.0, 1.0],
+        "cost_kind": "bvp",
+    }
+    cfg = write_config(tmp_path, payload, "overflow.json")
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from otmesh.cli import main; sys.exit(main(sys.argv[1:]))",
+            "transport",
+            "--config",
+            cfg,
+            "--out",
+            str(tmp_path / "out"),
+        ],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("solver error:")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 # values the fuzz test puts in place of one config field: a wrong JSON type,

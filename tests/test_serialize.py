@@ -59,6 +59,26 @@ def test_matrix_csv_round_trip_and_headerless_import():
         matrix_from_csv("1,2\n3\n")
 
 
+def test_matrix_csv_rows_are_the_per_cell_format_float_join():
+    special = [
+        0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e308, -1e308,
+        np.finfo(float).max, 3.0, -42.0, 1e16, 1 / 3, math.pi,
+        math.nan, math.inf, -math.inf,
+    ]
+    rng = np.random.default_rng(3)
+    matrices = [
+        np.array(special).reshape(3, 5),
+        np.array(special).reshape(15, 1),
+        np.array(special).reshape(1, 15),
+        rng.standard_normal((7, 4)) * 10.0 ** rng.integers(-300, 300, (7, 4)),
+        np.array([[2.5]]),
+    ]
+    for M in matrices:
+        lines = [",".join(f"c_{j + 1}" for j in range(M.shape[1]))]
+        lines += [",".join(format_float(v) for v in row) for row in M]
+        assert matrix_to_csv(M) == "\n".join(lines) + "\n"
+
+
 def test_json_emission_parses_and_handles_nan():
     payload = {
         "name": "row",

@@ -1,7 +1,10 @@
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otmesh import (
     PointCloud,
@@ -16,7 +19,9 @@ from otmesh import (
     solve_assignment,
     solve_bvp,
 )
-from otmesh import integrators
+from otmesh import integrators, transport
+from otmesh.measures import EmpiricalPathMeasure, bl_distance_bound
+from otmesh.paths import Path
 from otmesh.integrators import solve_bvp_batch
 
 
@@ -279,15 +284,138 @@ def test_one_dimensional_quadratic_cost_is_monotone():
     rng = np.random.default_rng(21)
     grid = TimeGrid.uniform(0, 1, 2)
     for N in range(2, 8):
-        x = np.sort(rng.uniform(-1, 1, N))
-        y = np.sort(rng.uniform(2, 4, N))
-        costs = cost_matrix(
-            free_particle(), PointCloud(x), PointCloud(y), grid, cost_kind="closed_form"
-        )
+        source = PointCloud(np.sort(rng.uniform(-1, 1, N)))
+        target = PointCloud(np.sort(rng.uniform(2, 4, N)))
+        costs = cost_matrix(free_particle(), source, target, grid, cost_kind="closed_form")
         monotone_total = float(np.sum(np.diag(costs)))
         assert brute_force_assignment(costs).total_cost == pytest.approx(
             monotone_total, abs=1e-12
         )
-        assert solve_assignment(costs).total_cost == pytest.approx(
-            monotone_total, abs=1e-12
+        with counting_lap() as calls:
+            plan = solve_assignment(costs, source=source, target=target)
+        assert calls == []
+        assert plan.perm.tolist() == list(range(N))
+        assert plan.total_cost == pytest.approx(monotone_total, abs=1e-12)
+
+
+# -- sorted assignment for 1-D Monge costs ----------------------------------------
+
+
+@contextmanager
+def counting_lap():
+    """Record the shape of every matrix handed to linear_sum_assignment."""
+    calls = []
+    original = transport.linear_sum_assignment
+
+    def counted(M):
+        calls.append(M.shape)
+        return original(M)
+
+    transport.linear_sum_assignment = counted
+    try:
+        yield calls
+    finally:
+        transport.linear_sum_assignment = original
+
+
+@st.composite
+def monge_cases(draw):
+    """Closed-form 1-D costs below the conjugate span on a 1/16 lattice.
+
+    Lattice points keep the Monge differences far above rounding, and a
+    small lattice range makes duplicate points common.
+    """
+    N = draw(st.integers(1, 64))
+    width = draw(st.sampled_from([4, 48]))
+    points = st.lists(st.integers(-width, width), min_size=N, max_size=N)
+    x = np.array(draw(points)) / 16.0
+    y = np.array(draw(points)) / 16.0 + draw(st.sampled_from([0.0, 1.5]))
+    model = draw(st.sampled_from([free_particle(), harmonic_oscillator()]))
+    # the harmonic model (omega = 1) is conjugate at span pi
+    span = draw(st.floats(0.2, 3.0))
+    source, target = PointCloud(x), PointCloud(y)
+    grid = TimeGrid.uniform(0.0, span, 2)
+    return source, target, cost_matrix(model, source, target, grid, "closed_form")
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=monge_cases())
+def test_sorted_assignment_matches_lap_and_brute_force(case):
+    source, target, costs = case
+    N = source.size
+    with counting_lap() as calls:
+        fast = solve_assignment(costs, source=source, target=target)
+    assert calls == []
+    lap = solve_assignment(costs)
+    scale = 1e-12 * N * np.abs(costs).max()
+    assert fast.total_cost == pytest.approx(lap.total_cost, rel=1e-12, abs=scale)
+    if N <= 9:
+        slow = brute_force_assignment(costs)
+        assert fast.total_cost == pytest.approx(slow.total_cost, rel=1e-12, abs=scale)
+    distinct = np.unique(source.points).size == N and np.unique(target.points).size == N
+    if distinct:
+        # strict Monge inequalities make the optimum unique
+        assert np.array_equal(fast.perm, lap.perm)
+        assert fast.total_cost == lap.total_cost
+
+
+def test_sorted_assignment_takes_the_transport_benchmark_shape():
+    # harmonic closed-form costs of iid uniform clouds, as `otmesh transport`
+    rng = np.random.default_rng(4)
+    source = PointCloud(rng.uniform(0.0, 1.0, 300))
+    target = PointCloud(rng.uniform(0.5, 2.5, 300))
+    grid = TimeGrid.uniform(0.0, 1.0, 1)
+    costs = cost_matrix(harmonic_oscillator(), source, target, grid, "closed_form")
+    with counting_lap() as calls:
+        fast = solve_assignment(costs, source=source, target=target)
+    assert calls == []
+    lap = solve_assignment(costs)
+    assert np.array_equal(fast.perm, lap.perm)
+    assert fast.total_cost == lap.total_cost
+
+
+def test_non_monge_matrices_take_the_assignment_solve():
+    rng = np.random.default_rng(8)
+    grid = TimeGrid.uniform(0.0, 1.0, 2)
+    line = PointCloud(rng.uniform(-1, 1, 7))
+    plane_a = PointCloud(rng.uniform(-1, 1, (7, 2)))
+    plane_b = PointCloud(rng.uniform(-1, 1, (7, 2)))
+    # min(|x - y|, 2), the bounded-Lipschitz ground cost of constant paths:
+    # sorted, S[0, 0] + S[1, 1] = 4 exceeds S[0, 1] + S[1, 0] = 2.5
+    bl_x, bl_y = PointCloud([0.0, 3.0]), PointCloud([2.5, 5.5])
+    bl_ground = np.minimum(np.abs(bl_x.points - bl_y.points.T), 2.0)
+    cases = [
+        (rng.uniform(-1, 1, (7, 7)), line, line),
+        (
+            cost_matrix(free_particle(), plane_a, plane_b, grid, cost_kind="closed_form"),
+            plane_a,
+            plane_b,
+        ),
+        (bl_ground, bl_x, bl_y),
+    ]
+    for costs, source, target in cases:
+        with counting_lap() as calls:
+            plan = solve_assignment(costs, source=source, target=target)
+        assert calls == [costs.shape]
+        assert plan.total_cost == pytest.approx(
+            brute_force_assignment(costs).total_cost, abs=1e-12
         )
+    assert solve_assignment(bl_ground, source=bl_x, target=bl_y).perm.tolist() == [1, 0]
+
+
+def test_bl_bound_takes_the_assignment_solve():
+    grid = TimeGrid.uniform(0.0, 1.0, 2)
+    p = EmpiricalPathMeasure(tuple(Path.line(grid, x, x) for x in (0.0, 3.0)))
+    q = EmpiricalPathMeasure(tuple(Path.line(grid, y, y) for y in (2.5, 5.5)))
+    with counting_lap() as calls:
+        assert bl_distance_bound(p, q) == pytest.approx(1.25)
+    assert calls == [(2, 2)]
+
+
+def test_sorted_assignment_rejects_mismatched_clouds():
+    costs = np.zeros((3, 3))
+    three, two = PointCloud([0.0, 1.0, 2.0]), PointCloud([0.0, 1.0])
+    with pytest.raises(ValueError):
+        solve_assignment(costs, source=two, target=three)
+    with pytest.raises(ValueError):
+        solve_assignment(costs, source=three, target=two)
