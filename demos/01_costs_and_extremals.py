@@ -59,7 +59,8 @@ result = solve_bvp(
     grid,
     n_restarts=5,
 )
-midway = result.path.evaluate(1.5)
+# rounded first and then shifted by +0.0, so that a rounding-noise -0.000 cannot show
+midway = np.round(result.path.evaluate(1.5), 3) + 0.0
 print(f"converged: {result.converged},  distinct minimizer clusters: {result.multiplicity}")
 print(f"winning trajectory passes through ({midway[0]:+.3f}, {midway[1]:+.3f}) at mid-time")
 print(f"cost {result.cost:.6f}")

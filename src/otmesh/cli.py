@@ -61,9 +61,11 @@ MAX_PARTICLES = 4096
 # Most entries N * l * n^2 of one batched solve of N paths over l intervals
 # in dimension n, the size of its Newton Jacobian blocks.  A 1-D study at
 # N = 4096, h = 0.005 over a unit span needs 819200.  The largest array of
-# one BVP cost-matrix row is the dgbsv band of its Newton step,
-# (6n - 2) * N * (l - 1) * n doubles: for n = 2 about 1.7 times the Hessians
-# and Jacobian blocks it is filled from (read from the code, not measured).
+# every batched solve (a BVP cost-matrix row, the connect step, a
+# stationarity level) is the dgbsv band of its Newton step,
+# (6n - 2) * N * (l - 1) * n doubles: four per path and interior node for
+# n = 1, and for n = 2 about 1.7 times the Hessians and Jacobian blocks it is
+# filled from (read from the code, not measured).
 MAX_BATCH = 10_000_000
 
 

@@ -17,8 +17,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbsv
 
 from .errors import BlowUpError, NewtonError
@@ -317,36 +315,6 @@ def _bvp_blocks(
     return diag, off
 
 
-def _bvp_jacobian(diag: np.ndarray, off: np.ndarray) -> sp.csc_matrix:
-    """Sparse Jacobian of one problem from its blocks (l-1, n, n), (l-2, n, n)."""
-    k = np.arange(diag.shape[0])
-    n = diag.shape[-1]
-    block_row = np.concatenate([k, k[:-1], k[1:]])
-    block_col = np.concatenate([k, k[1:], k[:-1]])
-    within = np.arange(n)
-    rows, cols = np.broadcast_arrays(
-        block_row[:, None, None] * n + within[:, None],
-        block_col[:, None, None] * n + within,
-    )
-    size = k.size * n
-    return sp.csc_matrix(
-        (np.concatenate([diag, off, off]).ravel(), (rows.ravel(), cols.ravel())),
-        shape=(size, size),
-    )
-
-
-def _sparse_step(
-    model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray, rhs: np.ndarray
-) -> np.ndarray:
-    """Newton steps of P problems (P, l+1, n), one pivoted sparse LU each."""
-    diag, off = _bvp_blocks(model, nodes, dt)
-    step = np.empty_like(rhs)
-    for p in range(rhs.shape[0]):
-        jac = _bvp_jacobian(diag[p], off[p])
-        step[p] = spla.spsolve(jac, rhs[p].ravel()).reshape(rhs.shape[1:])
-    return step
-
-
 def _banded_step(
     model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
@@ -435,7 +403,6 @@ def _bvp_core(
     model: LagrangianModel,
     grid: TimeGrid,
     nodes: np.ndarray,
-    linear_step,
     check_minimum: bool,
     rng: np.random.Generator,
 ) -> BvpBatchResult:
@@ -444,7 +411,8 @@ def _bvp_core(
     ``nodes`` holds the starts, endpoints pinned, and is overwritten.  Every
     pair takes its own Newton steps and Armijo step lengths on the squared
     residual and stops on its own test; the pairs still iterating share one
-    ``linear_step(model, nodes, dt, rhs)`` per iteration.  A pair converges
+    ``_banded_step`` per iteration, and since a pair's step is bitwise the
+    same alone or in a batch, so is its whole solve.  A pair converges
     if its residual meets the tolerance and its midpoint action is finite.
     If ``check_minimum``, the converged pairs then share one lazy draw of
     perturbations from ``rng``, and a pair whose action one of them lowers is
@@ -470,7 +438,7 @@ def _bvp_core(
         if active.size == 0:
             break
         base, base_defects = nodes[active], defects[active]
-        step = linear_step(model, base, dt, -base_defects)
+        step = _banded_step(model, base, dt, -base_defects)
         phi = 0.5 * np.sum(base_defects * base_defects, axis=(1, 2))
         t = np.ones(active.size)
         trial, trial_defects = np.empty_like(base), np.empty_like(base_defects)
@@ -573,12 +541,10 @@ def solve_bvp(
         conjugate spans where minimizers are non-unique.
 
     The solve works on the full stacked interior system (not shooting), with
-    Armijo-damped Newton steps.  It is the one-pair case of the Newton core
-    that ``solve_bvp_pairs`` and ``solve_bvp_batch`` run on P pairs, with a
-    pivoted sparse LU of the block-tridiagonal Jacobian for each step, as
-    ``solve_bvp_pairs`` takes it.  Restart noise and the perturbations come
-    from one ``default_rng(0)`` per call, so equal inputs give equal
-    results.
+    Armijo-damped Newton steps, each from a pivoted banded LU of the
+    block-tridiagonal Jacobian.  Each attempt is the one-pair case of
+    ``solve_bvp_pairs``.  Restart noise and the perturbations come from one
+    ``default_rng(0)`` per call, so equal inputs give equal results.
 
     Returns
     -------
@@ -598,7 +564,7 @@ def solve_bvp(
             bump = np.sin(np.pi * (grid.nodes[1:-1] - grid.start) / grid.span)
             interior = nodes[0, 1:-1]
             interior += noise * bump[:, None] * rng.standard_normal(interior.shape)
-        res = _bvp_core(model, grid, nodes, _sparse_step, check_minimum, rng)
+        res = _bvp_core(model, grid, nodes, check_minimum, rng)
         return BvpResult(
             Path(grid, res.nodes[0]),
             float(res.costs[0]),
@@ -636,32 +602,12 @@ def solve_bvp_pairs(
     """Connect x[p] to y[p] for P pairs of points (P, n) on one grid at once.
 
     Pair p is bitwise ``solve_bvp(model, x[p], y[p], grid, init[p],
-    check_minimum)`` without restarts: the same start, Newton core and
-    pivoted sparse LU, one per pair still iterating.  Every ``solve_bvp``
-    draws its perturbations from a fresh ``default_rng(0)`` and nothing
-    before them, so all pairs share one draw.  Failures are reported per
-    pair through ``converged`` and ``message``, not by raising.
+    check_minimum)`` without restarts: the same start and Newton core, whose
+    steps come from one pivoted banded LU (LAPACK ``dgbsv``) over the pairs
+    still iterating, O(P l n^3) work per Newton iteration.  Every
+    ``solve_bvp`` draws its perturbations from a fresh ``default_rng(0)`` and
+    nothing before them, so all pairs share one draw.  Failures are reported
+    per pair through ``converged`` and ``message``, not by raising.
     """
     nodes = _pair_starts(grid, x, y, init)
-    return _bvp_core(
-        model, grid, nodes, _sparse_step, check_minimum, np.random.default_rng(0)
-    )
-
-
-def solve_bvp_batch(
-    model: LagrangianModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    grid: TimeGrid,
-) -> BvpBatchResult:
-    """Connect x[p] to y[p] for P pairs of points (P, n) on one grid at once.
-
-    This is ``solve_bvp_pairs`` with its defaults except for the linear
-    step: one pivoted banded LU (LAPACK ``dgbsv``) over the pairs still
-    iterating, O(P l n^3) work per Newton iteration, in place of one sparse
-    LU per pair.  Both pivot, but they order their arithmetic differently,
-    so costs and nodes agree with ``solve_bvp`` to rounding.  Each pair's
-    step is bitwise the same whether it is solved alone or in a batch.
-    """
-    nodes = _pair_starts(grid, x, y, None)
-    return _bvp_core(model, grid, nodes, _banded_step, True, np.random.default_rng(0))
+    return _bvp_core(model, grid, nodes, check_minimum, np.random.default_rng(0))

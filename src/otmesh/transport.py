@@ -9,7 +9,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionMismatchError, SolverError
-from .integrators import solve_bvp_batch
+from .integrators import solve_bvp_pairs
 # unused here, but bench/tracing.py wraps this name in this module
 from .integrators import solve_bvp  # noqa: F401
 from .models import LagrangianModel, closed_form_cost_matrix, has_closed_form_cost
@@ -72,11 +72,11 @@ def cost_matrix(
 ) -> np.ndarray:
     """Matrix of connection costs c(x_i, y_j) over the grid's time span.
 
-    ``cost_kind="bvp"`` solves one boundary-value problem per pair with the
-    Newton core of ``solve_bvp``, a whole source row at once: its steps come
-    from one pivoted banded LU over the N targets (``solve_bvp_batch``), so
-    memory stays O(N l n^2).  SolverError names the first pair in row-major
-    order that fails, with its reason; no pair is solved again.
+    ``cost_kind="bvp"`` solves one boundary-value problem per pair, a whole
+    source row at once with ``solve_bvp_pairs``, so each entry is bitwise the
+    cost ``solve_bvp`` gives and memory stays O(N l n^2).  SolverError names
+    the first pair in row-major order that fails, with its reason; no pair
+    is solved again.
     ``cost_kind="closed_form"`` uses the catalog formula (free particle or
     harmonic oscillator) and ignores the grid resolution; SolverError reports
     costs that overflow.
@@ -100,7 +100,7 @@ def cost_matrix(
     costs = np.empty((N, N))
     for i in range(N):
         x = np.broadcast_to(source.points[i], target.points.shape)
-        row = solve_bvp_batch(model, x, target.points, grid)
+        row = solve_bvp_pairs(model, x, target.points, grid)
         failed = np.flatnonzero(~row.converged)
         if failed.size:
             j = failed[0]

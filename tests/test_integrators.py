@@ -1,7 +1,10 @@
+import ast
 from dataclasses import replace
+from pathlib import Path as FilePath
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from otmesh import (
@@ -358,16 +361,47 @@ def test_bvp_single_interval_is_the_segment():
     assert result.cost == pytest.approx(midpoint_action(HARMONIC, result.path))
 
 
+# -- the sparse LU oracle of the Newton step ----------------------------------------------
+
+
+def sparse_jacobian(diag, off):
+    """Sparse Jacobian of one problem from its blocks (l-1, n, n), (l-2, n, n)."""
+    k = np.arange(diag.shape[0])
+    n = diag.shape[-1]
+    block_row = np.concatenate([k, k[:-1], k[1:]])
+    block_col = np.concatenate([k, k[1:], k[:-1]])
+    within = np.arange(n)
+    rows, cols = np.broadcast_arrays(
+        block_row[:, None, None] * n + within[:, None],
+        block_col[:, None, None] * n + within,
+    )
+    size = k.size * n
+    return sp.csc_matrix(
+        (np.concatenate([diag, off, off]).ravel(), (rows.ravel(), cols.ravel())),
+        shape=(size, size),
+    )
+
+
+def sparse_step(model, nodes, dt, rhs):
+    """Newton step of one problem (l+1, n) by a pivoted sparse LU."""
+    jac = sparse_jacobian(*integrators._bvp_blocks(model, nodes, dt))
+    return spsolve(jac, rhs.ravel()).reshape(rhs.shape)
+
+
+def banded_step(model, nodes, dt, rhs):
+    """Newton step of one problem (l+1, n) by the solver's banded LU."""
+    return integrators._banded_step(model, nodes[None], dt, rhs[None])[0]
+
+
 def test_bvp_jacobian_matches_finite_differences():
-    from otmesh.integrators import _bvp_blocks, _bvp_jacobian, _interior_defects
-    from otmesh import double_well
+    from otmesh.integrators import _bvp_blocks, _interior_defects
 
     rng = np.random.default_rng(31)
     for model in (HARMONIC, double_well()):
         grid = TimeGrid(np.sort(np.concatenate(([0.0, 0.7], rng.uniform(0.05, 0.65, 4)))))
         nodes = rng.uniform(-1.5, 1.5, (grid.n_intervals + 1, 2))
         dt = grid.spacings
-        jac = _bvp_jacobian(*_bvp_blocks(model, nodes, dt)).toarray()
+        jac = sparse_jacobian(*_bvp_blocks(model, nodes, dt)).toarray()
         step = 1e-6
         fd = np.zeros_like(jac)
         base = _interior_defects(model, nodes, dt).ravel()
@@ -380,19 +414,39 @@ def test_bvp_jacobian_matches_finite_differences():
         assert np.max(np.abs(jac - fd)) <= 1e-5 * max(1.0, np.max(np.abs(jac)))
 
 
-# -- the one-pair Newton core against a written-out sparse Newton loop ---------------------
+def test_no_solver_module_imports_scipy_sparse():
+    # every Newton step is the banded LU; the sparse LU lives on only in these tests
+    src = FilePath(integrators.__file__).parent
+    imports = []
+    for module in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            imports += [
+                f"{module.name}: {name}"
+                for name in names
+                if name == "scipy.sparse" or name.startswith("scipy.sparse.")
+            ]
+    assert imports == []
 
 
-def sparse_newton_loop(model, nodes, dt, tol, max_iter, scale):
-    """Damped Newton on one stacked system with a sparse LU step, written out."""
+# -- the one-pair Newton core against a written-out Newton loop ----------------------------
+
+
+def newton_loop(model, nodes, dt, tol, max_iter, scale, linear_step):
+    """Damped Newton on one stacked system with the given linear step, written out."""
     defects = integrators._interior_defects(model, nodes, dt)
     err = float(np.max(np.abs(defects)))
     for it in range(max_iter):
         if err <= tol * scale:
             return nodes, err, it, True
-        jac = integrators._bvp_jacobian(*integrators._bvp_blocks(model, nodes, dt))
-        step = spsolve(jac, -defects.ravel())
-        step = step.reshape(defects.shape)
+        step = linear_step(model, nodes, dt, -defects)
         phi = 0.5 * float(np.sum(defects * defects))
         t = 1.0
         while True:  # Armijo backtracking on the squared residual
@@ -422,24 +476,30 @@ def screen_finds_saddle(model, grid, nodes, cost, rng):
     return False
 
 
-def assert_core_matches_sparse_loop(model, grid, starts):
-    # one generator serves all starts, as it serves the restarts of solve_bvp
+def written_out_solve(model, grid, start, rng, linear_step):
+    """Newton loop and minimality screen of one start (l+1, n), written out.
+
+    Returns the nodes, cost, residual, iterations, converged and saddle flags.
+    """
     tol, max_iter = integrators._BVP_TOL, integrators._BVP_MAX_ITER
+    scale = float(integrators._residual_scale(model, start[0], start[-1], grid, tol))
+    nodes, resid, iters, ok = newton_loop(
+        model, start.copy(), grid.spacings, tol, max_iter, scale, linear_step
+    )
+    cost = midpoint_action(model, Path(grid, nodes))
+    saddle = ok and screen_finds_saddle(model, grid, nodes, cost, rng)
+    return nodes, cost, resid, iters, ok and not saddle, saddle
+
+
+def assert_core_matches_written_out_loop(model, grid, starts):
+    # one generator serves all starts, as it serves the restarts of solve_bvp
     core_rng, loop_rng = np.random.default_rng(0), np.random.default_rng(0)
     for start in starts:
-        x, y = start[0], start[-1]
-        scale = float(integrators._residual_scale(model, x, y, grid, tol))
-        nodes, resid, iters, ok = sparse_newton_loop(
-            model, start.copy(), grid.spacings, tol, max_iter, scale
-        )
-        cost = midpoint_action(model, Path(grid, nodes))
-        saddle = ok and screen_finds_saddle(model, grid, nodes, cost, loop_rng)
-        got = integrators._bvp_core(
-            model, grid, start[None].copy(), integrators._sparse_step, True, core_rng
-        )
+        nodes, *want = written_out_solve(model, grid, start, loop_rng, banded_step)
+        got = integrators._bvp_core(model, grid, start[None].copy(), True, core_rng)
         assert np.array_equal(got.nodes[0], nodes)
         fields = (got.costs, got.residuals, got.newton_iterations, got.converged, got.saddle)
-        assert tuple(a[0] for a in fields) == (cost, resid, iters, ok and not saddle, saddle)
+        assert [a[0] for a in fields] == want
     assert core_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
@@ -477,34 +537,134 @@ CORE_GRIDS = {
 @pytest.mark.parametrize("grid_name", sorted(CORE_GRIDS))
 @pytest.mark.parametrize("model_name", sorted(CORE_MODELS))
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_bvp_core_one_pair_equals_the_sparse_newton_loop(
+def test_bvp_core_one_pair_equals_the_written_out_newton_loop(
     model_name, grid_name, warm, max_iter, monkeypatch
 ):
     monkeypatch.setattr(integrators, "_BVP_MAX_ITER", max_iter)
     model, dim = CORE_MODELS[model_name]
     grid = CORE_GRIDS[grid_name]
-    assert_core_matches_sparse_loop(model, grid, bvp_starts(grid, dim, len(model_name), warm))
+    assert_core_matches_written_out_loop(model, grid, bvp_starts(grid, dim, len(model_name), warm))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
-def test_bvp_core_one_pair_equals_the_sparse_newton_loop_when_damped_or_stalled():
+def damped_starts():
     # one of these pairs takes 19 Armijo-damped steps and then stalls
     rng = np.random.default_rng(9)
     grid = TimeGrid.uniform(0.0, 0.3, 24)
     x, y = rng.uniform(-1.5, 1.5, (9, 2)), rng.uniform(-1.0, 2.0, (9, 2))
-    starts = [Path.line(grid, a, b).nodes.copy() for a, b in zip(x, y)]
-    assert_core_matches_sparse_loop(double_well(), grid, starts)
-    # an exactly singular Jacobian (m/dt = k dt/2) stalls at once
+    return grid, [Path.line(grid, a, b).nodes.copy() for a, b in zip(x, y)]
+
+
+def singular_starts():
+    # an exactly singular Jacobian (m/dt = k dt/2) stalls at once unless the
+    # straight line is already stationary, as it is from 0.5 to -0.5
     grid = TimeGrid.uniform(0.0, 4.0, 2)
-    assert_core_matches_sparse_loop(HARMONIC, grid, [Path.line(grid, 0.3, -0.2).nodes.copy()])
+    return grid, [Path.line(grid, a, b).nodes.copy() for a, b in [(0.3, -0.2), (0.5, -0.5)]]
 
 
-def test_bvp_core_one_pair_equals_the_sparse_newton_loop_on_saddles():
+def saddle_starts():
     # past the conjugate span pi every stationary path is a saddle
     grid = TimeGrid.uniform(0.0, 1.5 * np.pi, 60)
-    starts = bvp_starts(grid, 1, 3, warm=False)
-    assert_core_matches_sparse_loop(HARMONIC, grid, starts)
+    return grid, bvp_starts(grid, 1, 3, warm=False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bvp_core_one_pair_equals_the_written_out_newton_loop_when_damped_or_stalled():
+    assert_core_matches_written_out_loop(double_well(), *damped_starts())
+    assert_core_matches_written_out_loop(HARMONIC, *singular_starts())
+
+
+def test_bvp_core_one_pair_equals_the_written_out_newton_loop_on_saddles():
+    assert_core_matches_written_out_loop(HARMONIC, *saddle_starts())
+
+
+# -- every solve against the sparse LU Newton loop ----------------------------------------
+# The banded and the sparse LU order their arithmetic differently, so paths agree
+# to rounding: flags must be equal, and on converged pairs the iteration counts,
+# with costs and nodes to 1e-12 relative.  A stalled pair may stall one step
+# sooner or later.
+
+
+def assert_converged_close(cost, nodes, want_cost, want_nodes):
+    assert abs(cost - want_cost) <= 1e-12 * abs(want_cost)
+    assert np.max(np.abs(nodes - want_nodes)) <= 1e-12 * np.max(np.abs(want_nodes))
+
+
+def assert_solves_match_sparse_loop(model, grid, starts):
+    starts = np.stack(starts)
+    x, y = starts[:, 0], starts[:, -1]
+    init = [Path(grid, nodes) for nodes in starts]
+    got = integrators.solve_bvp_pairs(model, x, y, grid, init)
+    for p, start in enumerate(integrators._pair_starts(grid, x, y, init)):
+        # solve_bvp_pairs draws its screen as a fresh default_rng(0) per pair would
+        rng = np.random.default_rng(0)
+        nodes, cost, _, iters, ok, saddle = written_out_solve(
+            model, grid, start, rng, sparse_step
+        )
+        single = solve_bvp(model, x[p], y[p], grid, init[p])
+        assert (got.converged[p], got.saddle[p]) == (ok, saddle)
+        assert (single.converged, single.message.startswith("saddle")) == (ok, saddle)
+        if ok:
+            assert got.newton_iterations[p] == single.newton_iterations == iters
+            assert_converged_close(got.costs[p], got.nodes[p], cost, nodes)
+            assert_converged_close(single.cost, single.path.nodes, cost, nodes)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["line", "warm"])
+@pytest.mark.parametrize("grid_name", sorted(CORE_GRIDS))
+@pytest.mark.parametrize("model_name", sorted(CORE_MODELS))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bvp_solves_match_the_sparse_newton_loop(model_name, grid_name, warm):
+    model, dim = CORE_MODELS[model_name]
+    grid = CORE_GRIDS[grid_name]
+    assert_solves_match_sparse_loop(model, grid, bvp_starts(grid, dim, len(model_name), warm))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+def test_bvp_solves_match_the_sparse_newton_loop_when_damped_stalled_or_saddle():
+    assert_solves_match_sparse_loop(double_well(), *damped_starts())
+    assert_solves_match_sparse_loop(HARMONIC, *singular_starts())
+    assert_solves_match_sparse_loop(HARMONIC, *saddle_starts())
+
+
+@pytest.mark.parametrize(
+    "model, x, y, grid",
+    [
+        (inverted_ring_ridge(), [-1.0, 0.0], [1.0, 0.0], TimeGrid.uniform(0, 3.0, 40)),
+        # past the conjugate span of the cosine's minimum
+        (cosine_potential(amplitude=2.0, dim=2), [0.2, -0.1], [3.0, 2.9], CORE_GRIDS["long"]),
+    ],
+    ids=["ridge", "cosine"],
+)
+def test_bvp_restarts_match_the_sparse_newton_loop(model, x, y, grid):
+    x, y = np.array(x), np.array(y)
+    got = solve_bvp(model, x, y, grid, n_restarts=2)
+    # the restarts of solve_bvp written out, with the sparse LU step
+    rng = np.random.default_rng(0)
+    start = integrators._pair_starts(grid, x[None], y[None], None)[0]
+    bump = np.sin(np.pi * (grid.nodes[1:-1] - grid.start) / grid.span)
+    noise = 0.5 * (float(np.max(np.abs(y - x))) + 1.0)
+    attempts = []
+    for k in range(3):
+        nodes = start.copy()
+        if k:
+            nodes[1:-1] += noise * bump[:, None] * rng.standard_normal(nodes[1:-1].shape)
+        attempts.append(written_out_solve(model, grid, nodes, rng, sparse_step))
+    converged = [a for a in attempts if a[4]]
+    assert got.converged and converged
+    clusters = integrators._cluster_paths(
+        [Path(grid, a[0]) for a in converged], integrators._CLUSTER_RADIUS
+    )
+    assert got.multiplicity == len(clusters)
+    # the ridge's mirror minimizers tie to rounding, so the winner is the
+    # attempt whose path it is, and its cost ties the cheapest to 1e-12
+    nodes, cost, _, iters, _, _ = next(
+        a for a in converged if np.max(np.abs(got.path.nodes - a[0])) <= 1e-6
+    )
+    assert got.newton_iterations == iters
+    assert_converged_close(got.cost, got.path.nodes, cost, nodes)
+    cheapest = min(a[1] for a in converged)
+    assert abs(got.cost - cheapest) <= 1e-12 * abs(cheapest)
 
 
 # -- the banded step against the sparse step ----------------------------------------------
@@ -520,10 +680,12 @@ BANDED_MODELS = {
 BANDED_GRIDS = {name: CORE_GRIDS[name] for name in ("uniform", "nonuniform")}
 
 
-def linear_steps(linear_step, model, grid, nodes):
-    """One Newton step of every pair (P, l+1, n) by the given linear step."""
+def banded_steps(model, grid, nodes):
+    """One Newton step of every pair (P, l+1, n) by one banded LU."""
     dt = grid.spacings
-    return linear_step(model, nodes, dt, -integrators._interior_defects(model, nodes, dt))
+    return integrators._banded_step(
+        model, nodes, dt, -integrators._interior_defects(model, nodes, dt)
+    )
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -535,17 +697,18 @@ def test_banded_step_matches_the_sparse_step(model_name, grid_name, dim):
     x, y = rng.uniform(-1.2, 1.2, (6, dim)), rng.uniform(-0.8, 1.5, (6, dim))
     nodes = integrators._pair_starts(grid, x, y, None)
     nodes[:, 1:-1] += rng.uniform(-0.3, 0.3, nodes[:, 1:-1].shape)
-    banded = linear_steps(integrators._banded_step, model, grid, nodes)
-    sparse = linear_steps(integrators._sparse_step, model, grid, nodes)
-    for p in range(nodes.shape[0]):
-        assert np.max(np.abs(banded[p] - sparse[p])) <= 1e-12 * np.max(np.abs(sparse[p]))
+    banded = banded_steps(model, grid, nodes)
+    for p, pair in enumerate(nodes):
+        rhs = -integrators._interior_defects(model, pair, grid.spacings)
+        sparse = sparse_step(model, pair, grid.spacings, rhs)
+        assert np.max(np.abs(banded[p] - sparse)) <= 1e-12 * np.max(np.abs(sparse))
 
 
 def assert_broken_pairs_isolated(model, grid, nodes, broken):
-    steps = linear_steps(integrators._banded_step, model, grid, nodes)
+    steps = banded_steps(model, grid, nodes)
     assert np.isnan(steps[broken]).all()
     for p in sorted(set(range(nodes.shape[0])) - set(broken)):
-        alone = linear_steps(integrators._banded_step, model, grid, nodes[p : p + 1])
+        alone = banded_steps(model, grid, nodes[p : p + 1])
         assert np.isfinite(steps[p]).all() and np.array_equal(steps[p], alone[0])
 
 
@@ -592,6 +755,7 @@ PAIR_CASES = {
     "cosine_2d": (cosine_potential(amplitude=2.0, dim=2), 2, TimeGrid.uniform(0.0, 1.0, 16)),
     "double_well": (double_well(), 2, TimeGrid([0.0, 0.01, 0.025, 0.04, 0.06])),
     "single_interval": (cosine_potential(dim=2), 2, TimeGrid.uniform(0.0, 0.5, 1)),
+    "single_interval_1d": (HARMONIC, 1, TimeGrid.uniform(0.0, 1.0, 1)),
 }
 
 
@@ -624,7 +788,6 @@ def test_bvp_pairs_warm_started_level_equals_solve_bvp_per_pair_bitwise(case):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_bvp_pairs_failures_equal_solve_bvp_per_pair():
     # past the conjugate span of the cosine's minimum at pi: minimizers near 0,
     # a saddle and stalled pairs in one batch
@@ -640,6 +803,26 @@ def test_bvp_pairs_failures_equal_solve_bvp_per_pair():
     x, y = np.array([[0.3], [0.5]]), np.array([[-0.2], [-0.5]])
     got = assert_pairs_match_solve_bvp(HARMONIC, x, y, TimeGrid.uniform(0.0, 4.0, 2))
     assert list(got.converged) == [False, True]
+    # Armijo-damped pairs far up the quartic, one of which stalls
+    grid, starts = damped_starts()
+    x, y = np.array([s[0] for s in starts]), np.array([s[-1] for s in starts])
+    got = assert_pairs_match_solve_bvp(double_well(), x, y, grid)
+    assert not got.converged.all()
+
+
+@pytest.mark.parametrize("max_iter", [50, 2])
+@pytest.mark.parametrize("grid_name", sorted(CORE_GRIDS))
+@pytest.mark.parametrize("model_name", sorted(CORE_MODELS))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bvp_pairs_equal_solve_bvp_per_pair_on_core_cases(
+    model_name, grid_name, max_iter, monkeypatch
+):
+    # max_iter=2 stops nonlinear pairs early: per-pair masks and flags must agree
+    monkeypatch.setattr(integrators, "_BVP_MAX_ITER", max_iter)
+    model, dim = CORE_MODELS[model_name]
+    rng = np.random.default_rng(7 + dim)
+    x, y = rng.uniform(-1.2, 1.2, (9, dim)), rng.uniform(-0.8, 1.5, (9, dim))
+    assert_pairs_match_solve_bvp(model, x, y, CORE_GRIDS[grid_name])
 
 
 def test_bvp_pairs_rejects_mismatched_inputs():

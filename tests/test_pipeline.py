@@ -211,7 +211,6 @@ def test_otm_connect_equals_solve_bvp_per_matched_pair_bitwise(case):
     ids=["saddle", "stalled"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_otm_connect_failure_names_the_first_failing_matched_pair(
     grid, source, target, failing, reason
 ):
@@ -485,7 +484,6 @@ def test_stationarity_levels_equal_solve_bvp_per_path_bitwise(model, dim, span, 
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 def test_stationarity_failure_names_the_level_and_reason():
     # at h = 2 on [0, 4] the harmonic Jacobian is exactly singular
     grid = TimeGrid.uniform(0.0, 4.0, 2)
