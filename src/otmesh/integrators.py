@@ -53,7 +53,9 @@ class BvpBatchResult:
     """P two-point solves on one grid, pair p in entry p of every field.
 
     ``nodes`` is (P, l+1, n); ``costs``, ``residuals``, ``newton_iterations``,
-    ``converged`` and ``saddle`` are (P,).  A saddle is not converged.
+    ``converged`` and ``saddle_node`` are (P,).  A saddle, a pair whose
+    minimality test failed at interior node ``saddle_node`` (0 if none or
+    untested), is not converged.
     """
 
     nodes: np.ndarray
@@ -61,27 +63,26 @@ class BvpBatchResult:
     residuals: np.ndarray
     newton_iterations: np.ndarray
     converged: np.ndarray
-    saddle: np.ndarray
+    saddle_node: np.ndarray
 
     def message(self, p: int) -> str:
         """Why pair p failed, or "" if it converged."""
         if not np.isfinite(self.costs[p]):
             return "the midpoint action is not finite"
-        if self.saddle[p]:
+        if self.saddle_node[p]:
             return (
-                "saddle-point check failed: a nodal perturbation of "
-                "size h^2 decreased the action"
+                "saddle-point check failed: the second variation of the action "
+                f"turns indefinite at interior node {self.saddle_node[p]}"
             )
         if not self.converged[p]:
             return "Newton did not reach the residual tolerance"
         return ""
 
 
-# Newton tolerance and iteration cap of every boundary-value solve, the size
-# of its minimality screen and the sup-distance that clusters restarts
+# Newton tolerance and iteration cap of every boundary-value solve, and the
+# sup-distance that clusters restarts
 _BVP_TOL = 1e-12
 _BVP_MAX_ITER = 50
-_N_PERTURBATIONS = 20
 _CLUSTER_RADIUS = 1e-3
 
 # RK4 substeps per grid interval of the reference flow: they keep its O(dt^4)
@@ -189,13 +190,8 @@ def _el_step(
     )
     # evaluating the residual costs eps * m |x| / dt of noise per momentum
     # term; the tolerance cannot be tighter than that floor
-    noise = (
-        64.0
-        * np.finfo(float).eps
-        * m
-        / min(dt_prev, dt_next)
-        * max(1.0, float(np.max(np.abs(prev))), float(np.max(np.abs(curr))))
-    )
+    size = max(1.0, float(np.max(np.abs(prev))), float(np.max(np.abs(curr))))
+    noise = 64.0 * np.finfo(float).eps * m / min(dt_prev, dt_next) * size
     scale = max(1.0, float(np.max(np.abs(outgoing))), noise / tol)
     z = curr + (curr - prev) * (dt_next / dt_prev)
     eye = np.eye(curr.size)
@@ -275,12 +271,7 @@ def _interior_defects(
     mids = 0.5 * (nodes[..., 1:, :] + nodes[..., :-1, :])
     grads = np.asarray(model.grad_potential(mids), dtype=float)
     forces = 0.5 * dt[:, None] * grads
-    return (
-        momenta[..., :-1, :]
-        - momenta[..., 1:, :]
-        - forces[..., :-1, :]
-        - forces[..., 1:, :]
-    )
+    return momenta[..., :-1, :] - momenta[..., 1:, :] - forces[..., :-1, :] - forces[..., 1:, :]
 
 
 def el_residual(model: LagrangianModel, path: Path) -> float:
@@ -294,7 +285,8 @@ def el_residual(model: LagrangianModel, path: Path) -> float:
 def _bvp_blocks(
     model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of the Jacobian of the stacked interior defects.
+    """Blocks of the Jacobian of the stacked interior defects, which is the
+    Hessian of the midpoint action in the interior nodes.
 
     ``nodes`` is (l+1, n) or a batch (P, l+1, n) on one grid.  Returns the
     diagonal blocks (..., l-1, n, n) and the blocks (..., l-2, n, n) that
@@ -380,23 +372,51 @@ def _residual_scale(
     )
 
 
-def _perturbations(grid: TimeGrid, dim: int, count: int, rng: np.random.Generator):
-    """Interior-node displacements (l-1, n) of size h^2 for the minimality screen.
+def _lowest_and_inverse(pivot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue (P,) and inverse (P, n, n) of the symmetric parts of
+    P blocks (P, n, n): closed forms for n <= 2, ``eigh`` beyond.  A non-finite
+    block has a NaN eigenvalue, a singular one a non-finite inverse."""
+    n = pivot.shape[-1]
+    if n == 1:
+        return pivot[:, 0, 0], 1.0 / pivot
+    if n == 2:
+        a, b, c = pivot[:, 0, 0], 0.5 * (pivot[:, 0, 1] + pivot[:, 1, 0]), pivot[:, 1, 1]
+        adjugate = np.stack([c, -b, -b, a], axis=-1).reshape(-1, 2, 2)
+        lowest = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+        return lowest, adjugate / (a * c - b * b)[:, None, None]
+    finite = np.isfinite(pivot).all(axis=(1, 2))
+    sym = np.where(finite[:, None, None], 0.5 * (pivot + np.swapaxes(pivot, 1, 2)), np.eye(n))
+    w, v = np.linalg.eigh(sym)  # one NaN block would fail the whole call
+    return np.where(finite, w[:, 0], np.nan), (v / w[:, None, :]) @ np.swapaxes(v, 1, 2)
 
-    Random amplitudes on low-frequency modes: minimality fails in the lowest
-    modes first (conjugate points), which white noise on the nodes would
-    almost never probe.  Drawn lazily, so a screen that stops early leaves
-    the generator's later draws untaken.
+
+def _saddle_nodes(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """First interior node (1..K) where the action's Hessian fails to be
+    positive definite, per pair, or 0 where it is.
+
+    ``diag`` (P, K, n, n) and ``off`` (P, K-1, n, n) are its blocks from
+    ``_bvp_blocks``.  The block LDL^T pivots follow the discrete Riccati
+    recursion D_1 = A_1, D_{k+1} = A_{k+1} - B_k^T D_k^{-1} B_k, and by
+    Sylvester's law of inertia the Hessian is positive definite iff every
+    pivot is.  A pivot fails unless its smallest eigenvalue is at least -64
+    eps times the pair's largest diagonal-block entry, the rounding noise of
+    differences of terms that size.  A singular pivot fails the next one;
+    the last one, singular at a conjugate endpoint, passes.  A failed pair
+    goes on from an identity pivot, which keeps its arithmetic finite.
     """
-    l = grid.n_intervals
-    h2 = grid.max_spacing**2
-    phase = np.pi * (grid.nodes[1:-1] - grid.start) / grid.span
-    for k in range(count):
-        mode = np.sin((k % max(1, min(l - 1, count)) + 1) * phase)
-        direction = rng.standard_normal(dim)
-        direction /= max(1e-300, float(np.linalg.norm(direction)))
-        amp = h2 * rng.uniform(0.5, 1.5)
-        yield amp * mode[:, None] * direction[None, :]
+    floor = -64.0 * np.finfo(float).eps * np.max(np.abs(diag), axis=(1, 2, 3), initial=0.0)
+    node = np.zeros(diag.shape[0], dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(diag.shape[1]):
+            pivot = diag[:, k]
+            if k:
+                b = off[:, k - 1]
+                pivot = pivot - np.swapaxes(b, 1, 2) @ inverse @ b
+            lowest, inverse = _lowest_and_inverse(pivot)
+            failed = ~(lowest >= floor)
+            node[failed & (node == 0)] = k + 1
+            inverse[failed] = np.eye(diag.shape[-1])
+    return node
 
 
 def _bvp_core(
@@ -404,31 +424,25 @@ def _bvp_core(
     grid: TimeGrid,
     nodes: np.ndarray,
     check_minimum: bool,
-    rng: np.random.Generator,
 ) -> BvpBatchResult:
-    """Damped Newton and minimality screen for P stacked problems (P, l+1, n).
+    """Damped Newton and minimality test for P stacked problems (P, l+1, n).
 
     ``nodes`` holds the starts, endpoints pinned, and is overwritten.  Every
     pair takes its own Newton steps and Armijo step lengths on the squared
     residual and stops on its own test; the pairs still iterating share one
     ``_banded_step`` per iteration, and since a pair's step is bitwise the
     same alone or in a batch, so is its whole solve.  A pair converges
-    if its residual meets the tolerance and its midpoint action is finite.
-    If ``check_minimum``, the converged pairs then share one lazy draw of
-    perturbations from ``rng``, and a pair whose action one of them lowers is
-    a saddle.
+    if its residual meets the tolerance and its midpoint action is finite,
+    and, if ``check_minimum``, passes the pivot test of ``_saddle_nodes``,
+    which the converged pairs share.  No random number is drawn.
     """
-    P, _, n = nodes.shape
+    P = nodes.shape[0]
     dt = grid.spacings
-    if grid.n_intervals == 1:  # no interior nodes: the segment is the solution
-        costs = _midpoint_actions(model, nodes, dt)
-        ok = np.isfinite(costs)
-        zeros = np.zeros(P, dtype=int)
-        return BvpBatchResult(nodes, costs, np.zeros(P), zeros, ok, ~ok)
     tol, max_iter = _BVP_TOL, _BVP_MAX_ITER
     scale = _residual_scale(model, nodes[:, 0], nodes[:, -1], grid, tol)
     defects = _interior_defects(model, nodes, dt)
-    err = np.max(np.abs(defects), axis=(1, 2))
+    # with no interior node (one interval) the segment is the solution
+    err = np.max(np.abs(defects), axis=(1, 2), initial=0.0)
     iters = np.full(P, max_iter)
     active = np.arange(P)
     for it in range(max_iter):
@@ -465,19 +479,11 @@ def _bvp_core(
     # an action that overflowed fails however small the scaled residual
     costs = _midpoint_actions(model, nodes, dt)
     converged = (err <= tol * scale) & np.isfinite(costs)
-    saddle = np.zeros(P, dtype=bool)
-    screened = np.flatnonzero(converged)
-    if check_minimum and screened.size:
-        floor = costs[screened] - 1e-10 * np.maximum(1.0, np.abs(costs[screened]))
-        for bump in _perturbations(grid, n, _N_PERTURBATIONS, rng):
-            pert = nodes[screened]
-            pert[:, 1:-1] += bump
-            lower = _midpoint_actions(model, pert, dt) < floor
-            saddle[screened[lower]] = True
-            screened, floor = screened[~lower], floor[~lower]
-            if screened.size == 0:  # leave the later perturbations undrawn
-                break
-    return BvpBatchResult(nodes, costs, err, iters, converged & ~saddle, saddle)
+    saddle_node = np.zeros(P, dtype=int)
+    checked = np.flatnonzero(converged)
+    if check_minimum and checked.size:
+        saddle_node[checked] = _saddle_nodes(*_bvp_blocks(model, nodes[checked], dt))
+    return BvpBatchResult(nodes, costs, err, iters, converged & (saddle_node == 0), saddle_node)
 
 
 def _cluster_paths(paths: list[Path], threshold: float) -> list[list[int]]:
@@ -531,9 +537,11 @@ def solve_bvp(
         Warm-start path (resampled onto the grid); default is the straight
         line from x to y.
     check_minimum
-        Reject saddle points by verifying the action does not decrease under
-        20 random nodal perturbations of size h^2.  Failure is reported
-        through ``converged=False`` with a diagnostic message, not by raising.
+        Reject saddle points: the Hessian of the midpoint action in the
+        interior nodes must be positive definite, which the block LDL^T
+        pivot test of ``_saddle_nodes`` decides exactly, up to rounding.
+        Failure is reported through ``converged=False`` with a message
+        naming the interior node where the test fails, not by raising.
     n_restarts
         Additional solves from randomized warm starts.  Solutions are
         clustered by sup-distance at 1e-3; the lowest-cost cluster is
@@ -542,9 +550,10 @@ def solve_bvp(
 
     The solve works on the full stacked interior system (not shooting), with
     Armijo-damped Newton steps, each from a pivoted banded LU of the
-    block-tridiagonal Jacobian.  Each attempt is the one-pair case of
-    ``solve_bvp_pairs``.  Restart noise and the perturbations come from one
-    ``default_rng(0)`` per call, so equal inputs give equal results.
+    block-tridiagonal Jacobian.  The attempts are solved in one batch by
+    the core of ``solve_bvp_pairs``, so each is bitwise what it gives alone.
+    Restart noise comes from one ``default_rng(0)`` per call, so equal
+    inputs give equal results; nothing else is random.
 
     Returns
     -------
@@ -555,32 +564,20 @@ def solve_bvp(
     x, y = as_point(x), as_point(y)
     if x.shape != y.shape:
         raise ValueError("endpoints have different dimensions")
-    rng = np.random.default_rng(0)
     start = _pair_starts(grid, x[None], y[None], None if init is None else [init])
-
-    def attempt(noise: float) -> BvpResult:
-        nodes = start.copy()
-        if noise > 0.0:
-            bump = np.sin(np.pi * (grid.nodes[1:-1] - grid.start) / grid.span)
-            interior = nodes[0, 1:-1]
-            interior += noise * bump[:, None] * rng.standard_normal(interior.shape)
-        res = _bvp_core(model, grid, nodes, check_minimum, rng)
-        return BvpResult(
-            Path(grid, res.nodes[0]),
-            float(res.costs[0]),
-            float(res.residuals[0]),
-            bool(res.converged[0]),
-            int(res.newton_iterations[0]),
-            1,
-            res.message(0),
-        )
-
-    best = attempt(0.0)
-    if n_restarts <= 0:
-        return best
-
-    noise = 0.5 * (float(np.max(np.abs(y - x))) + 1.0)
-    results = [best] + [attempt(noise) for _ in range(n_restarts)]
+    nodes = np.repeat(start, 1 + max(0, n_restarts), axis=0)
+    if n_restarts > 0:
+        noise = 0.5 * (float(np.max(np.abs(y - x))) + 1.0)
+        bump = np.sin(np.pi * (grid.nodes[1:-1] - grid.start) / grid.span)
+        draws = np.random.default_rng(0).standard_normal(nodes[1:, 1:-1].shape)
+        nodes[1:, 1:-1] += noise * bump[:, None] * draws
+    res = _bvp_core(model, grid, nodes, check_minimum)
+    results = [
+        BvpResult(Path(grid, res.nodes[k]), float(res.costs[k]), float(res.residuals[k]),
+                  bool(res.converged[k]), int(res.newton_iterations[k]), message=res.message(k))
+        for k in range(nodes.shape[0])
+    ]
+    best = results[0]
     converged = [r for r in results if r.converged]
     if not converged:
         return best
@@ -604,10 +601,11 @@ def solve_bvp_pairs(
     Pair p is bitwise ``solve_bvp(model, x[p], y[p], grid, init[p],
     check_minimum)`` without restarts: the same start and Newton core, whose
     steps come from one pivoted banded LU (LAPACK ``dgbsv``) over the pairs
-    still iterating, O(P l n^3) work per Newton iteration.  Every
-    ``solve_bvp`` draws its perturbations from a fresh ``default_rng(0)`` and
-    nothing before them, so all pairs share one draw.  Failures are reported
-    per pair through ``converged`` and ``message``, not by raising.
+    still iterating, O(P l n^3) work per Newton iteration, and one block
+    LDL^T recursion over the converged pairs tests minimality.  Both act on
+    each pair alone, so its result does not depend on the batch, and no
+    random number is drawn.  Failures are reported per pair through
+    ``converged`` and ``message``, not by raising.
     """
     nodes = _pair_starts(grid, x, y, init)
-    return _bvp_core(model, grid, nodes, check_minimum, np.random.default_rng(0))
+    return _bvp_core(model, grid, nodes, check_minimum)

@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from .errors import DimensionMismatchError, HorizonError, OtmeshError, SolverError
 from .integrators import solve_bvp_pairs
@@ -162,6 +161,9 @@ def sample_marginal(spec: MarginalSpec, N: int) -> PointCloud:
     if spec.sampler in ("quantile", "grid"):
         if spec.dim != 1:
             raise ValueError("gaussian grid sampling is only supported in dimension 1")
+        # scipy.stats is slow to import and only this branch needs it
+        from scipy.stats import truncnorm
+
         a, b = -spec.radius / sd[0], spec.radius / sd[0]
         return PointCloud(
             truncnorm.ppf(mid_quantiles, a, b, loc=spec.mean[0], scale=sd[0])

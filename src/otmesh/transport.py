@@ -18,6 +18,10 @@ from .paths import TimeGrid
 # largest N the brute-force oracle enumerates (9! = 362880 permutations)
 _BRUTE_FORCE_MAX = 9
 
+# pairs x interior nodes x n^2 of one solve_bvp_pairs call in a BVP cost
+# matrix: about 10 MB of band matrix, and never less than one source row
+_BVP_BATCH_BUDGET = 2**18
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -72,11 +76,12 @@ def cost_matrix(
 ) -> np.ndarray:
     """Matrix of connection costs c(x_i, y_j) over the grid's time span.
 
-    ``cost_kind="bvp"`` solves one boundary-value problem per pair, a whole
-    source row at once with ``solve_bvp_pairs``, so each entry is bitwise the
-    cost ``solve_bvp`` gives and memory stays O(N l n^2).  SolverError names
-    the first pair in row-major order that fails, with its reason; no pair
-    is solved again.
+    ``cost_kind="bvp"`` solves one boundary-value problem per pair with
+    ``solve_bvp_pairs``, whole source rows per call, as many as keep pairs x
+    interior nodes x n^2 within ``_BVP_BATCH_BUDGET`` (at least one row).  A
+    pair's solve does not depend on its batch, so each entry is bitwise the
+    cost ``solve_bvp`` gives.  SolverError names the first pair in row-major
+    order that fails, with its reason; no pair is solved again.
     ``cost_kind="closed_form"`` uses the catalog formula (free particle or
     harmonic oscillator) and ignores the grid resolution; SolverError reports
     costs that overflow.
@@ -97,17 +102,22 @@ def cost_matrix(
         raise ValueError(f"unknown cost kind {cost_kind!r}")
 
     N = source.size
+    per_row = N * max(1, grid.n_intervals - 1) * source.dim**2
+    rows = max(1, _BVP_BATCH_BUDGET // per_row)
     costs = np.empty((N, N))
-    for i in range(N):
-        x = np.broadcast_to(source.points[i], target.points.shape)
-        row = solve_bvp_pairs(model, x, target.points, grid)
-        failed = np.flatnonzero(~row.converged)
+    for first in range(0, N, rows):
+        last = min(N, first + rows)
+        x = np.repeat(source.points[first:last], N, axis=0)
+        y = np.tile(target.points, (last - first, 1))
+        batch = solve_bvp_pairs(model, x, y, grid)
+        failed = np.flatnonzero(~batch.converged)
         if failed.size:
-            j = failed[0]
+            i, j = divmod(int(failed[0]), N)
             raise SolverError(
-                f"boundary-value solve failed for pair ({i}, {j}): {row.message(j)}"
+                f"boundary-value solve failed for pair ({first + i}, {j}): "
+                f"{batch.message(failed[0])}"
             )
-        costs[i] = row.costs
+        costs[first:last] = batch.costs.reshape(last - first, N)
     return costs
 
 

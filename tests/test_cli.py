@@ -527,6 +527,18 @@ def test_cli_overflow_reaches_stderr_as_the_solver_error_alone(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+def test_importing_the_cli_leaves_scipy_stats_unimported():
+    # only the gaussian quantile and grid samplers need it, and import it themselves
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, otmesh.cli; print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
 # values the fuzz test puts in place of one config field: a wrong JSON type,
 # null, negative, zero, huge, an empty list and a nested object
 MALFORMED_VALUES = ["x", True, None, -1, -1e308, 0, 1e308, [], {"a": {"b": 1}}]

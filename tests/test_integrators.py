@@ -1,4 +1,5 @@
 import ast
+import inspect
 from dataclasses import replace
 from pathlib import Path as FilePath
 
@@ -28,6 +29,7 @@ from otmesh import (
 )
 from otmesh import integrators
 from otmesh.integrators import reference_flow_batch
+from otmesh.models import MODEL_CATALOG
 
 FREE = free_particle()
 HARMONIC = harmonic_oscillator()
@@ -315,7 +317,12 @@ def test_bvp_saddle_detected_beyond_conjugate_time():
     grid = TimeGrid.uniform(0, 1.5 * np.pi, 60)
     flagged = solve_bvp(HARMONIC, 0.0, 1.0, grid)
     assert not flagged.converged
-    assert "saddle" in flagged.message
+    # interior nodes 1..40 span [0, t_41], the first leading block to pass
+    # the discrete conjugate time 2 * 40 tan(pi / 80), a little above pi
+    assert flagged.message == (
+        "saddle-point check failed: the second variation of the action "
+        "turns indefinite at interior node 40"
+    )
     stationary = solve_bvp(HARMONIC, 0.0, 1.0, grid, check_minimum=False)
     assert stationary.converged
     assert stationary.residual <= 1e-10
@@ -464,22 +471,37 @@ def newton_loop(model, nodes, dt, tol, max_iter, scale, linear_step):
     return nodes, err, max_iter, err <= tol * scale
 
 
-def screen_finds_saddle(model, grid, nodes, cost, rng):
-    """The minimality screen for one path, written out: True if it is a saddle."""
-    slack = 1e-10 * max(1.0, abs(cost))
-    count = integrators._N_PERTURBATIONS
-    for bump in integrators._perturbations(grid, nodes.shape[1], count, rng):
-        pert = nodes.copy()
-        pert[1:-1] += bump
-        if midpoint_action(model, Path(grid, pert)) < cost - slack:
-            return True
-    return False
+def dense_hessian(model, grid, nodes):
+    """Hessian of the midpoint action in the interior nodes of one path, dense."""
+    return sparse_jacobian(*integrators._bvp_blocks(model, nodes, grid.spacings)).toarray()
 
 
-def written_out_solve(model, grid, start, rng, linear_step):
-    """Newton loop and minimality screen of one start (l+1, n), written out.
+def pivot_floor(model, grid, nodes):
+    """The noise floor below which the pivot test calls an eigenvalue negative."""
+    diag, _ = integrators._bvp_blocks(model, nodes, grid.spacings)
+    return -64.0 * np.finfo(float).eps * np.max(np.abs(diag))
 
-    Returns the nodes, cost, residual, iterations, converged and saddle flags.
+
+def leading_block_saddle_node(model, grid, nodes):
+    """The second-variation test of one path, written out on the dense Hessian.
+
+    By Sylvester's law of inertia the k-th block LDL^T pivot is the first to
+    fail iff the leading k x k block minor is the first with a negative
+    eigenvalue.  Returns that interior node (1..l-1), or 0.
+    """
+    hess = dense_hessian(model, grid, nodes)
+    n, floor = nodes.shape[1], pivot_floor(model, grid, nodes)
+    for k in range(1, grid.n_intervals):
+        minor = hess[: k * n, : k * n]
+        if not np.linalg.eigvalsh(0.5 * (minor + minor.T))[0] >= floor:
+            return k
+    return 0
+
+
+def written_out_solve(model, grid, start, linear_step):
+    """Newton loop and second-variation test of one start (l+1, n), written out.
+
+    Returns the nodes, cost, residual, iterations, converged flag and saddle node.
     """
     tol, max_iter = integrators._BVP_TOL, integrators._BVP_MAX_ITER
     scale = float(integrators._residual_scale(model, start[0], start[-1], grid, tol))
@@ -487,20 +509,17 @@ def written_out_solve(model, grid, start, rng, linear_step):
         model, start.copy(), grid.spacings, tol, max_iter, scale, linear_step
     )
     cost = midpoint_action(model, Path(grid, nodes))
-    saddle = ok and screen_finds_saddle(model, grid, nodes, cost, rng)
-    return nodes, cost, resid, iters, ok and not saddle, saddle
+    node = leading_block_saddle_node(model, grid, nodes) if ok else 0
+    return nodes, cost, resid, iters, ok and not node, node
 
 
 def assert_core_matches_written_out_loop(model, grid, starts):
-    # one generator serves all starts, as it serves the restarts of solve_bvp
-    core_rng, loop_rng = np.random.default_rng(0), np.random.default_rng(0)
     for start in starts:
-        nodes, *want = written_out_solve(model, grid, start, loop_rng, banded_step)
-        got = integrators._bvp_core(model, grid, start[None].copy(), True, core_rng)
+        nodes, *want = written_out_solve(model, grid, start, banded_step)
+        got = integrators._bvp_core(model, grid, start[None].copy(), True)
         assert np.array_equal(got.nodes[0], nodes)
-        fields = (got.costs, got.residuals, got.newton_iterations, got.converged, got.saddle)
+        fields = (got.costs, got.residuals, got.newton_iterations, got.converged, got.saddle_node)
         assert [a[0] for a in fields] == want
-    assert core_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def bvp_starts(grid, dim, seed, warm):
@@ -595,14 +614,10 @@ def assert_solves_match_sparse_loop(model, grid, starts):
     init = [Path(grid, nodes) for nodes in starts]
     got = integrators.solve_bvp_pairs(model, x, y, grid, init)
     for p, start in enumerate(integrators._pair_starts(grid, x, y, init)):
-        # solve_bvp_pairs draws its screen as a fresh default_rng(0) per pair would
-        rng = np.random.default_rng(0)
-        nodes, cost, _, iters, ok, saddle = written_out_solve(
-            model, grid, start, rng, sparse_step
-        )
+        nodes, cost, _, iters, ok, node = written_out_solve(model, grid, start, sparse_step)
         single = solve_bvp(model, x[p], y[p], grid, init[p])
-        assert (got.converged[p], got.saddle[p]) == (ok, saddle)
-        assert (single.converged, single.message.startswith("saddle")) == (ok, saddle)
+        assert (got.converged[p], got.saddle_node[p]) == (ok, node)
+        assert (single.converged, single.message.startswith("saddle")) == (ok, node > 0)
         if ok:
             assert got.newton_iterations[p] == single.newton_iterations == iters
             assert_converged_close(got.costs[p], got.nodes[p], cost, nodes)
@@ -639,7 +654,8 @@ def test_bvp_solves_match_the_sparse_newton_loop_when_damped_stalled_or_saddle()
 def test_bvp_restarts_match_the_sparse_newton_loop(model, x, y, grid):
     x, y = np.array(x), np.array(y)
     got = solve_bvp(model, x, y, grid, n_restarts=2)
-    # the restarts of solve_bvp written out, with the sparse LU step
+    # the restarts of solve_bvp written out, with the sparse LU step; the
+    # generator draws restart noise and nothing else
     rng = np.random.default_rng(0)
     start = integrators._pair_starts(grid, x[None], y[None], None)[0]
     bump = np.sin(np.pi * (grid.nodes[1:-1] - grid.start) / grid.span)
@@ -649,7 +665,7 @@ def test_bvp_restarts_match_the_sparse_newton_loop(model, x, y, grid):
         nodes = start.copy()
         if k:
             nodes[1:-1] += noise * bump[:, None] * rng.standard_normal(nodes[1:-1].shape)
-        attempts.append(written_out_solve(model, grid, nodes, rng, sparse_step))
+        attempts.append(written_out_solve(model, grid, nodes, sparse_step))
     converged = [a for a in attempts if a[4]]
     assert got.converged and converged
     clusters = integrators._cluster_paths(
@@ -665,6 +681,200 @@ def test_bvp_restarts_match_the_sparse_newton_loop(model, x, y, grid):
     assert_converged_close(got.cost, got.path.nodes, cost, nodes)
     cheapest = min(a[1] for a in converged)
     assert abs(got.cost - cheapest) <= 1e-12 * abs(cheapest)
+
+
+# -- the retired random minimality screen against the second-variation test -------------
+# Minimality used to be screened by 20 random low-mode nodal perturbations of size
+# h^2.  A perturbation that lowers the action proves a saddle, so wherever the
+# screen finds one the pivot test must find one too.  Where only the pivot test
+# does, the action must fall along the negative direction of the failed pivot.
+
+N_PERTURBATIONS = 20
+
+
+def perturbations(grid, dim, count, rng):
+    """Interior-node displacements (l-1, n) of size h^2 for the minimality screen.
+
+    Random amplitudes on low-frequency modes: minimality fails in the lowest
+    modes first (conjugate points), which white noise on the nodes would
+    almost never probe.  Drawn lazily, so a screen that stops early leaves
+    the generator's later draws untaken.
+    """
+    l = grid.n_intervals
+    h2 = grid.max_spacing**2
+    phase = np.pi * (grid.nodes[1:-1] - grid.start) / grid.span
+    for k in range(count):
+        mode = np.sin((k % max(1, min(l - 1, count)) + 1) * phase)
+        direction = rng.standard_normal(dim)
+        direction /= max(1e-300, float(np.linalg.norm(direction)))
+        amp = h2 * rng.uniform(0.5, 1.5)
+        yield amp * mode[:, None] * direction[None, :]
+
+
+def screen_finds_saddle(model, grid, nodes, cost, rng):
+    """The minimality screen for one path, written out: True if it is a saddle."""
+    slack = 1e-10 * max(1.0, abs(cost))
+    for bump in perturbations(grid, nodes.shape[1], N_PERTURBATIONS, rng):
+        pert = nodes.copy()
+        pert[1:-1] += bump
+        if midpoint_action(model, Path(grid, pert)) < cost - slack:
+            return True
+    return False
+
+
+def negative_direction(model, grid, nodes, node):
+    """Unit-max-norm interior displacement (l-1, n) and its second variation.
+
+    The pivots up to the failed one at ``node`` are recomputed with dense
+    solves.  With v the unit eigenvector of that pivot's smallest eigenvalue
+    lam, z = v at ``node``, z_k = -D_k^{-1} B_k z_{k+1} before it and 0 after
+    it gives z^T H z = v^T D v = lam.
+    """
+    diag, off = integrators._bvp_blocks(model, nodes, grid.spacings)
+    pivots = [diag[0]]
+    for k in range(1, node):
+        pivots.append(diag[k] - off[k - 1].T @ np.linalg.solve(pivots[-1], off[k - 1]))
+    lam, v = np.linalg.eigh(0.5 * (pivots[-1] + pivots[-1].T))
+    z = np.zeros((grid.n_intervals - 1, nodes.shape[1]))
+    z[node - 1] = v[:, 0]
+    for k in range(node - 2, -1, -1):
+        z[k] = -np.linalg.solve(pivots[k], off[k] @ z[k + 1])
+    size = np.max(np.abs(z))
+    return z / size, lam[0] / size**2
+
+
+def assert_action_falls_along_failed_pivot(model, grid, nodes, cost, node):
+    z, curvature = negative_direction(model, grid, nodes, node)
+    assert curvature < 0
+    assert np.isclose(z.ravel() @ dense_hessian(model, grid, nodes) @ z.ravel(), curvature)
+    # a step that the quadratic model says lowers the action by 1e-6 (relative)
+    drop = -1e-6 * max(1.0, abs(cost))
+    t = np.sqrt(2.0 * drop / curvature)
+    moved = nodes.copy()
+    moved[1:-1] += t * z
+    fell = midpoint_action(model, Path(grid, moved)) - cost
+    assert fell == pytest.approx(drop, rel=0.1)
+
+
+def assert_screen_agrees_with_pivot_test(model, grid, starts):
+    """Solve every start; return the result and how many saddles the screen missed."""
+    starts = np.stack(starts)
+    init = [Path(grid, nodes) for nodes in starts]
+    got = integrators.solve_bvp_pairs(model, starts[:, 0], starts[:, -1], grid, init)
+    missed = 0
+    for p in np.flatnonzero(got.converged | (got.saddle_node > 0)):
+        rng = np.random.default_rng(0)  # the screen's draw in every solve
+        screened = screen_finds_saddle(model, grid, got.nodes[p], got.costs[p], rng)
+        if screened != (got.saddle_node[p] > 0):
+            assert got.saddle_node[p] and not screened
+            assert_action_falls_along_failed_pivot(
+                model, grid, got.nodes[p], got.costs[p], got.saddle_node[p]
+            )
+            missed += 1
+    return got, missed
+
+
+@pytest.mark.parametrize("analytic", [True, False], ids=["hessian", "fd"])
+@pytest.mark.parametrize("model_name", sorted(MODEL_CATALOG))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pivot_test_agrees_with_the_random_screen_on_catalog_models(model_name, analytic):
+    model = MODEL_CATALOG[model_name]()
+    if not analytic:
+        model = replace(model, hess_potential=None)
+    missed = 0
+    for dim in (1, 2):
+        for grid_name, grid in sorted(CORE_GRIDS.items()):
+            starts = bvp_starts(grid, dim, 5, False) + bvp_starts(grid, dim, 6, True)
+            missed += assert_screen_agrees_with_pivot_test(model, grid, starts)[1]
+    # one 2-D double-well path on the long grid has Hessian eigenvalue -0.53,
+    # which no perturbation of the screen probes
+    assert missed == (1 if model_name == "double_well" else 0)
+
+
+def ridge_starts():
+    # the straight line is the symmetric saddle between the mirror minimizers,
+    # which starts bent to either side reach
+    grid = TimeGrid.uniform(0, 3.0, 40)
+    line = Path.line(grid, np.array([-1.0, 0.0]), np.array([1.0, 0.0])).nodes
+    bump = np.sin(np.pi * (grid.nodes - grid.start) / grid.span)
+    return grid, [line + np.outer(side * bump, [0.0, 1.0]) for side in (0.0, 0.8, -0.8)]
+
+
+def harmonic_span_3_5_starts():
+    # past the conjugate span pi, short of 1.5 pi
+    grid = TimeGrid.uniform(0, 3.5, 60)
+    return grid, bvp_starts(grid, 1, 3, warm=False)
+
+
+def cosine_span_4_starts():
+    # only pairs near the potential's minimum at pi reach a conjugate point
+    grid = TimeGrid.uniform(0, 4.0, 40)
+    points = (0.1, 3.0, 3.3)
+    return grid, [Path.line(grid, a, b).nodes.copy() for a in points for b in points]
+
+
+SCREEN_CASES = {
+    # model, starts and the saddle flags of the pivot test
+    "saddle": (HARMONIC, saddle_starts, [True] * 6),
+    "harmonic_3.5": (HARMONIC, harmonic_span_3_5_starts, [True] * 6),
+    "ridge": (inverted_ring_ridge(), ridge_starts, [True, False, False]),
+    "cosine_span_4": (
+        cosine_potential(),
+        cosine_span_4_starts,
+        [False, False, False, False, True, True, False, True, True],
+    ),
+    "damped": (double_well(), damped_starts, [False] * 9),
+    "singular": (HARMONIC, singular_starts, [False, False]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCREEN_CASES))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_pivot_test_agrees_with_the_random_screen_on_saddles_and_stalls(case):
+    model, starts, saddles = SCREEN_CASES[case]
+    got, missed = assert_screen_agrees_with_pivot_test(model, *starts())
+    assert (got.saddle_node > 0).tolist() == saddles and missed == 0
+
+
+@pytest.mark.parametrize("l", [10, 40])
+def test_pivot_test_at_an_exactly_conjugate_span(l):
+    # on l uniform intervals the discrete harmonic oscillator is conjugate at
+    # span 2 l tan(pi / 2l): there the Hessian at the rest path is singular,
+    # a weak minimum that both tests pass; a shade longer it is a saddle whose
+    # pivots fail at the last interior node
+    conjugate = 2 * l * np.tan(np.pi / (2 * l))
+    rest = np.zeros((1, 1))
+    for factor, node in [(1 - 1e-6, 0), (1.0, 0), (1 + 1e-6, l - 1)]:
+        grid = TimeGrid.uniform(0.0, conjugate * factor, l)
+        got = integrators.solve_bvp_pairs(HARMONIC, rest, rest, grid)
+        assert got.saddle_node[0] == node and got.converged[0] == (node == 0)
+        nodes = got.nodes[0]
+        lowest = np.linalg.eigvalsh(dense_hessian(HARMONIC, grid, nodes))[0]
+        if factor == 1.0:
+            assert abs(lowest) <= -pivot_floor(HARMONIC, grid, nodes)
+        if node:
+            assert_action_falls_along_failed_pivot(HARMONIC, grid, nodes, got.costs[0], node)
+        else:
+            rng = np.random.default_rng(0)
+            assert not screen_finds_saddle(HARMONIC, grid, nodes, got.costs[0], rng)
+
+
+def test_bvp_core_and_pairs_draw_no_random_numbers():
+    # restart noise in solve_bvp is the only draw left in the module
+    for solver in (integrators._bvp_core, integrators.solve_bvp_pairs):
+        for param in inspect.signature(solver).parameters.values():
+            assert "Generator" not in str(param.annotation) and param.name != "rng"
+    draws = {
+        "Generator", "default_rng", "random", "standard_normal", "normal", "uniform",
+        "integers", "choice", "permutation", "shuffle",
+    }
+    tree = ast.parse(FilePath(integrators.__file__).read_text())
+    drawing = set()
+    for func in tree.body:
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and node.attr in draws:
+                drawing.add(getattr(func, "name", None))
+    assert drawing == {"solve_bvp"}
 
 
 # -- the banded step against the sparse step ----------------------------------------------
@@ -796,8 +1006,8 @@ def test_bvp_pairs_failures_equal_solve_bvp_per_pair():
     x = rng.uniform(-0.5, 0.5, (8, 2)) + np.pi * rng.integers(0, 2, (8, 1))
     y = rng.uniform(-0.5, 0.5, (8, 2)) + np.pi * rng.integers(0, 2, (8, 1))
     got = assert_pairs_match_solve_bvp(model, x, y, grid)
-    assert np.any(got.saddle) and np.any(got.converged)
-    assert np.any(~got.converged & ~got.saddle)
+    assert np.any(got.saddle_node) and np.any(got.converged)
+    assert np.any(~got.converged & (got.saddle_node == 0))
     # an exactly singular Jacobian (m/dt = k dt/2) stalls at once unless the
     # straight line is already stationary, as it is from 0.5 to -0.5
     x, y = np.array([[0.3], [0.5]]), np.array([[-0.2], [-0.5]])

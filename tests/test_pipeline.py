@@ -78,6 +78,17 @@ def test_gaussian_sampling_stays_in_support():
     assert pts[4] == pytest.approx(1.0)  # median of the symmetric truncation
 
 
+@pytest.mark.parametrize("sampler", ["quantile", "grid"])
+def test_gaussian_grid_samplers_equal_the_truncated_normal_quantiles_bitwise(sampler):
+    # scipy.stats is imported inside the sampler; the points must not change
+    from scipy.stats import truncnorm
+
+    spec = MarginalSpec("gaussian", mean=[1.0], cov=4.0, radius=3.0, sampler=sampler)
+    mid_quantiles = (np.arange(17) + 0.5) / 17
+    want = truncnorm.ppf(mid_quantiles, -1.5, 1.5, loc=1.0, scale=2.0)
+    assert np.array_equal(sample_marginal(spec, 17).points[:, 0], want)
+
+
 def test_custom_points_and_validation_errors():
     spec = MarginalSpec("custom_points", points=[[0.0, 1.0], [2.0, 3.0]])
     assert sample_marginal(spec, 2).size == 2

@@ -142,6 +142,71 @@ def test_cost_matrix_reports_first_failure_like_per_pair_loop(model, points, gri
     )
 
 
+# the cost matrix in chunks of source rows against one solve_bvp_pairs call per row
+
+
+def per_row_cost_matrix(model, source, target, grid):
+    """Costs row by row, or the first failing pair (i, j) with its reason."""
+    costs = np.empty((source.size, target.size))
+    for i, x in enumerate(source.points):
+        row = solve_bvp_pairs(model, np.broadcast_to(x, target.points.shape), target.points, grid)
+        failed = np.flatnonzero(~row.converged)
+        if failed.size:
+            return (i, failed[0]), row.message(failed[0])
+        costs[i] = row.costs
+    return costs
+
+
+def chunk_rows(monkeypatch, source, grid, rows):
+    """Set the batch budget to `rows` source rows; return the pair count of each call."""
+    per_row = source.size * (grid.n_intervals - 1) * source.dim**2
+    if rows is not None:
+        monkeypatch.setattr(transport, "_BVP_BATCH_BUDGET", rows * per_row)
+    calls = []
+
+    def counted(model, x, y, grid):
+        calls.append(x.shape[0])
+        return solve_bvp_pairs(model, x, y, grid)
+
+    monkeypatch.setattr(transport, "solve_bvp_pairs", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows, calls", [(None, [25]), (1, [5] * 5), (2, [10, 10, 5])])
+@pytest.mark.parametrize("model_name", sorted(BATCH_MODELS))
+def test_cost_matrix_bvp_in_chunks_equals_the_per_row_loop_bitwise(
+    model_name, rows, calls, monkeypatch
+):
+    model, dim = BATCH_MODELS[model_name]
+    grid = BATCH_GRIDS["uniform"]
+    rng = np.random.default_rng(len(model_name) + dim)
+    source = PointCloud(rng.uniform(-1.2, 1.2, (5, dim)))
+    target = PointCloud(rng.uniform(-0.5, 1.5, (5, dim)))
+    expected = per_row_cost_matrix(model, source, target, grid)
+    made = chunk_rows(monkeypatch, source, grid, rows)
+    costs = cost_matrix(model, source, target, grid, cost_kind="bvp")
+    assert np.array_equal(costs, expected) and made == calls
+
+
+@pytest.mark.parametrize("rows, calls", [(None, [16]), (1, [4] * 3), (2, [8, 8])])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cost_matrix_bvp_in_chunks_names_the_first_failure_of_a_later_chunk(
+    rows, calls, monkeypatch
+):
+    # only pairs near the cosine's minimum at pi reach a conjugate point: rows
+    # 0 and 1 converge, and rows 2 and 3 hold saddles from column 2 on
+    model, grid = cosine_potential(), TimeGrid.uniform(0, 4.0, 40)
+    cloud = PointCloud([0.1, 0.2, 3.0, 3.3])
+    (i, j), reason = per_row_cost_matrix(model, cloud, cloud, grid)
+    assert (i, j) == (2, 2) and reason.startswith("saddle-point check failed")
+    made = chunk_rows(monkeypatch, cloud, grid, rows)
+    with pytest.raises(SolverError) as raised:
+        cost_matrix(model, cloud, cloud, grid, cost_kind="bvp")
+    assert str(raised.value) == f"boundary-value solve failed for pair ({i}, {j}): {reason}"
+    # no chunk after the failing one is solved
+    assert made == calls
+
+
 def test_cost_matrix_rejects_bad_input():
     grid = TimeGrid.uniform(0, 1, 4)
     with pytest.raises(ValueError):
