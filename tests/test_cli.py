@@ -528,15 +528,20 @@ def test_cli_overflow_reaches_stderr_as_the_solver_error_alone(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_stats_unimported():
-    # only the gaussian quantile and grid samplers need it, and import it themselves
+    # only the gaussian quantile and grid samplers need scipy.stats, and import
+    # it themselves; the "%.17g" kernel builds its tables on first use
+    script = (
+        "import sys, otmesh.cli, otmesh.serialize as s; "
+        "print('scipy.stats' in sys.modules, s._csv_tables.cache_info().currsize)"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, otmesh.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+    assert proc.returncode == 0 and proc.stdout == "False 0\n"
 
 
 # values the fuzz test puts in place of one config field: a wrong JSON type,
