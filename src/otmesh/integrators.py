@@ -141,38 +141,93 @@ def reference_flow_batch(
     """RK4 reference flow from P starts (P, n) at once on one grid.
 
     Returns the nodes (P, l+1, n) and the final positions and velocities
-    (P, n).  Every stage is elementwise, so each path is bitwise what a
-    one-start integration gives.  If any path leaves the guard radius,
-    BlowUpError names the earliest grid interval where one did.
+    (P, n).  This is the one-group case of ``_rk4_march``: each path is
+    bitwise what a one-start integration gives, and if any path leaves the
+    guard radius, BlowUpError names the earliest grid interval where one did.
+    """
+    return _rk4_march(model, [(positions, velocities, grid)])[0]
+
+
+def _rk4_march(
+    model: LagrangianModel,
+    groups: Sequence[tuple[np.ndarray, np.ndarray, TimeGrid]],
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """RK4 reference flow of groups of starts, each group on its own grid.
+
+    ``groups`` holds (positions (P_g, n), velocities (P_g, n), grid); the
+    result holds (nodes (P_g, l_g+1, n), final positions, final velocities)
+    per group, in the same order.  All rows march together: they are sorted
+    by interval count, largest first, so the rows still marching at grid
+    interval j are a prefix, and every grid takes ``_RK4_SUBSTEPS`` substeps
+    per interval.  Step sizes are per-row columns taken from each grid's own
+    spacings, and every stage is elementwise in the order of the one-start
+    loop
+
+        slope(x, v) = (v, -grad V(x) / m),  k1 = slope((x, v)),
+        k2 = slope((x, v) + (sub/2) k1),  k3 = slope((x, v) + (sub/2) k2),
+        k4 = slope((x, v) + sub k3),  (x, v) += (sub/6) (((k1 + 2 k2) + 2 k3) + k4),
+
+    so every path is bitwise what integrating it alone gives.  If a path
+    leaves the guard radius, BlowUpError names the earliest grid interval
+    where one did.
     """
     m = model.mass
-    x = np.array(positions, dtype=float)
-    v = np.array(velocities, dtype=float)
-    nodes = np.empty((x.shape[0], grid.n_intervals + 1, x.shape[1]))
-    nodes[:, 0] = x
-    for j, dt in enumerate(grid.spacings):
-        sub = dt / _RK4_SUBSTEPS
+    order = sorted(range(len(groups)), key=lambda g: -groups[g][2].n_intervals)
+    starts, launches, grids = zip(*(groups[g] for g in order))
+    counts = [grid.n_intervals for grid in grids]
+    subs = [grid.spacings / _RK4_SUBSTEPS for grid in grids]
+    sizes = [len(x0) for x0 in starts]
+    rows = np.cumsum([0] + sizes)
+    P, n, L = rows[-1], np.shape(starts[0])[1], counts[0]
+    # stage k is stage[k] (3, P, n): rows 0-1 hold its point (x, v) and rows
+    # 1-2 its slope (v, a), so the slope's position part is the point's velocity
+    stage = np.empty((4, 3, P, n))
+    stage[0, 0] = np.concatenate(starts)
+    stage[0, 1] = np.concatenate(launches)
+    doubled = np.empty((2, 2, P, n))  # 2 k2 and 2 k3
+    total = np.empty((2, P, n))
+    size = np.empty((P, n))
+    outside = np.empty((P, n), dtype=bool)
+    nodes = np.empty((P, L + 1, n))
+    nodes[:, 0] = stage[0, 0]
+    for j in range(L):
+        # the groups with more than j intervals hold the first p rows
+        live = sum(count > j for count in counts)
+        p = rows[live]
+        s = np.repeat([sub[j] for sub in subs[:live]], sizes[:live])[:, None]
+        shifts = (0.5 * s, 0.5 * s, s)  # from stage i to stage i + 1
+        s6 = s / 6.0
+        k = stage[:, :, :p]
+        x, a, pt, sl = tuple(k[:, 0]), tuple(k[:, 2]), tuple(k[:, :2]), tuple(k[:, 1:])
+        d, tot, size_p, out_p = doubled[:, :, :p], total[:, :p], size[:p], outside[:p]
         for _ in range(_RK4_SUBSTEPS):
-            k1x = v
-            k1v = -np.asarray(model.grad_potential(x), dtype=float) / m
-            x2 = x + 0.5 * sub * k1x
-            k2x = v + 0.5 * sub * k1v
-            k2v = -np.asarray(model.grad_potential(x2), dtype=float) / m
-            x3 = x + 0.5 * sub * k2x
-            k3x = v + 0.5 * sub * k2v
-            k3v = -np.asarray(model.grad_potential(x3), dtype=float) / m
-            x4 = x + sub * k3x
-            k4x = v + sub * k3v
-            k4v = -np.asarray(model.grad_potential(x4), dtype=float) / m
-            x = x + (sub / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            v = v + (sub / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            if np.any(np.max(np.abs(x), axis=1) > _GUARD_RADIUS):
+            for i, h in enumerate(shifts):
+                np.divide(model.grad_potential(x[i]), -m, out=a[i])
+                np.multiply(h, sl[i], out=pt[i + 1])
+                np.add(pt[0], pt[i + 1], out=pt[i + 1])
+            np.divide(model.grad_potential(x[3]), -m, out=a[3])
+            np.multiply(2.0, k[1:3, 1:], out=d)
+            np.add(sl[0], d[0], out=tot)
+            np.add(tot, d[1], out=tot)
+            np.add(tot, sl[3], out=tot)
+            np.multiply(s6, tot, out=tot)
+            np.add(pt[0], tot, out=pt[0])
+            np.abs(x[0], out=size_p)
+            if np.greater(size_p, _GUARD_RADIUS, out=out_p).any():
                 raise BlowUpError(
                     f"trajectory left the guard radius {_GUARD_RADIUS:g} "
                     f"within grid interval {j}"
                 )
-        nodes[:, j + 1] = x
-    return nodes, x, v
+        nodes[:p, j + 1] = x[0]
+    out = [None] * len(groups)
+    for r, g in enumerate(order):
+        block = slice(rows[r], rows[r + 1])
+        out[g] = (
+            nodes[block, : counts[r] + 1],
+            stage[0, 0, block].copy(),
+            stage[0, 1, block].copy(),
+        )
+    return out
 
 
 def _el_step(

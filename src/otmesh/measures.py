@@ -8,11 +8,12 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .integrators import _interior_defects, reference_flow_batch
+from .integrators import _interior_defects, _rk4_march, reference_flow_batch
+from .models import LagrangianModel
+from .paths import Path, PhasePoint, TimeGrid, _midpoint_actions, uniform_distance
 # unused here, but bench/tracing.py wraps these names in this module
 from .integrators import el_residual, reference_flow  # noqa: F401
-from .models import LagrangianModel
-from .paths import Path, PhasePoint, TimeGrid, midpoint_action, uniform_distance
+from .paths import midpoint_action  # noqa: F401
 from .transport import PointCloud, solve_assignment
 
 
@@ -152,9 +153,12 @@ def _pairwise_sup_distances(
 
     When each measure has a common grid (the two grids may differ), all atoms
     are evaluated at the merged nodes, where the supremum is attained, and a
-    running maximum over those times keeps temporaries at (N_p, N_q, n).  The
-    result equals ``uniform_distance`` pair by pair, bitwise; the per-pair
-    call is only made for measures without a common grid.
+    running maximum of squared distances over those times keeps temporaries
+    at (N_p, N_q, n); one square root follows.  ``np.linalg.norm`` of real
+    input is the square root of the same sum of squares, and the square root
+    is monotone and correctly rounded, so the result equals
+    ``uniform_distance`` pair by pair, bitwise; the per-pair call is only
+    made for measures without a common grid.
     """
     if p.time_span != q.time_span:
         raise ValueError(
@@ -169,10 +173,12 @@ def _pairwise_sup_distances(
     times = np.union1d(nodes_p, nodes_q)
     A = _atoms_at(p, times)
     B = _atoms_at(q, times)
-    out = np.linalg.norm(A[:, None, 0] - B[None, :, 0], axis=-1)
+    d = A[:, None, 0] - B[None, :, 0]
+    out = np.sum(d * d, axis=-1)
     for k in range(1, times.size):
-        np.maximum(out, np.linalg.norm(A[:, None, k] - B[None, :, k], axis=-1), out=out)
-    return out
+        d = A[:, None, k] - B[None, :, k]
+        np.maximum(out, np.sum(d * d, axis=-1), out=out)
+    return np.sqrt(out, out=out)
 
 
 def bl_distance_bound(p: EmpiricalPathMeasure, q: EmpiricalPathMeasure) -> float:
@@ -231,17 +237,22 @@ def concentration_diagnostics(
 ) -> ConcentrationReport:
     """Quantify how close a path measure is to flow-concentrated stationarity.
 
-    Paths are grouped by grid and every group is diagnosed at once: one
-    batched RK4 reference flow from the first nodes and first difference
-    quotients, sup-distances over the shared nodes, and EL residuals from the
-    batched interior defects.  The values are bitwise those of ``el_residual``
-    and ``uniform_distance`` applied path by path.
+    Paths are grouped by grid.  Every group gets its EL residuals from the
+    batched interior defects and its midpoint actions in one batch, and all
+    groups share one RK4 march (``_rk4_march``) of the reference flow from
+    the first nodes and first difference quotients; sup-distances are taken
+    over each group's nodes.  The values are bitwise those of
+    ``el_residual``, ``midpoint_action`` and ``uniform_distance`` applied
+    path by path.  If a reference orbit leaves the guard radius, BlowUpError
+    names the earliest grid interval where one did, over all groups.
     """
     resids = np.zeros(pi.size)
     dists = np.empty(pi.size)
+    actions = np.empty(pi.size)
     groups: dict[bytes, list[int]] = {}
     for i, path in enumerate(pi.paths):
         groups.setdefault(path.grid.nodes.tobytes(), []).append(i)
+    batches = []
     for members in groups.values():
         grid = pi.paths[members[0]].grid
         dt = grid.spacings
@@ -249,8 +260,9 @@ def concentration_diagnostics(
         if grid.n_intervals >= 2:
             defects = _interior_defects(model, X, dt)
             resids[members] = np.max(np.linalg.norm(defects, axis=-1), axis=-1)
-        v0 = (X[:, 1] - X[:, 0]) / dt[0]
-        orbits, _, _ = reference_flow_batch(model, X[:, 0], v0, grid)
+        actions[members] = _midpoint_actions(model, X, dt)
+        batches.append((members, X, (X[:, 0], (X[:, 1] - X[:, 0]) / dt[0], grid)))
+    flows = _rk4_march(model, [starts for _, _, starts in batches])
+    for (members, X, _), (orbits, _, _) in zip(batches, flows):
         dists[members] = np.max(np.linalg.norm(X - orbits, axis=-1), axis=-1)
-    actions = np.array([midpoint_action(model, path) for path in pi.paths])
     return ConcentrationReport(resids, dists, actions)

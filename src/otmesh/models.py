@@ -181,7 +181,7 @@ def free_particle(mass: float = 1.0) -> LagrangianModel:
     return LagrangianModel(
         mass=mass,
         potential=lambda x: np.zeros(np.shape(x)[:-1]),
-        grad_potential=np.zeros_like,
+        grad_potential=lambda x: np.zeros(np.shape(x)),
         hess_bound=lambda radius: 0.0,
         quadratic_growth=1.0,
         potential_sup=0.0,

@@ -134,6 +134,67 @@ def test_reference_flow_batch_matches_scalar_loop_bitwise(model, dim, grid):
         assert np.array_equal(single.final_state.velocity, want_v)
 
 
+MARCH_GRIDS = [
+    TimeGrid.uniform(0.0, 1.0, 7),
+    TimeGrid.uniform(0.0, 1.0, 1),
+    TimeGrid(np.array([0.0, 0.02, 0.1, 0.13, 0.3, 0.32, 0.5, 0.61, 0.7, 0.8, 0.85, 0.93, 1.0])),
+    TimeGrid.uniform(0.0, 1.0, 12),
+]
+
+
+@pytest.mark.parametrize(
+    "model, dim",
+    [(factory(), 2) for factory in MODEL_CATALOG.values()]
+    + [(harmonic_oscillator(mass=0.7), 1), (cosine_potential(amplitude=2.0, dim=3), 3)],
+    ids=list(MODEL_CATALOG) + ["harmonic_mass_0.7", "cosine_dim_3"],
+)
+def test_rk4_march_matches_scalar_loop_per_group(model, dim):
+    # interval counts 7, 1, 12 (non-uniform, one path) and 12 (uniform), out of
+    # length order and with a tie, all in one march
+    rng = np.random.default_rng(31)
+    sizes = [4, 3, 1, 5]
+    groups = [
+        (rng.uniform(-1.2, 1.2, (size, dim)), rng.uniform(-1.0, 1.0, (size, dim)), grid)
+        for size, grid in zip(sizes, MARCH_GRIDS)
+    ]
+    flows = integrators._rk4_march(model, groups)
+    assert len(flows) == len(groups)
+    for (starts, launches, grid), (nodes, x_end, v_end) in zip(groups, flows):
+        assert nodes.shape == (starts.shape[0], grid.n_intervals + 1, dim)
+        for i in range(starts.shape[0]):
+            want_nodes, want_x, want_v = scalar_rk4(model, starts[i], launches[i], grid)
+            assert np.array_equal(nodes[i], want_nodes)
+            assert np.array_equal(x_end[i], want_x)
+            assert np.array_equal(v_end[i], want_v)
+
+
+def test_rk4_march_blow_up_in_a_shorter_group_names_its_interval():
+    # the 4-interval group's launch 3e6 leaves the radius 1e6 at t = 1/3, inside
+    # its interval 1; the 12-interval group stays at the origin
+    launches = np.zeros((3, 1))
+    launches[2] = 3e6
+    groups = [
+        (np.zeros((2, 1)), np.zeros((2, 1)), TimeGrid.uniform(0, 1, 12)),
+        (np.zeros((3, 1)), launches, TimeGrid.uniform(0, 1, 4)),
+    ]
+    with pytest.raises(BlowUpError, match="within grid interval 1$"):
+        integrators._rk4_march(FREE, groups)
+    with pytest.raises(BlowUpError, match="within grid interval 1$"):
+        reference_flow_batch(FREE, *groups[1])
+
+
+def test_integrators_hold_one_rk4_substep_loop():
+    tree = ast.parse(inspect.getsource(integrators))
+    loops = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For)
+        and isinstance(node.iter, ast.Call)
+        and "_RK4_SUBSTEPS" in ast.unparse(node.iter)
+    ]
+    assert len(loops) == 1
+
+
 def test_reference_flow_batch_blow_up_of_one_path_raises():
     # only path 5 leaves the radius 1e6, at t = 1/3, inside interval 3
     launches = np.zeros((8, 1))

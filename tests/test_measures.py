@@ -9,6 +9,8 @@ from otmesh import (
     TimeGrid,
     bl_distance_bound,
     concentration_diagnostics,
+    cosine_potential,
+    double_well,
     el_residual,
     free_particle,
     harmonic_oscillator,
@@ -167,13 +169,25 @@ def test_bl_bound_mixed_grids_falls_back_to_pairwise():
     ],
     ids=["nested", "non_nested"],
 )
-def test_bl_bound_on_two_common_grids_matches_per_pair_distances(coarse, fine):
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bl_bound_on_two_common_grids_matches_per_pair_distances(coarse, fine, dim):
     # the convergence-study shape: a replicated coarse level against a fine one
     rng = np.random.default_rng(8)
-    p = random_measure(rng, coarse, 8, 2).replicate(4)
-    q = random_measure(rng, fine, 32, 2)
+    p = random_measure(rng, coarse, 8, dim).replicate(4)
+    q = random_measure(rng, fine, 32, dim)
     assert np.array_equal(_pairwise_sup_distances(p, q), per_pair_distances(p, q))
     assert np.array_equal(_pairwise_sup_distances(q, p), per_pair_distances(q, p))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sup_distances_of_duplicate_paths_are_zero(dim):
+    rng = np.random.default_rng(10)
+    p = random_measure(rng, TimeGrid.uniform(0, 1, 6), 5, dim)
+    q = EmpiricalPathMeasure(p.paths[::-1]).replicate(2)
+    got = _pairwise_sup_distances(p, q)
+    assert np.array_equal(got, per_pair_distances(p, q))
+    assert np.count_nonzero(got == 0.0) == 10
+    assert np.array_equal(_pairwise_sup_distances(q, q), per_pair_distances(q, q))
 
 
 def test_bl_bound_rejects_measures_on_different_spans():
@@ -242,22 +256,28 @@ def test_diagnostics_reconstruction_distance_shrinks_with_h():
     assert maxima[0] / maxima[1] >= 1.8
 
 
-def test_diagnostics_match_per_path_oracle_on_mixed_grids():
-    # three grids in one measure: each group is batched, results stay in order
+@pytest.mark.parametrize(
+    "model",
+    [HARMONIC, cosine_potential(amplitude=1.5, dim=2), double_well()],
+    ids=["harmonic", "cosine", "double_well"],
+)
+def test_diagnostics_match_per_path_oracle_on_mixed_grids(model):
+    # three grids in one measure: each group is batched, all share one RK4
+    # march, results stay in order
     rng = np.random.default_rng(12)
     grids = [TimeGrid.uniform(0, 1, 12), TimeGrid.uniform(0, 1, 1), TimeGrid.uniform(0, 1, 5)]
     paths = tuple(
         Path(grids[i % 3], rng.uniform(-1, 1, (grids[i % 3].n_intervals + 1, 2)))
         for i in range(10)
     )
-    report = concentration_diagnostics(HARMONIC, EmpiricalPathMeasure(paths))
+    report = concentration_diagnostics(model, EmpiricalPathMeasure(paths))
     for i, path in enumerate(paths):
         v0 = (path.nodes[1] - path.nodes[0]) / path.grid.spacings[0]
-        orbit = reference_flow(HARMONIC, PhasePoint(path.nodes[0], v0), path.grid).path
-        resid = el_residual(HARMONIC, path) if path.grid.n_intervals >= 2 else 0.0
+        orbit = reference_flow(model, PhasePoint(path.nodes[0], v0), path.grid).path
+        resid = el_residual(model, path) if path.grid.n_intervals >= 2 else 0.0
         assert report.el_residuals[i] == resid
         assert report.reconstruction_distances[i] == uniform_distance(path, orbit)
-        assert report.midpoint_actions[i] == midpoint_action(HARMONIC, path)
+        assert report.midpoint_actions[i] == midpoint_action(model, path)
 
 
 def test_push_forward_reference_matches_per_atom_flow():

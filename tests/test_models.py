@@ -50,6 +50,19 @@ def test_energy_values():
     assert harmonic_oscillator(mass=3.0, stiffness=2.0).energy(2.0, 1.0) == pytest.approx(5.5)
 
 
+@pytest.mark.parametrize(
+    "x",
+    [np.array([0.5, -2.0]), np.ones((160, 1)), np.arange(6).reshape(3, 2), [[1, 2, 3]]],
+    ids=["point", "batch", "int_batch", "list"],
+)
+def test_free_particle_gradient_is_float_zeros_of_input_shape(x):
+    grad = free_particle().grad_potential(x)
+    assert isinstance(grad, np.ndarray)
+    assert grad.dtype == np.float64
+    assert grad.shape == np.shape(x)
+    assert not grad.any()
+
+
 def test_dimension_mismatch_raises():
     model = free_particle()
     with pytest.raises(DimensionMismatchError):

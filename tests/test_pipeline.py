@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -515,3 +516,59 @@ def test_convergence_study_reports_blow_up_of_one_path_as_error_row():
     (row,) = report.rows
     assert row.status == "error"
     assert "guard radius" in row.error
+
+
+COSINE = cosine_potential(amplitude=0.8)
+
+
+def test_convergence_study_rows_are_the_per_level_diagnostics():
+    # two levels on one grid and one on a finer grid, diagnosed in one call
+    Ns, hs = (4, 8, 16), (0.1, 0.1, 0.05)
+    report = run_convergence_study(
+        COSINE, UNIT_A, UNIT_B, Ns, hs, (0.0, 1.0), cost_kind="bvp"
+    )
+    assert report.all_ok
+    for row, N, h in zip(report.rows, Ns, hs):
+        grid = TimeGrid.from_step(0.0, 1.0, h)
+        result = solve_discrete_otm(
+            COSINE, sample_marginal(UNIT_A, N), sample_marginal(UNIT_B, N), grid,
+            cost_kind="bvp",
+        )
+        diag = pipeline.concentration_diagnostics(COSINE, result.measure)
+        assert (row.N, row.h) == (N, grid.max_spacing)
+        assert row.min_action == result.min_action
+        assert row.max_el_residual == float(np.max(diag.el_residuals))
+        assert row.max_reconstruction_dist == float(np.max(diag.reconstruction_distances))
+
+
+def test_convergence_study_marches_the_reference_flow_once(monkeypatch):
+    from otmesh import measures
+
+    calls = []
+    march = measures._rk4_march
+
+    def counted(model, groups):
+        calls.append(len(groups))
+        return march(model, groups)
+
+    monkeypatch.setattr(measures, "_rk4_march", counted)
+    report = run_convergence_study(
+        FREE, UNIT_A, UNIT_B, (4, 8, 16), (0.25, 0.125, 0.0625), (0.0, 1.0)
+    )
+    assert report.all_ok
+    assert calls == [3]
+
+
+def test_convergence_study_blow_up_level_leaves_other_levels_bitwise():
+    # the N = 4 level's last pair ends at 1.3125e6, past the guard radius 1e6;
+    # the N = 1 level's only pair ends at 7.5e5 and stays inside it
+    target = MarginalSpec("uniform_box", low=0.0, high=1.5e6, sampler="quantile")
+    report = run_convergence_study(FREE, UNIT_A, target, [4, 1], [0.1, 0.1], (0.0, 1.0))
+    ok, failed = report.rows[0], report.rows[1]
+    (alone_failed,) = run_convergence_study(FREE, UNIT_A, target, [4], [0.1], (0.0, 1.0)).rows
+    (alone_ok,) = run_convergence_study(FREE, UNIT_A, target, [1], [0.1], (0.0, 1.0)).rows
+    assert (failed.N, failed.status) == (4, "error")
+    assert "guard radius" in failed.error
+    assert failed.error == alone_failed.error
+    assert ok.status == "ok"
+    assert replace(ok, wall_time=0.0) == replace(alone_ok, wall_time=0.0)
