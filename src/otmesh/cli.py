@@ -13,6 +13,7 @@ for more is a config error, raised before anything is allocated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,12 +37,14 @@ from .serialize import (
     convergence_report_to_json,
     dumps_json,
     matrix_from_csv,
-    matrix_to_csv,
     measure_from_csv,
     path_to_csv,
     stationarity_report_to_csv,
     stationarity_report_to_json,
+    write_matrix_csv,
 )
+# unused here, but bench/tracing.py wraps this name
+from .serialize import matrix_to_csv  # noqa: F401
 from .transport import PointCloud, solve_assignment
 
 EXIT_OK = 0
@@ -69,7 +72,9 @@ MAX_PARTICLES = 4096
 MAX_BATCH = 10_000_000
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="otmesh",
         description="Meshfree particle transport with variational time integration",
@@ -293,7 +298,7 @@ def _out_dir(args, cfg: dict) -> FsPath:
 
 
 def _write(path: FsPath, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", newline="")
     print(f"wrote {path}")
 
 
@@ -373,7 +378,8 @@ def cmd_transport(args, cfg: dict) -> int:
             raise ConfigError(
                 f"'costs_csv' must be a square matrix, got shape {costs.shape}"
             )
-        if not np.all(np.isfinite(costs)):
+        # min and max are NaN or infinite if any entry is; no N x N temporary
+        if costs.size and not (np.isfinite(costs.min()) and np.isfinite(costs.max())):
             raise ConfigError("'costs_csv' entries must be finite")
     else:
         model = _model_from(cfg)
@@ -407,7 +413,10 @@ def cmd_transport(args, cfg: dict) -> int:
         "average_cost": plan.average_cost,
     }
     _write(out / "transport_result.json", dumps_json(payload))
-    _write(out / "cost_matrix.csv", matrix_to_csv(costs))
+    # streamed: the CSV text of an N x N matrix is never held whole
+    path = out / "cost_matrix.csv"
+    write_matrix_csv(path, costs)
+    print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -354,12 +354,26 @@ def closed_form_cost_matrix(
     sq_x = np.sum(X * X, axis=1)[:, None]
     sq_y = np.sum(Y * Y, axis=1)[None, :]
     cross = X @ Y.T
+    # in place, in the order of operations of 0.5 m (|x|^2 + |y|^2 - 2 x.y) / span
+    # and 0.5 m omega ((|x|^2 + |y|^2) cos - 2 x.y) / sin: bitwise their values,
+    # with only cross and one more N x M array held
     if model.name == "free_particle":
-        return 0.5 * model.mass * (sq_x + sq_y - 2.0 * cross) / span
+        costs = sq_x + sq_y
+        cross *= 2.0
+        costs -= cross
+        costs *= 0.5 * model.mass
+        costs /= span
+        return costs
     if model.name == "harmonic":
         omega = math.sqrt(model.params["stiffness"] / model.mass)
         s = math.sin(omega * span)
         if abs(s) < 1e-12:
             raise ValueError(f"span {span} is conjugate for the harmonic model")
-        return 0.5 * model.mass * omega * ((sq_x + sq_y) * math.cos(omega * span) - 2.0 * cross) / s
+        costs = sq_x + sq_y
+        costs *= math.cos(omega * span)
+        cross *= 2.0
+        costs -= cross
+        costs *= 0.5 * model.mass * omega
+        costs /= s
+        return costs
     raise ValueError(f"no closed-form cost for model {model.name!r}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import io
 import json
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -80,7 +80,7 @@ def _coordinate_header(dim: int) -> list[str]:
 def path_to_csv(path: Path) -> str:
     """One nodal row per line with columns t, x_1..x_n."""
     header = ",".join(["t"] + _coordinate_header(path.dim))
-    return _rows_to_csv(header, np.column_stack((path.grid.nodes, path.nodes)))
+    return "".join(_rows_to_csv(header, np.column_stack((path.grid.nodes, path.nodes))))
 
 
 def path_from_csv(text: str) -> Path:
@@ -101,7 +101,7 @@ def measure_to_csv(measure: EmpiricalPathMeasure) -> str:
             for pid, p in enumerate(measure.paths)
         ]
     )
-    return _rows_to_csv(header, rows)
+    return "".join(_rows_to_csv(header, rows))
 
 
 def measure_from_csv(text: str) -> EmpiricalPathMeasure:
@@ -118,6 +118,21 @@ def measure_from_csv(text: str) -> EmpiricalPathMeasure:
 
 def matrix_to_csv(matrix: np.ndarray) -> str:
     """Header c_1..c_m, then one row of the matrix per line."""
+    return "".join(_matrix_csv_chunks(matrix))
+
+
+def write_matrix_csv(path, matrix: np.ndarray) -> None:
+    """Write matrix_to_csv(matrix) to the file at path, one chunk at a time.
+
+    The text is never held whole: at most one chunk of _CSV_CELL_BUDGET
+    cells is in memory.  Line endings are "\n" on every platform.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for chunk in _matrix_csv_chunks(matrix):
+            fh.write(chunk)
+
+
+def _matrix_csv_chunks(matrix: np.ndarray) -> Iterator[str]:
     M = np.atleast_2d(np.asarray(matrix, dtype=float))
     return _rows_to_csv(",".join(f"c_{j + 1}" for j in range(M.shape[1])), M)
 
@@ -152,8 +167,9 @@ def _numeric_rows(text: str) -> list[list[float]]:
 # Vectorized "%.17g": rows of floats as CSV text
 # ---------------------------------------------------------------------------
 
-# cells formatted per chunk: about 3 MB of byte slots, and 64 rows at N = 1024
-_CSV_CELL_BUDGET = 2**16
+# cells formatted per chunk: the chunk's temporaries take about 290 bytes per
+# cell, some 4.7 MB, and 16 rows at N = 1024
+_CSV_CELL_BUDGET = 2**14
 
 # One cell's 48 byte slots, six 8-byte words: the sign, the "0.000" prefix,
 # the 17 digits each followed by a ".", "e-0" and one exponent digit, the
@@ -311,23 +327,23 @@ def _format_cells(x: np.ndarray, last_in_row: np.ndarray) -> str:
     return "".join(pieces)
 
 
-def _rows_to_csv(header: str, M: np.ndarray) -> str:
+def _rows_to_csv(header: str, M: np.ndarray) -> Iterator[str]:
     """The header line, then each row of M as format_float of its cells joined
-    by ",", one row per line.
+    by ",", one row per line, as a sequence of chunks.
 
-    Byte-identical to the per-cell join.  Formats _CSV_CELL_BUDGET cells at a
-    time, so a chunk may end inside a row.
+    Joined, byte-identical to the per-cell join.  Formats _CSV_CELL_BUDGET
+    cells per chunk, so a chunk may end inside a row.
     """
     rows, cols = M.shape
     if cols == 0:
-        return header + "\n" * (rows + 1)
+        yield header + "\n" * (rows + 1)
+        return
+    yield header + "\n"
     flat = np.ravel(M)
-    chunks = [header + "\n"]
     for start in range(0, flat.size, _CSV_CELL_BUDGET):
         stop = min(start + _CSV_CELL_BUDGET, flat.size)
         last_in_row = np.arange(start + 1, stop + 1) % cols == 0
-        chunks.append(_format_cells(flat[start:stop], last_in_row))
-    return "".join(chunks)
+        yield _format_cells(flat[start:stop], last_in_row)
 
 
 # ---------------------------------------------------------------------------

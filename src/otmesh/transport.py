@@ -22,6 +22,10 @@ _BRUTE_FORCE_MAX = 9
 # matrix: about 10 MB of band matrix, and never less than one source row
 _BVP_BATCH_BUDGET = 2**18
 
+# entries of one row block of the sorted matrix in the 1-D Monge check: 1 MB,
+# and 128 rows at N = 1024
+_MONGE_BLOCK_BUDGET = 2**17
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -148,7 +152,8 @@ def solve_assignment(
     M = np.asarray(costs, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    # min and max are NaN or infinite if any entry is; no N x N temporary
+    if M.size and not (np.isfinite(M.min()) and np.isfinite(M.max())):
         raise ValueError("cost matrix entries must be finite")
     matching = _monotone_matching(M, source, target)
     if matching is None:
@@ -176,9 +181,13 @@ def _monotone_matching(
         return None
     rows = np.argsort(source.points[:, 0], kind="stable")
     cols = np.argsort(target.points[:, 0], kind="stable")
-    S = M[np.ix_(rows, cols)]
-    if not np.all(np.diff(np.diff(S, axis=0), axis=1) <= 0):
-        return None
+    # the sorted matrix S in row blocks that share their edge rows, so no
+    # N x N temporary is built; each inequality is tested as on the whole S
+    step = max(1, _MONGE_BLOCK_BUDGET // N)
+    for first in range(0, N - 1, step):
+        S = M[np.ix_(rows[first : first + step + 1], cols)]
+        if not np.all(np.diff(np.diff(S, axis=0), axis=1) <= 0):
+            return None
     return rows, cols
 
 

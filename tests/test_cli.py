@@ -9,11 +9,13 @@ from contextlib import contextmanager
 from pathlib import Path as FsPath
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from otmesh.cli import main
+from otmesh import PointCloud, TimeGrid, cost_matrix, make_model, serialize
+from otmesh.cli import build_parser, main
 
 SRC_DIR = FsPath(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = SRC_DIR / "otmesh" / "schemas"
@@ -34,6 +36,14 @@ def load_and_validate(path: FsPath, schema_name: str) -> dict:
 
 def csv_lines(path: FsPath) -> list[str]:
     return path.read_text(encoding="utf-8").strip().splitlines()
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+    args = build_parser().parse_args(["flow", "--config", "a.json", "--seed", "3"])
+    assert (args.command, args.config, args.seed, args.out) == ("flow", "a.json", 3, None)
+    args = build_parser().parse_args(["bvp", "--config", "b.json"])
+    assert (args.command, args.config, args.seed) == ("bvp", "b.json", None)
 
 
 # -- bvp ------------------------------------------------------------------------
@@ -148,6 +158,38 @@ def test_cli_transport_from_clouds(tmp_path):
     assert main(["transport", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "transport_result.json").read_text())
     assert payload["total_cost"] == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cli_transport_streams_the_cost_matrix_csv_byte_for_byte(
+    tmp_path, capsys, monkeypatch, dim
+):
+    # a budget that is not a multiple of the row length ends chunks inside rows
+    monkeypatch.setattr(serialize, "_CSV_CELL_BUDGET", 777)
+    rng = np.random.default_rng(dim)
+    source = rng.uniform(0.0, 1.0, (60, dim))
+    target = rng.uniform(0.5, 2.5, (60, dim))
+    payload = {
+        "model": {"name": "harmonic"},
+        "cost_kind": "closed_form",
+        "span": [0.0, 1.0],
+        "intervals": 1,
+        "source_points": source.tolist(),
+        "target_points": target.tolist(),
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["transport", "--config", cfg, "--out", str(out)]) == 0
+    assert f"wrote {out / 'cost_matrix.csv'}" in capsys.readouterr().out.splitlines()
+    costs = cost_matrix(
+        make_model("harmonic"),
+        PointCloud(source),
+        PointCloud(target),
+        TimeGrid.uniform(0.0, 1.0, 1),
+        "closed_form",
+    )
+    expected = serialize.matrix_to_csv(costs).encode("ascii")
+    assert (out / "cost_matrix.csv").read_bytes() == expected
 
 
 @pytest.mark.parametrize(

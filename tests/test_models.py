@@ -7,6 +7,7 @@ from otmesh import (
     DimensionMismatchError,
     cosine_potential,
     closed_form_cost,
+    closed_form_cost_matrix,
     double_well,
     free_particle,
     harmonic_oscillator,
@@ -170,6 +171,36 @@ def test_invalid_constants_rejected():
         free_particle(mass=-1.0)
     with pytest.raises(ValueError):
         harmonic_oscillator(stiffness=0.0)
+
+
+def one_line_cost_matrix(model, X, Y, span):
+    """closed_form_cost_matrix as one expression per model, kept as its oracle."""
+    sq_x = np.sum(X * X, axis=1)[:, None]
+    sq_y = np.sum(Y * Y, axis=1)[None, :]
+    cross = X @ Y.T
+    if model.name == "free_particle":
+        return 0.5 * model.mass * (sq_x + sq_y - 2.0 * cross) / span
+    omega = math.sqrt(model.params["stiffness"] / model.mass)
+    s = math.sin(omega * span)
+    return 0.5 * model.mass * omega * ((sq_x + sq_y) * math.cos(omega * span) - 2.0 * cross) / s
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_in_place_closed_form_cost_matrix_is_bitwise_the_expression(dim):
+    rng = np.random.default_rng(dim)
+    models = [
+        free_particle(),
+        free_particle(mass=0.3),
+        harmonic_oscillator(),
+        harmonic_oscillator(mass=2.5, stiffness=0.7),
+    ]
+    for model in models:
+        for span in (0.1, 1.0, 2.9, 7.3):
+            X = rng.standard_normal((9, dim)) * 10.0 ** rng.integers(-3, 4, (9, 1))
+            Y = rng.uniform(-4.0, 4.0, (6, dim))
+            costs = closed_form_cost_matrix(model, X, Y, span)
+            assert costs.shape == (9, 6)
+            assert np.array_equal(costs, one_line_cost_matrix(model, X, Y, span))
 
 
 def test_closed_form_costs():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal
 
@@ -32,6 +33,7 @@ from otmesh.serialize import (
     measure_to_csv,
     path_from_csv,
     path_to_csv,
+    write_matrix_csv,
 )
 
 
@@ -199,6 +201,65 @@ def test_matrix_csv_chunks_may_end_inside_rows(monkeypatch, budget):
     for cols in (1, 4, 7, cells.size):
         M = cells[: cells.size // cols * cols].reshape(-1, cols)
         assert matrix_to_csv(M) == per_row_matrix_csv(M)
+
+
+# -- the streamed cost-matrix file ---------------------------------------------------
+
+FALLBACK_CELLS = np.array(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-7, -1e-7, 1e17, -1e17, 5e-324, 1.5]
+)
+
+
+def written_bytes(tmp_path, M) -> bytes:
+    path = tmp_path / "matrix.csv"
+    write_matrix_csv(path, M)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5, 64, 2**14])
+def test_written_matrix_csv_equals_the_text_when_chunks_end_inside_rows(
+    tmp_path, monkeypatch, budget
+):
+    monkeypatch.setattr(serialize, "_CSV_CELL_BUDGET", budget)
+    rng = np.random.default_rng(11)
+    spread = rng.standard_normal(60) * 10.0 ** rng.integers(-9, 19, 60)
+    cells = np.concatenate([EDGE_CELLS, FALLBACK_CELLS, spread])
+    rng.shuffle(cells)
+    for cols in (1, 4, 7, cells.size):
+        M = cells[: cells.size // cols * cols].reshape(-1, cols)
+        assert written_bytes(tmp_path, M) == matrix_to_csv(M).encode("ascii")
+
+
+@pytest.mark.parametrize("budget", [1, 4, 2**14])
+def test_written_matrix_csv_of_fallback_cells_and_degenerate_shapes(
+    tmp_path, monkeypatch, budget
+):
+    monkeypatch.setattr(serialize, "_CSV_CELL_BUDGET", budget)
+    matrices = [
+        FALLBACK_CELLS.reshape(1, -1),
+        FALLBACK_CELLS.reshape(-1, 1),
+        np.array(-0.0),
+        np.array([], dtype=float),
+    ] + [np.zeros(shape) for shape in [(0, 3), (3, 0), (0, 0), (1, 0)]]
+    for M in matrices:
+        assert written_bytes(tmp_path, M) == matrix_to_csv(M).encode("ascii")
+    assert written_bytes(tmp_path, np.array(-0.0)) == b"c_1\n-0\n"
+    assert written_bytes(tmp_path, np.zeros((3, 0))) == b"\n\n\n\n"
+
+
+def test_writing_a_matrix_csv_holds_one_chunk_not_the_text(tmp_path):
+    # the 1024^2 text is about 21 MB; one chunk's temporaries about 4.7 MB
+    M = np.random.default_rng(2).uniform(-3.0, 3.0, (1024, 1024))
+    path = tmp_path / "matrix.csv"
+    write_matrix_csv(tmp_path / "warm.csv", M[:2])  # builds the kernel's tables
+    tracemalloc.start()
+    try:
+        write_matrix_csv(path, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert path.stat().st_size > 2 * 8 * 2**20
 
 
 def test_csv_writers_raise_no_runtime_warning_outside_errstate():

@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -425,3 +426,65 @@ def test_sorted_assignment_rejects_mismatched_clouds():
         solve_assignment(costs, source=two, target=three)
     with pytest.raises(ValueError):
         solve_assignment(costs, source=three, target=two)
+
+
+# -- bounded temporaries -----------------------------------------------------------
+
+
+def planted_monge_case(N, mixed, rng):
+    """Shuffled 1-D clouds and a matrix whose sorted form S has the integer
+    adjacent mixed differences np.diff(np.diff(S, axis=0), axis=1) == mixed."""
+    S = np.zeros((N, N))
+    S[1:, 1:] = np.cumsum(np.cumsum(mixed, axis=0), axis=1)
+    S += rng.integers(-5, 5, N)[:, None] + rng.integers(-5, 5, N)[None, :]
+    source = PointCloud(rng.permutation(N).astype(float))
+    target = PointCloud(rng.permutation(N).astype(float))
+    rows = np.argsort(source.points[:, 0], kind="stable")
+    cols = np.argsort(target.points[:, 0], kind="stable")
+    M = np.empty((N, N))
+    M[np.ix_(rows, cols)] = S
+    return M, S, source, target
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_row_blocked_monge_check_decides_as_the_whole_matrix(monkeypatch, block_rows):
+    N = 7
+    monkeypatch.setattr(transport, "_MONGE_BLOCK_BUDGET", block_rows * N)
+    rng = np.random.default_rng(block_rows)
+    base = -np.ones((N - 1, N - 1))
+    base[rng.random(base.shape) < 0.3] = 0.0  # equalities pass
+    cases = [base]
+    for i in range(N - 1):
+        for j in range(N - 1):
+            for violation in (1.0, 0.5):
+                mixed = base.copy()
+                mixed[i, j] = violation
+                cases.append(mixed)
+    for mixed in cases:
+        M, S, source, target = planted_monge_case(N, mixed, rng)
+        whole = bool(np.all(np.diff(np.diff(S, axis=0), axis=1) <= 0))
+        assert whole == bool(np.all(mixed <= 0))
+        matching = transport._monotone_matching(M, source, target)
+        assert (matching is not None) == whole
+        if matching is not None:
+            rows, cols = matching
+            assert np.array_equal(M[np.ix_(rows, cols)], S)
+
+
+def test_assignment_of_one_dimensional_clouds_holds_no_n_squared_temporary():
+    N = 1024
+    rng = np.random.default_rng(0)
+    source = PointCloud(rng.uniform(0.0, 1.0, N))
+    target = PointCloud(rng.uniform(0.5, 2.5, N))
+    grid = TimeGrid.uniform(0.0, 1.0, 1)
+    costs = cost_matrix(harmonic_oscillator(), source, target, grid, "closed_form")
+    tracemalloc.start()
+    try:
+        with counting_lap() as calls:
+            plan = solve_assignment(costs, source=source, target=target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert peak < costs.nbytes
+    assert plan.total_cost == solve_assignment(costs).total_cost
