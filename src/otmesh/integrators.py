@@ -159,9 +159,12 @@ def _rk4_march(
     per group, in the same order.  All rows march together: they are sorted
     by interval count, largest first, so the rows still marching at grid
     interval j are a prefix, and every grid takes ``_RK4_SUBSTEPS`` substeps
-    per interval.  Step sizes are per-row columns taken from each grid's own
-    spacings, and every stage is elementwise in the order of the one-start
-    loop
+    per interval.  The intervals split into phases, maximal runs with the
+    same rows marching; each phase copies its rows into a stage buffer of
+    its own, so every call of a substep is elementwise on C-contiguous
+    operands of one shape.  Step sizes are per-row values taken from each
+    grid's own spacings, and every stage is elementwise in the order of the
+    one-start loop
 
         slope(x, v) = (v, -grad V(x) / m),  k1 = slope((x, v)),
         k2 = slope((x, v) + (sub/2) k1),  k3 = slope((x, v) + (sub/2) k2),
@@ -172,61 +175,77 @@ def _rk4_march(
     where one did.
     """
     m = model.mass
+    grad, divide, multiply, add = model.grad_potential, np.divide, np.multiply, np.add
+    abs_, fmax = np.abs, np.fmax.reduce
     order = sorted(range(len(groups)), key=lambda g: -groups[g][2].n_intervals)
     starts, launches, grids = zip(*(groups[g] for g in order))
     counts = [grid.n_intervals for grid in grids]
     subs = [grid.spacings / _RK4_SUBSTEPS for grid in grids]
     sizes = [len(x0) for x0 in starts]
     rows = np.cumsum([0] + sizes)
-    P, n, L = rows[-1], np.shape(starts[0])[1], counts[0]
-    # stage k is stage[k] (3, P, n): rows 0-1 hold its point (x, v) and rows
-    # 1-2 its slope (v, a), so the slope's position part is the point's velocity
-    stage = np.empty((4, 3, P, n))
-    stage[0, 0] = np.concatenate(starts)
-    stage[0, 1] = np.concatenate(launches)
-    doubled = np.empty((2, 2, P, n))  # 2 k2 and 2 k3
-    total = np.empty((2, P, n))
-    size = np.empty((P, n))
-    outside = np.empty((P, n), dtype=bool)
-    nodes = np.empty((P, L + 1, n))
-    nodes[:, 0] = stage[0, 0]
-    for j in range(L):
-        # the groups with more than j intervals hold the first p rows
-        live = sum(count > j for count in counts)
+    P, n = rows[-1], np.shape(starts[0])[1]
+    state = np.empty((2, P, n))  # (x, v) of every row between phases
+    state[0] = np.concatenate(starts)
+    state[1] = np.concatenate(launches)
+    nodes = np.empty((P, counts[0] + 1, n))
+    nodes[:, 0] = state[0]
+    first = 0
+    for live in range(len(counts), 0, -1):
+        last = counts[live - 1]
+        if last <= first:
+            continue
+        # intervals first..last-1 march the rows of the first `live` groups
         p = rows[live]
-        s = np.repeat([sub[j] for sub in subs[:live]], sizes[:live])[:, None]
-        shifts = (0.5 * s, 0.5 * s, s)  # from stage i to stage i + 1
-        s6 = s / 6.0
-        k = stage[:, :, :p]
-        x, a, pt, sl = tuple(k[:, 0]), tuple(k[:, 2]), tuple(k[:, :2]), tuple(k[:, 1:])
-        d, tot, size_p, out_p = doubled[:, :, :p], total[:, :p], size[:p], outside[:p]
-        for _ in range(_RK4_SUBSTEPS):
-            for i, h in enumerate(shifts):
-                np.divide(model.grad_potential(x[i]), -m, out=a[i])
-                np.multiply(h, sl[i], out=pt[i + 1])
-                np.add(pt[0], pt[i + 1], out=pt[i + 1])
-            np.divide(model.grad_potential(x[3]), -m, out=a[3])
-            np.multiply(2.0, k[1:3, 1:], out=d)
-            np.add(sl[0], d[0], out=tot)
-            np.add(tot, d[1], out=tot)
-            np.add(tot, sl[3], out=tot)
-            np.multiply(s6, tot, out=tot)
-            np.add(pt[0], tot, out=pt[0])
-            np.abs(x[0], out=size_p)
-            if np.greater(size_p, _GUARD_RADIUS, out=out_p).any():
-                raise BlowUpError(
-                    f"trajectory left the guard radius {_GUARD_RADIUS:g} "
-                    f"within grid interval {j}"
-                )
-        nodes[:p, j + 1] = x[0]
+        # stage k is stage[k] (3, p, n): rows 0-1 hold its point (x, v) and
+        # rows 1-2 its slope (v, a), so the slope's position part is the
+        # point's velocity
+        stage = np.empty((4, 3, p, n))
+        stage[0, :2] = state[:, :p]
+        pt0, pt1, pt2, pt3 = stage[:, :2]
+        sl0, sl1, sl2, sl3 = stage[:, 1:]
+        x0, x1, x2, x3 = stage[:, 0]
+        a0, a1, a2, a3 = stage[:, 2]
+        half, whole, sixth = np.empty((3, 2, p, n))  # sub/2, sub, sub/6
+        d2, d3 = np.empty((2, 2, p, n))  # 2 k2 and 2 k3
+        total = np.empty((2, p, n))
+        size = np.empty((p, n))
+        phase_subs = np.repeat([sub[first:last] for sub in subs[:live]], sizes[:live], axis=0)
+        for j, s in enumerate(phase_subs.T[:, :, None], start=first):
+            multiply(0.5, s, out=half)
+            whole[...] = s
+            divide(s, 6.0, out=sixth)
+            for _ in range(_RK4_SUBSTEPS):
+                divide(grad(x0), -m, out=a0)
+                multiply(half, sl0, out=pt1)
+                add(pt0, pt1, out=pt1)
+                divide(grad(x1), -m, out=a1)
+                multiply(half, sl1, out=pt2)
+                add(pt0, pt2, out=pt2)
+                divide(grad(x2), -m, out=a2)
+                multiply(whole, sl2, out=pt3)
+                add(pt0, pt3, out=pt3)
+                divide(grad(x3), -m, out=a3)
+                multiply(2.0, sl1, out=d2)
+                multiply(2.0, sl2, out=d3)
+                add(sl0, d2, out=total)
+                add(total, d3, out=total)
+                add(total, sl3, out=total)
+                multiply(sixth, total, out=total)
+                add(pt0, total, out=pt0)
+                # fmax skips NaN as `>` does, so this tests any |x| > R; the
+                # initial 0 covers a phase of empty groups
+                if fmax(abs_(x0, out=size), axis=None, initial=0.0) > _GUARD_RADIUS:
+                    raise BlowUpError(
+                        f"trajectory left the guard radius {_GUARD_RADIUS:g} "
+                        f"within grid interval {j}"
+                    )
+            nodes[:p, j + 1] = x0
+        state[:, :p] = pt0
+        first = last
     out = [None] * len(groups)
     for r, g in enumerate(order):
         block = slice(rows[r], rows[r + 1])
-        out[g] = (
-            nodes[block, : counts[r] + 1],
-            stage[0, 0, block].copy(),
-            stage[0, 1, block].copy(),
-        )
+        out[g] = (nodes[block, : counts[r] + 1], state[0, block], state[1, block])
     return out
 
 

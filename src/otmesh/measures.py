@@ -50,11 +50,12 @@ class EmpiricalPathMeasure:
 
     def common_grid_nodes(self) -> np.ndarray | None:
         """Shared node vector when every path lives on the same grid."""
-        ref = self.paths[0].grid.nodes
+        grid = self.paths[0].grid
         for p in self.paths[1:]:
-            if not np.array_equal(p.grid.nodes, ref):
+            # paths from one solve or from replicate() share the grid object
+            if p.grid is not grid and not np.array_equal(p.grid.nodes, grid.nodes):
                 return None
-        return ref
+        return grid.nodes
 
     def replicate(self, factor: int) -> "EmpiricalPathMeasure":
         """Duplicate every atom; represents the same measure as a multiset."""
@@ -195,7 +196,15 @@ def bl_distance_bound(p: EmpiricalPathMeasure, q: EmpiricalPathMeasure) -> float
         raise ValueError(f"measures have different sizes: {p.size} vs {q.size}")
     if p.dim != q.dim:
         raise DimensionMismatchError("measures have different space dimensions")
-    ground = np.minimum(_pairwise_sup_distances(p, q), 2.0)
+    # replicate() repeats Path objects: measure each distinct atom once, in
+    # first-occurrence order, and give every copy its row
+    atoms = {id(path): path for path in p.paths}
+    if len(atoms) < p.size:
+        row = {key: k for k, key in enumerate(atoms)}
+        sup = _pairwise_sup_distances(EmpiricalPathMeasure(tuple(atoms.values())), q)
+        ground = np.minimum(sup, 2.0)[[row[id(path)] for path in p.paths]]
+    else:
+        ground = np.minimum(_pairwise_sup_distances(p, q), 2.0)
     return solve_assignment(ground).average_cost
 
 

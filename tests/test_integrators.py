@@ -140,6 +140,17 @@ MARCH_GRIDS = [
     TimeGrid(np.array([0.0, 0.02, 0.1, 0.13, 0.3, 0.32, 0.5, 0.61, 0.7, 0.8, 0.85, 0.93, 1.0])),
     TimeGrid.uniform(0.0, 1.0, 12),
 ]
+# interval counts 3, 6, 1, 4, 2, 4 (a tie) and 5, uniform and non-uniform: the
+# rows still marching change at every interval
+STAIR_GRIDS = [
+    TimeGrid(np.array([0.0, 0.5, 0.6, 1.0])),
+    TimeGrid(np.array([0.0, 0.1, 0.25, 0.3, 0.6, 0.8, 1.0])),
+    TimeGrid.uniform(0.0, 1.0, 1),
+    TimeGrid.uniform(0.0, 1.0, 4),
+    TimeGrid.uniform(0.0, 1.0, 2),
+    TimeGrid(np.array([0.0, 0.3, 0.35, 0.7, 1.0])),
+    TimeGrid.uniform(0.0, 1.0, 5),
+]
 
 
 @pytest.mark.parametrize(
@@ -150,22 +161,22 @@ MARCH_GRIDS = [
 )
 def test_rk4_march_matches_scalar_loop_per_group(model, dim):
     # interval counts 7, 1, 12 (non-uniform, one path) and 12 (uniform), out of
-    # length order and with a tie, all in one march
+    # length order and with a tie, all in one march; then the STAIR_GRIDS
     rng = np.random.default_rng(31)
-    sizes = [4, 3, 1, 5]
-    groups = [
-        (rng.uniform(-1.2, 1.2, (size, dim)), rng.uniform(-1.0, 1.0, (size, dim)), grid)
-        for size, grid in zip(sizes, MARCH_GRIDS)
-    ]
-    flows = integrators._rk4_march(model, groups)
-    assert len(flows) == len(groups)
-    for (starts, launches, grid), (nodes, x_end, v_end) in zip(groups, flows):
-        assert nodes.shape == (starts.shape[0], grid.n_intervals + 1, dim)
-        for i in range(starts.shape[0]):
-            want_nodes, want_x, want_v = scalar_rk4(model, starts[i], launches[i], grid)
-            assert np.array_equal(nodes[i], want_nodes)
-            assert np.array_equal(x_end[i], want_x)
-            assert np.array_equal(v_end[i], want_v)
+    for sizes, grids in (([4, 3, 1, 5], MARCH_GRIDS), ([2, 3, 1, 2, 4, 1, 2], STAIR_GRIDS)):
+        groups = [
+            (rng.uniform(-1.2, 1.2, (size, dim)), rng.uniform(-1.0, 1.0, (size, dim)), grid)
+            for size, grid in zip(sizes, grids)
+        ]
+        flows = integrators._rk4_march(model, groups)
+        assert len(flows) == len(groups)
+        for (starts, launches, grid), (nodes, x_end, v_end) in zip(groups, flows):
+            assert nodes.shape == (starts.shape[0], grid.n_intervals + 1, dim)
+            for i in range(starts.shape[0]):
+                want_nodes, want_x, want_v = scalar_rk4(model, starts[i], launches[i], grid)
+                assert np.array_equal(nodes[i], want_nodes)
+                assert np.array_equal(x_end[i], want_x)
+                assert np.array_equal(v_end[i], want_v)
 
 
 def test_rk4_march_blow_up_in_a_shorter_group_names_its_interval():
@@ -181,6 +192,33 @@ def test_rk4_march_blow_up_in_a_shorter_group_names_its_interval():
         integrators._rk4_march(FREE, groups)
     with pytest.raises(BlowUpError, match="within grid interval 1$"):
         reference_flow_batch(FREE, *groups[1])
+
+
+def test_rk4_march_blow_up_is_not_hidden_by_a_nan_row():
+    # a NaN start never compares greater than the radius, and must not mask
+    # the launch 3e6 that leaves it in interval 1 of the 4-interval group
+    starts = np.zeros((3, 1))
+    starts[0] = np.nan
+    launches = np.zeros((3, 1))
+    launches[2] = 3e6
+    groups = [
+        (starts[:2], np.zeros((2, 1)), TimeGrid.uniform(0, 1, 12)),
+        (starts, launches, TimeGrid.uniform(0, 1, 4)),
+    ]
+    with pytest.raises(BlowUpError, match="within grid interval 1$"):
+        integrators._rk4_march(FREE, groups)
+    with pytest.raises(BlowUpError, match="within grid interval 1$"):
+        reference_flow_batch(FREE, *groups[1])
+
+
+def test_rk4_march_keeps_empty_groups():
+    groups = [
+        (np.zeros((0, 2)), np.zeros((0, 2)), TimeGrid.uniform(0, 1, 6)),
+        (np.ones((2, 2)), np.ones((2, 2)), TimeGrid.uniform(0, 1, 3)),
+    ]
+    (nodes, x_end, v_end), flow = integrators._rk4_march(HARMONIC, groups)
+    assert nodes.shape == (0, 7, 2) and x_end.shape == v_end.shape == (0, 2)
+    assert np.array_equal(flow[0], reference_flow_batch(HARMONIC, *groups[1])[0])
 
 
 def test_integrators_hold_one_rk4_substep_loop():

@@ -20,7 +20,9 @@ from otmesh import (
     reference_flow,
     uniform_distance,
 )
+from otmesh import measures
 from otmesh.measures import _pairwise_sup_distances
+from otmesh.transport import solve_assignment
 
 FREE = free_particle()
 HARMONIC = harmonic_oscillator()
@@ -55,6 +57,24 @@ def test_measure_invariants():
     measure = line_measure(grid, [(0.0, 1.0), (1.0, 0.0)])
     assert measure.size == 2 and measure.dim == 1
     assert measure.replicate(3).size == 6
+
+
+def test_common_grid_nodes_compares_distinct_grid_objects_by_value(monkeypatch):
+    grid = TimeGrid.uniform(0, 1, 4)
+    twin = TimeGrid.uniform(0, 1, 4)
+    other = TimeGrid(np.array([0.0, 0.2, 0.5, 0.75, 1.0]))
+    shared = line_measure(grid, [(0.0, 1.0), (1.0, 0.0)]).replicate(3)
+    equal = EmpiricalPathMeasure((Path.line(grid, 0.0, 1.0), Path.line(twin, 1.0, 0.0)))
+    differing = EmpiricalPathMeasure(equal.paths + (Path.line(other, 0.5, 0.5),))
+    compared = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(
+        np, "array_equal", lambda a, b: compared.append(1) or array_equal(a, b)
+    )
+    assert shared.common_grid_nodes() is grid.nodes
+    assert compared == []  # one grid object: no node comparison
+    assert np.array_equal(equal.common_grid_nodes(), grid.nodes)
+    assert differing.common_grid_nodes() is None
 
 
 def test_phase_measure_round_trip():
@@ -177,6 +197,37 @@ def test_bl_bound_on_two_common_grids_matches_per_pair_distances(coarse, fine, d
     q = random_measure(rng, fine, 32, dim)
     assert np.array_equal(_pairwise_sup_distances(p, q), per_pair_distances(p, q))
     assert np.array_equal(_pairwise_sup_distances(q, p), per_pair_distances(q, p))
+
+
+@pytest.mark.parametrize("factor", [1, 2, 4])
+@pytest.mark.parametrize("mixed", [False, True], ids=["common_grid", "mixed_grids"])
+def test_bl_bound_measures_each_distinct_atom_once(monkeypatch, factor, mixed):
+    # a replicated level, its copies shuffled, against a fine level; the
+    # ground matrix must be bitwise the one measured without the dedupe
+    rng = np.random.default_rng(12)
+    coarse, fine = TimeGrid.uniform(0, 1, 5), TimeGrid.uniform(0, 1, 10)
+    atoms = random_measure(rng, coarse, 6, 2)
+    if mixed:
+        atoms = EmpiricalPathMeasure(atoms.paths[:3] + random_measure(rng, fine, 3, 2).paths)
+    copies = atoms.replicate(factor).paths
+    p = EmpiricalPathMeasure(tuple(copies[i] for i in rng.permutation(len(copies))))
+    q = random_measure(rng, fine, p.size, 2)
+    sup_distances = measures._pairwise_sup_distances
+    measured, grounds = [], []
+    monkeypatch.setattr(
+        measures,
+        "_pairwise_sup_distances",
+        lambda a, b: measured.append(a.size) or sup_distances(a, b),
+    )
+    monkeypatch.setattr(
+        measures, "solve_assignment", lambda g: grounds.append(g) or solve_assignment(g)
+    )
+    bound = bl_distance_bound(p, q)
+    assert measured == [6]
+    want = np.minimum(sup_distances(p, q), 2.0)
+    assert np.array_equal(grounds[0], want)
+    assert np.array_equal(want, np.minimum(per_pair_distances(p, q), 2.0))
+    assert bound == solve_assignment(want).average_cost
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
