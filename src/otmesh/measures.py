@@ -17,51 +17,152 @@ from .paths import midpoint_action  # noqa: F401
 from .transport import PointCloud, solve_assignment
 
 
-@dataclass(frozen=True)
 class EmpiricalPathMeasure:
-    """Uniform-weight sum of path masses (1/N) sum delta_{gamma_i}."""
+    """Uniform-weight sum of path masses (1/N) sum delta_{gamma_i}.
 
-    paths: tuple[Path, ...]
+    The atoms are stored as arrays: one read-only node array (N_g, l+1, n)
+    per distinct grid (grids equal by value are one), and for every atom the
+    index of its grid and its row in that grid's array.  Atoms that share a
+    (grid, row) are copies of one path, as ``replicate`` makes them, and
+    every stored row belongs to at least one atom.  ``paths`` builds one
+    ``Path`` per stored row on first access and keeps them.
+    """
 
-    def __post_init__(self):
-        paths = tuple(self.paths)
-        if not paths:
-            raise ValueError("a path measure needs at least one path")
-        dims = {p.dim for p in paths}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"paths mix dimensions {sorted(dims)}")
-        spans = {(p.grid.start, p.grid.end) for p in paths}
-        if len(spans) != 1:
-            raise ValueError(f"paths cover different time spans: {sorted(spans)}")
-        object.__setattr__(self, "paths", paths)
+    __slots__ = ("_grids", "_nodes", "_group", "_row", "_paths")
+
+    def __init__(self, paths):
+        paths = tuple(paths)
+        # a repeated Path object is one atom with copies
+        atom: dict[int, int] = {}
+        block = np.array([atom.setdefault(id(p), len(atom)) for p in paths], dtype=np.intp)
+        distinct = list({id(p): p for p in paths}.values())
+        _assemble(
+            self,
+            [p.grid for p in distinct],
+            [p.nodes[None] for p in distinct],
+            block,
+            np.zeros(block.size, dtype=np.intp),
+        )
+        self._paths = paths
+
+    @classmethod
+    def _from_nodes(cls, grid: TimeGrid, nodes) -> "EmpiricalPathMeasure":
+        """The measure of the paths nodes[i] on one grid, for nodes (N, l+1, n).
+
+        Checks the whole array once for what ``Path`` checks path by path,
+        with its messages, and keeps one read-only copy.
+        """
+        nodes = np.asarray(nodes, dtype=float)
+        if nodes.shape[1] != grid.nodes.size:
+            raise ValueError(
+                f"path has {nodes.shape[1]} nodal points for a grid with "
+                f"{grid.nodes.size} nodes"
+            )
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("nodal positions must be finite")
+        size = nodes.shape[0]
+        return _assemble(
+            object.__new__(cls), [grid], [nodes], np.zeros(size, dtype=np.intp), np.arange(size)
+        )
+
+    def _store(self, grids, nodes, group, row, paths=None) -> "EmpiricalPathMeasure":
+        group.setflags(write=False)
+        row.setflags(write=False)
+        self._grids, self._nodes = tuple(grids), tuple(nodes)
+        self._group, self._row, self._paths = group, row, paths
+        return self
+
+    @property
+    def paths(self) -> tuple[Path, ...]:
+        if self._paths is None:
+            stored = [[Path(grid, x) for x in X] for grid, X in zip(self._grids, self._nodes)]
+            self._paths = tuple(
+                stored[g][r] for g, r in zip(self._group.tolist(), self._row.tolist())
+            )
+        return self._paths
 
     @property
     def size(self) -> int:
-        return len(self.paths)
+        return self._group.size
 
     @property
     def dim(self) -> int:
-        return self.paths[0].dim
+        return self._nodes[0].shape[2]
 
     @property
     def time_span(self) -> tuple[float, float]:
-        g = self.paths[0].grid
+        g = self._grids[0]
         return g.start, g.end
 
     def common_grid_nodes(self) -> np.ndarray | None:
         """Shared node vector when every path lives on the same grid."""
-        grid = self.paths[0].grid
-        for p in self.paths[1:]:
-            # paths from one solve or from replicate() share the grid object
-            if p.grid is not grid and not np.array_equal(p.grid.nodes, grid.nodes):
-                return None
-        return grid.nodes
+        return self._grids[0].nodes if len(self._grids) == 1 else None
 
     def replicate(self, factor: int) -> "EmpiricalPathMeasure":
-        """Duplicate every atom; represents the same measure as a multiset."""
+        """Duplicate every atom; represents the same measure as a multiset.
+
+        The copies share the node arrays of this measure.
+        """
         if factor < 1:
             raise ValueError("replication factor must be >= 1")
-        return EmpiricalPathMeasure(self.paths * factor)
+        return object.__new__(EmpiricalPathMeasure)._store(
+            self._grids,
+            self._nodes,
+            np.tile(self._group, factor),
+            np.tile(self._row, factor),
+            None if self._paths is None else self._paths * factor,
+        )
+
+
+def _assemble(measure, grids, blocks, block, row) -> EmpiricalPathMeasure:
+    """Fill measure with the atoms row[i] of blocks[block[i]], return it.
+
+    ``blocks[k]`` is a node array (k_rows, l+1, n) on ``grids[k]``.  Checks
+    that there is an atom and that all share one dimension and one time span,
+    with the messages of the public constructor, then copies the blocks of
+    grids equal by value into one read-only array.
+    """
+    if block.size == 0:
+        raise ValueError("a path measure needs at least one path")
+    dims = {X.shape[2] for X in blocks}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"paths mix dimensions {sorted(dims)}")
+    group_of: dict[bytes, int] = {}
+    distinct: list[TimeGrid] = []
+    members: list[list[int]] = []
+    group = np.empty(len(blocks), dtype=np.intp)
+    for k, grid in enumerate(grids):
+        g = group[k] = group_of.setdefault(grid.nodes.tobytes(), len(distinct))
+        if g == len(distinct):
+            distinct.append(grid)
+            members.append([])
+        members[g].append(k)
+    spans = {(grid.start, grid.end) for grid in distinct}
+    if len(spans) != 1:
+        raise ValueError(f"paths cover different time spans: {sorted(spans)}")
+    offset = np.empty(len(blocks), dtype=np.intp)
+    nodes = []
+    for ks in members:
+        sizes = [blocks[k].shape[0] for k in ks]
+        offset[ks] = np.cumsum(sizes) - sizes
+        X = np.concatenate([blocks[k] for k in ks])
+        X.setflags(write=False)
+        nodes.append(X)
+    return measure._store(distinct, nodes, group[block], offset[block] + row)
+
+
+def _join(measures) -> EmpiricalPathMeasure:
+    """The atoms of all the measures, in order, as one measure."""
+    grids = [grid for m in measures for grid in m._grids]
+    blocks = [X for m in measures for X in m._nodes]
+    base = np.cumsum([0] + [len(m._grids) for m in measures])
+    return _assemble(
+        object.__new__(EmpiricalPathMeasure),
+        grids,
+        blocks,
+        np.concatenate([b + m._group for b, m in zip(base, measures)]),
+        np.concatenate([m._row for m in measures]),
+    )
 
 
 @dataclass(frozen=True)
@@ -122,12 +223,10 @@ def push_forward_flow(
 
     if kind == "reference":
         nodes, _, _ = reference_flow_batch(model, eta.positions, eta.velocities, grid)
-        paths = tuple(Path(grid, path_nodes) for path_nodes in nodes)
-    elif kind == "discrete":
-        paths = tuple(discrete_flow(model, s, grid).path for s in eta.states())
-    else:
-        raise ValueError(f"unknown flow kind {kind!r}")
-    return EmpiricalPathMeasure(paths)
+        return EmpiricalPathMeasure._from_nodes(grid, nodes)
+    if kind == "discrete":
+        return EmpiricalPathMeasure(discrete_flow(model, s, grid).path for s in eta.states())
+    raise ValueError(f"unknown flow kind {kind!r}")
 
 
 def marginal_at_time(pi: EmpiricalPathMeasure, t: float) -> PointCloud:
@@ -135,16 +234,35 @@ def marginal_at_time(pi: EmpiricalPathMeasure, t: float) -> PointCloud:
     a, b = pi.time_span
     if not (a <= t <= b):
         raise ValueError(f"time {t} outside the measure's span [{a}, {b}]")
-    return PointCloud(np.stack([p.evaluate(t) for p in pi.paths]))
+    return PointCloud(_atoms_at(pi, np.atleast_1d(np.asarray(t, dtype=float)))[:, 0])
+
+
+def _per_atom(measure: EmpiricalPathMeasure, values) -> np.ndarray:
+    """The value of every atom, given one array of values per stored row and grid."""
+    out = np.empty((measure.size,) + values[0].shape[1:], dtype=values[0].dtype)
+    for g, v in enumerate(values):
+        members = measure._group == g
+        out[members] = v[measure._row[members]]
+    return out
 
 
 def _atoms_at(measure: EmpiricalPathMeasure, times: np.ndarray) -> np.ndarray:
-    """Every atom of a common-grid measure evaluated at the times, (N, T, n)."""
-    idx, u = measure.paths[0].grid.locate(times)
-    u = u[:, None]
-    nodes = np.stack([path.nodes for path in measure.paths])
-    # the formula of Path.evaluate, so values agree with it bitwise
-    return (1.0 - u) * nodes[:, idx] + u * nodes[:, idx + 1]
+    """Every atom evaluated at the times (inside the span), (N, T, n)."""
+    values = []
+    for grid, X in zip(measure._grids, measure._nodes):
+        idx, u = grid.locate(times)
+        u = u[:, None]
+        # the formula of Path.evaluate, so values agree with it bitwise
+        values.append((1.0 - u) * X[:, idx] + u * X[:, idx + 1])
+    return _per_atom(measure, values)
+
+
+def _endpoints(measure: EmpiricalPathMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """First and last node of every atom, each (N, n)."""
+    return (
+        _per_atom(measure, [X[:, 0] for X in measure._nodes]),
+        _per_atom(measure, [X[:, -1] for X in measure._nodes]),
+    )
 
 
 def _pairwise_sup_distances(
@@ -196,13 +314,21 @@ def bl_distance_bound(p: EmpiricalPathMeasure, q: EmpiricalPathMeasure) -> float
         raise ValueError(f"measures have different sizes: {p.size} vs {q.size}")
     if p.dim != q.dim:
         raise DimensionMismatchError("measures have different space dimensions")
-    # replicate() repeats Path objects: measure each distinct atom once, in
-    # first-occurrence order, and give every copy its row
-    atoms = {id(path): path for path in p.paths}
-    if len(atoms) < p.size:
-        row = {key: k for k, key in enumerate(atoms)}
-        sup = _pairwise_sup_distances(EmpiricalPathMeasure(tuple(atoms.values())), q)
-        ground = np.minimum(sup, 2.0)[[row[id(path)] for path in p.paths]]
+    # replicate() makes atoms share a stored row: measure each distinct atom
+    # once, in first-occurrence order, and give every copy its row
+    offsets = np.cumsum([0] + [X.shape[0] for X in p._nodes])
+    _, first, inverse = np.unique(
+        offsets[p._group] + p._row, return_index=True, return_inverse=True
+    )
+    if first.size < p.size:
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        atoms = first[order]
+        distinct = object.__new__(EmpiricalPathMeasure)._store(
+            p._grids, p._nodes, p._group[atoms], p._row[atoms]
+        )
+        ground = np.minimum(_pairwise_sup_distances(distinct, q), 2.0)[rank[inverse]]
     else:
         ground = np.minimum(_pairwise_sup_distances(p, q), 2.0)
     return solve_assignment(ground).average_cost
@@ -246,32 +372,31 @@ def concentration_diagnostics(
 ) -> ConcentrationReport:
     """Quantify how close a path measure is to flow-concentrated stationarity.
 
-    Paths are grouped by grid.  Every group gets its EL residuals from the
-    batched interior defects and its midpoint actions in one batch, and all
-    groups share one RK4 march (``_rk4_march``) of the reference flow from
-    the first nodes and first difference quotients; sup-distances are taken
-    over each group's nodes.  The values are bitwise those of
-    ``el_residual``, ``midpoint_action`` and ``uniform_distance`` applied
-    path by path.  If a reference orbit leaves the guard radius, BlowUpError
-    names the earliest grid interval where one did, over all groups.
+    Every stored node array of the measure, one per grid, gets its EL
+    residuals from the batched interior defects and its midpoint actions in
+    one batch, and all grids share one RK4 march (``_rk4_march``) of the
+    reference flow from the first nodes and first difference quotients;
+    sup-distances are taken over each grid's nodes, and copies of an atom
+    share its values.  The values are bitwise those of ``el_residual``,
+    ``midpoint_action`` and ``uniform_distance`` applied path by path.  If a
+    reference orbit leaves the guard radius, BlowUpError names the earliest
+    grid interval where one did, over all grids.
     """
-    resids = np.zeros(pi.size)
-    dists = np.empty(pi.size)
-    actions = np.empty(pi.size)
-    groups: dict[bytes, list[int]] = {}
-    for i, path in enumerate(pi.paths):
-        groups.setdefault(path.grid.nodes.tobytes(), []).append(i)
-    batches = []
-    for members in groups.values():
-        grid = pi.paths[members[0]].grid
+    resids, actions, starts = [], [], []
+    for grid, X in zip(pi._grids, pi._nodes):
         dt = grid.spacings
-        X = np.stack([pi.paths[i].nodes for i in members])  # (P, l+1, n)
         if grid.n_intervals >= 2:
             defects = _interior_defects(model, X, dt)
-            resids[members] = np.max(np.linalg.norm(defects, axis=-1), axis=-1)
-        actions[members] = _midpoint_actions(model, X, dt)
-        batches.append((members, X, (X[:, 0], (X[:, 1] - X[:, 0]) / dt[0], grid)))
-    flows = _rk4_march(model, [starts for _, _, starts in batches])
-    for (members, X, _), (orbits, _, _) in zip(batches, flows):
-        dists[members] = np.max(np.linalg.norm(X - orbits, axis=-1), axis=-1)
-    return ConcentrationReport(resids, dists, actions)
+            resids.append(np.max(np.linalg.norm(defects, axis=-1), axis=-1))
+        else:
+            resids.append(np.zeros(X.shape[0]))
+        actions.append(_midpoint_actions(model, X, dt))
+        starts.append((X[:, 0], (X[:, 1] - X[:, 0]) / dt[0], grid))
+    flows = _rk4_march(model, starts)
+    dists = [
+        np.max(np.linalg.norm(X - orbits, axis=-1), axis=-1)
+        for X, (orbits, _, _) in zip(pi._nodes, flows)
+    ]
+    return ConcentrationReport(
+        _per_atom(pi, resids), _per_atom(pi, dists), _per_atom(pi, actions)
+    )

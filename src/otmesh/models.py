@@ -176,16 +176,22 @@ class LagrangianModel:
 # ---------------------------------------------------------------------------
 
 
+def _shape(x) -> tuple:
+    """np.shape(x); an array's own shape is read without numpy's dispatch."""
+    shape = getattr(x, "shape", None)
+    return np.shape(x) if shape is None else shape
+
+
 def free_particle(mass: float = 1.0) -> LagrangianModel:
     """V = 0; extremals are straight lines, cost m|y-x|^2 / (2(b-a))."""
     return LagrangianModel(
         mass=mass,
-        potential=lambda x: np.zeros(np.shape(x)[:-1]),
-        grad_potential=lambda x: np.zeros(np.shape(x)),
+        potential=lambda x: np.zeros(_shape(x)[:-1]),
+        grad_potential=lambda x: np.zeros(_shape(x)),
         hess_bound=lambda radius: 0.0,
         quadratic_growth=1.0,
         potential_sup=0.0,
-        hess_potential=lambda x: np.zeros(np.shape(x) + (np.shape(x)[-1],)),
+        hess_potential=lambda x: np.zeros(_shape(x) + (_shape(x)[-1],)),
         name="free_particle",
         params={"mass": mass},
     )

@@ -16,11 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, HorizonError, OtmeshError, SolverError
-from .integrators import solve_bvp_pairs
+from .integrators import _bvp_core, solve_bvp_pairs
 # unused here, but bench/tracing.py wraps this name in this module
 from .integrators import solve_bvp  # noqa: F401
 from .measures import (
     EmpiricalPathMeasure,
+    _atoms_at,
+    _endpoints,
+    _join,
     bl_distance_bound,
     concentration_diagnostics,
 )
@@ -251,9 +254,8 @@ def solve_discrete_otm(
             f"boundary-value solve failed for matched pair "
             f"({i}, {plan.perm[i]}): {pairs.message(i)}"
         )
-    paths = tuple(Path(grid, nodes) for nodes in pairs.nodes)
     min_action = float(np.mean(pairs.costs))
-    return OtmResult(EmpiricalPathMeasure(paths), plan, min_action)
+    return OtmResult(EmpiricalPathMeasure._from_nodes(grid, pairs.nodes), plan, min_action)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +382,7 @@ def _diagnose_levels(
 ) -> None:
     """Diagnose the solved levels of a study together, or else one by one.
 
-    One ``concentration_diagnostics`` call covers the concatenated paths of
+    One ``concentration_diagnostics`` call covers the joined measures of
     all levels.  If it fails, each level is diagnosed on its own and a level
     that fails again becomes an error row with that call's message.
     """
@@ -388,10 +390,7 @@ def _diagnose_levels(
         return
     try:
         diag = concentration_diagnostics(
-            model,
-            EmpiricalPathMeasure(
-                tuple(path for _, result in solved for path in result.measure.paths)
-            ),
+            model, _join([result.measure for _, result in solved])
         )
     except OtmeshError:
         for row, result in solved:
@@ -560,37 +559,34 @@ def run_stationarity_study(
     """Solve every path's boundary problem again at each resolution.
 
     Each level solves the stationarity systems of all paths (no minimality
-    check) at spacing h in one ``solve_bvp_pairs`` batch, warm-starting each
-    path's Newton from its trajectory at the previous level (first level:
-    from the input path itself), then measures stationarity residuals and
-    distances to the reference orbit launched from each path's own initial
-    phase point.
+    check) at spacing h in one batch of the ``solve_bvp_pairs`` core,
+    warm-starting each path's Newton from its trajectory at the previous
+    level (first level: from the input path itself), then measures
+    stationarity residuals and distances to the reference orbit launched
+    from each path's own initial phase point.  The warm starts are the
+    previous level's atoms evaluated at the new grid's nodes, endpoints
+    pinned, bitwise what ``solve_bvp_pairs`` makes of them as ``init`` paths.
     """
     hs = list(hs)
     if not hs:
         raise ValueError("need at least one step size")
     a, b = pi0.time_span
     report = StationarityReport()
-    warm: list[Path] = list(pi0.paths)
+    warm = pi0
     for h in hs:
         grid = TimeGrid.from_step(a, b, h)
-        pairs = solve_bvp_pairs(
-            model,
-            np.stack([path.start_point for path in warm]),
-            np.stack([path.end_point for path in warm]),
-            grid,
-            init=warm,
-            check_minimum=False,
-        )
+        starts = _atoms_at(warm, grid.nodes)
+        starts[:, 0], starts[:, -1] = _endpoints(warm)
+        pairs = _bvp_core(model, grid, starts, check_minimum=False)
         failed = np.flatnonzero(~pairs.converged)
         if failed.size:
             raise SolverError(
                 f"stationarity solve failed at h={grid.max_spacing:g}: "
                 f"{pairs.message(int(failed[0]))}"
             )
-        warm = [Path(grid, nodes) for nodes in pairs.nodes]
+        warm = EmpiricalPathMeasure._from_nodes(grid, pairs.nodes)
         iters = int(np.max(pairs.newton_iterations))
-        diag = concentration_diagnostics(model, EmpiricalPathMeasure(tuple(warm)))
+        diag = concentration_diagnostics(model, warm)
         report.levels.append(
             StationarityLevel(
                 h=grid.max_spacing,

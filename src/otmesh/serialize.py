@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .measures import EmpiricalPathMeasure
+from .measures import EmpiricalPathMeasure, _join
 from .paths import Path, TimeGrid
 
 
@@ -94,26 +94,37 @@ def path_from_csv(text: str) -> Path:
 def measure_to_csv(measure: EmpiricalPathMeasure) -> str:
     """Long format with columns path_id, t, x_1..x_n."""
     header = ",".join(["path_id", "t"] + _coordinate_header(measure.dim))
+    lengths = np.array([grid.nodes.size for grid in measure._grids])[measure._group]
+    first = np.cumsum(lengths) - lengths  # the first CSV row of every atom
+    rows = np.empty((int(lengths.sum()), 2 + measure.dim))
     # ids below 2^53 print as "%.17g" of the float exactly as str() of the int
-    rows = np.vstack(
-        [
-            np.column_stack((np.full(p.grid.nodes.size, float(pid)), p.grid.nodes, p.nodes))
-            for pid, p in enumerate(measure.paths)
-        ]
-    )
+    rows[:, 0] = np.repeat(np.arange(measure.size, dtype=float), lengths)
+    for g, (grid, X) in enumerate(zip(measure._grids, measure._nodes)):
+        members = measure._group == g
+        at = first[members][:, None] + np.arange(grid.nodes.size)
+        rows[at, 1] = grid.nodes
+        rows[at, 2:] = X[measure._row[members]]
     return "".join(_rows_to_csv(header, rows))
 
 
 def measure_from_csv(text: str) -> EmpiricalPathMeasure:
+    """Read measure_to_csv's format; path_id orders the paths, not row order.
+
+    The rows of one path_id are that path's nodes in file order.
+    """
     rows = _numeric_rows(text)
     data = np.asarray(rows, dtype=float)
     if data.ndim != 2 or data.shape[1] < 3:
         raise ValueError("measure CSV needs columns path_id, t, x_1..x_n")
-    paths = []
-    for pid in sorted(set(int(v) for v in data[:, 0])):
-        block = data[data[:, 0] == pid]
-        paths.append(Path(TimeGrid(block[:, 1]), block[:, 2:]))
-    return EmpiricalPathMeasure(tuple(paths))
+    ids = data[:, 0]
+    bad = np.flatnonzero(~np.isfinite(ids) | (ids != np.floor(ids)))
+    if bad.size:
+        raise ValueError(f"path_id {format_float(ids[bad[0]])} is not an integer")
+    data = data[np.argsort(ids, kind="stable")]
+    blocks = np.split(data, np.flatnonzero(np.diff(data[:, 0])) + 1)
+    return _join(
+        [EmpiricalPathMeasure._from_nodes(TimeGrid(b[:, 1]), b[None, :, 2:]) for b in blocks]
+    )
 
 
 def matrix_to_csv(matrix: np.ndarray) -> str:

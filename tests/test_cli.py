@@ -671,6 +671,20 @@ def test_cli_stationary_from_paths_csv(tmp_path):
     assert len(payload["levels"]) == 2
 
 
+def test_cli_stationary_rejects_a_non_integral_path_id(tmp_path, capsys):
+    paths_csv = tmp_path / "paths.csv"
+    paths_csv.write_text(
+        "path_id,t,x_1\n0,0,1\n0,1,0\n0.5,0,0.5\n0.5,1,-0.2\n", encoding="utf-8"
+    )
+    cfg = write_config(
+        tmp_path, {"model": {"name": "harmonic"}, "paths_csv": str(paths_csv), "hs": [0.1]}
+    )
+    assert main(["stationary", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: cannot load 'paths_csv': path_id 0.5 is not an integer\n"
+    )
+
+
 # -- output floats round-trip ------------------------------------------------------------
 
 

@@ -338,3 +338,147 @@ def test_push_forward_reference_matches_per_atom_flow():
     pi = push_forward_flow(HARMONIC, eta, grid, kind="reference")
     for path, state in zip(pi.paths, eta.states()):
         assert np.array_equal(path.nodes, reference_flow(HARMONIC, state, grid).path.nodes)
+
+
+
+# -- the array-backed representation ------------------------------------------------------
+
+GRIDS = {
+    "common": [TimeGrid.uniform(0, 1, 6)],
+    "mixed": [
+        TimeGrid.uniform(0, 1, 6),
+        TimeGrid(np.array([0.0, 0.1, 0.45, 0.5, 0.9, 1.0])),
+        TimeGrid.uniform(0, 1, 1),
+    ],
+}
+
+
+def per_path_diagnostics(model, measure):
+    """The per-path oracles of concentration_diagnostics, as rows of a (3, N) array."""
+    rows = []
+    for path in measure.paths:
+        v0 = (path.nodes[1] - path.nodes[0]) / path.grid.spacings[0]
+        orbit = reference_flow(model, PhasePoint(path.nodes[0], v0), path.grid).path
+        resid = el_residual(model, path) if path.grid.n_intervals >= 2 else 0.0
+        rows.append((resid, uniform_distance(path, orbit), midpoint_action(model, path)))
+    return np.array(rows).T
+
+
+def diagnostics_arrays(model, measure):
+    report = concentration_diagnostics(model, measure)
+    return np.array(
+        [report.el_residuals, report.reconstruction_distances, report.midpoint_actions]
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("grids", sorted(GRIDS))
+def test_every_construction_gives_the_per_path_oracle_values(grids, dim):
+    # _from_nodes, the public constructor, replicate (also shuffled) and
+    # joined levels: diagnostics, ground matrices and bounds are bitwise the
+    # per-path oracles' values
+    rng = np.random.default_rng(dim)
+    grids = GRIDS[grids]
+    blocks = [rng.uniform(-1, 1, (3, g.n_intervals + 1, dim)) for g in grids]
+    public = EmpiricalPathMeasure(Path(g, x) for g, X in zip(grids, blocks) for x in X)
+    from_nodes = measures._join(
+        [EmpiricalPathMeasure._from_nodes(g, X) for g, X in zip(grids, blocks)]
+    )
+    # two levels per grid: the second level's grids equal the first's by value
+    joined = measures._join(
+        [EmpiricalPathMeasure._from_nodes(g, X[:1]) for g, X in zip(grids, blocks)]
+        + [EmpiricalPathMeasure._from_nodes(TimeGrid(g.nodes), X[1:]) for g, X in zip(grids, blocks)]
+    )
+    assert len(joined._grids) == len(grids)
+    n = len(grids)
+    joined_atoms = [3 * g for g in range(n)] + [3 * g + k for g in range(n) for k in (1, 2)]
+    want = per_path_diagnostics(HARMONIC, public)
+    q = random_measure(rng, TimeGrid.uniform(0, 1, 9), public.size, dim)
+    want_sup = per_pair_distances(public, q)
+    for factor in (1, 2, 4):
+        cases = [
+            (from_nodes.replicate(factor), range(public.size)),
+            (public.replicate(factor), range(public.size)),
+            (joined.replicate(factor), joined_atoms),
+        ]
+        perm = rng.permutation(public.size * factor)
+        copies = public.replicate(factor).paths
+        cases.append((EmpiricalPathMeasure(copies[i] for i in perm), perm % public.size))
+        for m, atoms in cases:
+            atoms = np.resize(np.asarray(atoms), m.size)
+            assert np.array_equal(diagnostics_arrays(HARMONIC, m), want[:, atoms])
+            assert np.array_equal(_pairwise_sup_distances(m, q), want_sup[atoms])
+        q_f = q.replicate(factor)
+        want_bound = solve_assignment(
+            np.minimum(per_pair_distances(public.replicate(factor), q_f), 2.0)
+        ).average_cost
+        for m, _ in cases[:2]:
+            assert bl_distance_bound(m, q_f) == want_bound
+
+
+def test_replicate_shares_read_only_node_arrays():
+    rng = np.random.default_rng(21)
+    grid = TimeGrid.uniform(0, 1, 4)
+    nodes = rng.uniform(-1, 1, (3, 5, 2))
+    m = EmpiricalPathMeasure._from_nodes(grid, nodes)
+    nodes[0, 0, 0] = 7.0  # _from_nodes keeps a copy of its own
+    assert m._nodes[0][0, 0, 0] != 7.0
+    copies = m.replicate(4)
+    assert copies.size == 12 and copies.common_grid_nodes() is grid.nodes
+    assert all(np.shares_memory(a, b) for a, b in zip(m._nodes, copies._nodes))
+    for arr in (*m._nodes, *copies._nodes, copies._group, copies._row):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        copies._nodes[0][0, 0, 0] = 1.0
+    paths = copies.paths
+    assert copies.paths is paths  # built once
+    assert all(paths[i] is paths[i % 3] for i in range(12))
+    assert all(np.array_equal(p.nodes, x) for p, x in zip(paths, m._nodes[0]))
+
+
+def test_public_constructor_merges_equal_grids_and_repeated_paths():
+    grid = TimeGrid.uniform(0, 1, 4)
+    a = Path.line(grid, 0.0, 1.0)
+    b = Path.line(TimeGrid.uniform(0, 1, 4), 1.0, 0.0)
+    m = EmpiricalPathMeasure([a, b, a])
+    assert m.size == 3 and len(m._grids) == 1 and m._nodes[0].shape[0] == 2
+    assert m.common_grid_nodes() is grid.nodes
+    assert m.paths[0] is a and m.paths[1] is b and m.paths[2] is a
+    assert list(m._row) == [0, 1, 0]
+
+
+def _path_error(grid, nodes) -> str:
+    with pytest.raises(ValueError) as err:
+        Path(grid, nodes)
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    "bad", ["nan", "inf", "too_few", "too_many"]
+)
+def test_from_nodes_rejects_what_path_rejects_with_its_message(bad):
+    grid = TimeGrid.uniform(0, 1, 4)
+    nodes = np.zeros((3, 5, 2))
+    if bad == "nan":
+        nodes[2, 3, 1] = np.nan
+    elif bad == "inf":
+        nodes[1, 0, 0] = -np.inf
+    else:
+        nodes = np.zeros((3, 4 if bad == "too_few" else 6, 2))
+    message = _path_error(grid, nodes[-1] if bad != "inf" else nodes[1])
+    with pytest.raises(ValueError) as err:
+        EmpiricalPathMeasure._from_nodes(grid, nodes)
+    assert str(err.value) == message
+    with pytest.raises(ValueError, match="at least one path"):
+        EmpiricalPathMeasure._from_nodes(grid, np.zeros((0, 5, 2)))
+
+
+def test_marginal_at_time_equals_path_evaluate_on_mixed_grids():
+    rng = np.random.default_rng(22)
+    grids = GRIDS["mixed"]
+    m = EmpiricalPathMeasure(
+        Path(g, rng.uniform(-1, 1, (g.n_intervals + 1, 2))) for g in grids for _ in range(2)
+    ).replicate(2)
+    for t in (0.0, 0.07, 0.1, 0.45, 0.5, 0.99, 1.0):
+        want = np.stack([p.evaluate(t) for p in m.paths])
+        assert np.array_equal(marginal_at_time(m, t).points, want)

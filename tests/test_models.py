@@ -64,6 +64,42 @@ def test_free_particle_gradient_is_float_zeros_of_input_shape(x):
     assert not grad.any()
 
 
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.array([0.5, -2.0]),
+        np.ones((160, 1)),
+        np.arange(6).reshape(3, 2),
+        np.ones((4, 5, 3), dtype=np.float32),
+        [[1, 2, 3]],
+        [0.5, 1.5],
+        np.array([[0.0]])[0],
+    ],
+    ids=["point", "batch", "int_batch", "float32_stack", "list", "flat_list", "view"],
+)
+def test_free_particle_zeros_match_np_shape_of_the_input(x):
+    # the shapes np.shape gives: values, dtype and shape of potential,
+    # gradient and Hessian stay what np.zeros(np.shape(x)...) makes
+    model = free_particle()
+    shape = np.shape(x)
+    for got, want in (
+        (model.potential(x), np.zeros(shape[:-1])),
+        (model.grad_potential(x), np.zeros(shape)),
+        (model.hess_potential(x), np.zeros(shape + (shape[-1],))),
+    ):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x", [2.5, np.float64(-1.0), np.array(3.0)], ids=["float", "np_float", "0d"])
+def test_free_particle_gradient_of_a_scalar_is_a_float_zero(x):
+    grad = free_particle().grad_potential(x)
+    assert isinstance(grad, np.ndarray)
+    assert grad.dtype == np.float64 and grad.shape == () and grad == 0.0
+
+
 def test_dimension_mismatch_raises():
     model = free_particle()
     with pytest.raises(DimensionMismatchError):

@@ -572,3 +572,21 @@ def test_convergence_study_blow_up_level_leaves_other_levels_bitwise():
     assert failed.error == alone_failed.error
     assert ok.status == "ok"
     assert replace(ok, wall_time=0.0) == replace(alone_ok, wall_time=0.0)
+
+
+def test_studies_build_no_path_per_atom(monkeypatch):
+    # the study hot paths keep their measures as node arrays
+    built = []
+    post_init = Path.__post_init__
+    monkeypatch.setattr(Path, "__post_init__", lambda self: built.append(1) or post_init(self))
+    spec_a = MarginalSpec("uniform_box", low=0.0, high=1.0, sampler="iid", seed=0)
+    spec_b = MarginalSpec("uniform_box", low=2.0, high=3.0, sampler="iid", seed=1)
+    report = run_convergence_study(FREE, spec_a, spec_b, [32, 128], [0.1, 0.05], (0.0, 1.0))
+    assert report.all_ok and np.isfinite(report.rows[0].d_bl_to_finest)
+    assert built == []
+    grid = TimeGrid.uniform(0.0, 1.0, 1)
+    pi0 = EmpiricalPathMeasure(Path.line(grid, x, -x) for x in (0.25, 0.5, 1.0))
+    assert len(built) == 3
+    report = run_stationarity_study(harmonic_oscillator(), pi0, hs=(0.1, 0.05))
+    assert len(report.levels) == 2
+    assert len(built) == 3  # the input paths alone

@@ -67,6 +67,48 @@ def test_measure_csv_round_trip():
         assert np.array_equal(orig.nodes, restored.nodes)
 
 
+@pytest.mark.parametrize("bad", ["0.5", "2.5", "nan", "inf"])
+def test_measure_csv_rejects_a_non_integral_path_id(bad):
+    # such rows used to be dropped, or to fail as an empty time grid
+    text = f"path_id,t,x_1\n0,0,1\n0,1,2\n{bad},0,1\n{bad},1,2\n"
+    with pytest.raises(ValueError, match=f"path_id {bad} is not an integer"):
+        measure_from_csv(text)
+
+
+def test_measure_csv_groups_interleaved_path_ids_in_id_order():
+    text = (
+        "path_id,t,x_1,x_2\n"
+        "3,0,1,1\n1,0,5,5\n3,0.5,2,2\n-2,0,9,9\n1,1,6,6\n3,1,3,3\n-2,1,8,8\n"
+    )
+    back = measure_from_csv(text)
+    assert back.size == 3 and len(back._grids) == 2
+    want = [  # ids -2, 1, 3, each path's rows in file order
+        ([0.0, 1.0], [[9, 9], [8, 8]]),
+        ([0.0, 1.0], [[5, 5], [6, 6]]),
+        ([0.0, 0.5, 1.0], [[1, 1], [2, 2], [3, 3]]),
+    ]
+    for path, (times, nodes) in zip(back.paths, want):
+        assert np.array_equal(path.grid.nodes, times)
+        assert np.array_equal(path.nodes, nodes)
+    again = measure_from_csv(measure_to_csv(back))
+    assert measure_to_csv(again) == measure_to_csv(back)
+    assert np.array_equal(again._group, back._group)
+
+
+def test_measure_csv_of_mixed_grids_and_copies_equals_the_per_cell_join():
+    rng = np.random.default_rng(17)
+    grids = [TimeGrid.uniform(0.0, 1.0, 3), TimeGrid([0.0, 0.2, 1.0])]
+    paths = [Path(g, rng.uniform(-1, 1, (g.n_intervals + 1, 2))) for g in grids * 2]
+    measure = EmpiricalPathMeasure(paths[i] for i in (0, 1, 2, 1, 3, 0)).replicate(2)
+    text = measure_to_csv(measure)
+    assert text == per_cell_measure_csv(measure)
+    back = measure_from_csv(text)
+    assert back.size == 12
+    for orig, restored in zip(measure.paths, back.paths):
+        assert np.array_equal(orig.grid.nodes, restored.grid.nodes)
+        assert np.array_equal(orig.nodes, restored.nodes)
+
+
 def test_matrix_csv_round_trip_and_headerless_import():
     matrix = np.array([[1.0, -2.5], [1 / 3, 4.0]])
     back = matrix_from_csv(matrix_to_csv(matrix))
