@@ -17,8 +17,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
+# numpy 2 imports numpy.random on first use: import it here, not inside a solve
+from numpy.random import default_rng
 
+from ._native import dgbsv
 from .errors import BlowUpError, NewtonError
 from .models import LagrangianModel, as_point
 from .paths import Path, PhasePoint, TimeGrid, _midpoint_actions, uniform_distance
@@ -643,7 +645,7 @@ def solve_bvp(
     if n_restarts > 0:
         noise = 0.5 * (float(np.max(np.abs(y - x))) + 1.0)
         bump = np.sin(np.pi * (grid.nodes[1:-1] - grid.start) / grid.span)
-        draws = np.random.default_rng(0).standard_normal(nodes[1:, 1:-1].shape)
+        draws = default_rng(0).standard_normal(nodes[1:, 1:-1].shape)
         nodes[1:, 1:-1] += noise * bump[:, None] * draws
     res = _bvp_core(model, grid, nodes, check_minimum)
     results = [

@@ -10,10 +10,10 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .integrators import _interior_defects, _rk4_march, reference_flow_batch
 from .models import LagrangianModel
-from .paths import Path, PhasePoint, TimeGrid, _midpoint_actions, uniform_distance
+from .paths import Path, PhasePoint, TimeGrid, _midpoint_actions
 # unused here, but bench/tracing.py wraps these names in this module
 from .integrators import el_residual, reference_flow  # noqa: F401
-from .paths import midpoint_action  # noqa: F401
+from .paths import midpoint_action, uniform_distance  # noqa: F401
 from .transport import PointCloud, solve_assignment
 
 
@@ -246,15 +246,19 @@ def _per_atom(measure: EmpiricalPathMeasure, values) -> np.ndarray:
     return out
 
 
+def _rows_at(grid: TimeGrid, X: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The paths X (N, l+1, n) on grid evaluated at the times (inside the span), (N, T, n)."""
+    idx, u = grid.locate(times)
+    u = u[:, None]
+    # the formula of Path.evaluate, so values agree with it bitwise
+    return (1.0 - u) * X[:, idx] + u * X[:, idx + 1]
+
+
 def _atoms_at(measure: EmpiricalPathMeasure, times: np.ndarray) -> np.ndarray:
     """Every atom evaluated at the times (inside the span), (N, T, n)."""
-    values = []
-    for grid, X in zip(measure._grids, measure._nodes):
-        idx, u = grid.locate(times)
-        u = u[:, None]
-        # the formula of Path.evaluate, so values agree with it bitwise
-        values.append((1.0 - u) * X[:, idx] + u * X[:, idx + 1])
-    return _per_atom(measure, values)
+    return _per_atom(
+        measure, [_rows_at(grid, X, times) for grid, X in zip(measure._grids, measure._nodes)]
+    )
 
 
 def _endpoints(measure: EmpiricalPathMeasure) -> tuple[np.ndarray, np.ndarray]:
@@ -270,31 +274,42 @@ def _pairwise_sup_distances(
 ) -> np.ndarray:
     """Matrix of sup-over-time distances between the atoms of two measures.
 
-    When each measure has a common grid (the two grids may differ), all atoms
-    are evaluated at the merged nodes, where the supremum is attained, and a
-    running maximum of squared distances over those times keeps temporaries
-    at (N_p, N_q, n); one square root follows.  ``np.linalg.norm`` of real
+    For every pair of stored grids, one of each measure, the atoms on them
+    are evaluated at the merged nodes of the two grids, where the supremum
+    is attained, and a running maximum of squared distances over those times
+    keeps temporaries at (N_p, N_q, n); one square root follows.  Each block
+    goes to the rows and columns of its atoms.  ``np.linalg.norm`` of real
     input is the square root of the same sum of squares, and the square root
     is monotone and correctly rounded, so the result equals
-    ``uniform_distance`` pair by pair, bitwise; the per-pair call is only
-    made for measures without a common grid.
+    ``uniform_distance`` pair by pair, bitwise.
     """
     if p.time_span != q.time_span:
         raise ValueError(
             f"measures cover different time spans {p.time_span} vs {q.time_span}"
         )
-    nodes_p = p.common_grid_nodes()
-    nodes_q = q.common_grid_nodes()
-    if nodes_p is None or nodes_q is None:
-        return np.array(
-            [[uniform_distance(pi, qj) for qj in q.paths] for pi in p.paths]
-        )
-    times = np.union1d(nodes_p, nodes_q)
-    A = _atoms_at(p, times)
-    B = _atoms_at(q, times)
+    out = np.empty((p.size, q.size))
+    for grid_p, X_p, at_p in _grid_atoms(p):
+        for grid_q, X_q, at_q in _grid_atoms(q):
+            times = np.union1d(grid_p.nodes, grid_q.nodes)
+            block = _sup_distances(_rows_at(grid_p, X_p, times), _rows_at(grid_q, X_q, times))
+            if at_p.size == p.size and at_q.size == q.size:
+                return block
+            out[np.ix_(at_p, at_q)] = block
+    return out
+
+
+def _grid_atoms(measure: EmpiricalPathMeasure):
+    """(grid, node array of its atoms, atom indices) for every stored grid."""
+    for g, (grid, X) in enumerate(zip(measure._grids, measure._nodes)):
+        atoms = np.flatnonzero(measure._group == g)
+        yield grid, X[measure._row[atoms]], atoms
+
+
+def _sup_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """max over k of |A[i, k] - B[j, k]| for A (N_A, T, n) and B (N_B, T, n)."""
     d = A[:, None, 0] - B[None, :, 0]
     out = np.sum(d * d, axis=-1)
-    for k in range(1, times.size):
+    for k in range(1, A.shape[1]):
         d = A[:, None, k] - B[None, :, k]
         np.maximum(out, np.sum(d * d, axis=-1), out=out)
     return np.sqrt(out, out=out)

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+# np.union1d and np.unique look up np.ma, which numpy 2 imports on first use
+import numpy.ma  # noqa: F401
 
 from .errors import DimensionMismatchError
 from .models import LagrangianModel, as_point

@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy 2 imports numpy.random on first use: import it here, not inside a study
+from numpy.random import default_rng
 
 from .errors import DimensionMismatchError, HorizonError, OtmeshError, SolverError
 from .integrators import _bvp_core, solve_bvp_pairs
@@ -156,7 +158,7 @@ def sample_marginal(spec: MarginalSpec, N: int) -> PointCloud:
             return PointCloud(spec.low[0] + (spec.high[0] - spec.low[0]) * mid_quantiles)
         if spec.sampler == "grid":
             return PointCloud(_equal_mass_boxes(spec.low, spec.high, N))
-        rng = np.random.default_rng(spec.seed)
+        rng = default_rng(spec.seed)
         return PointCloud(rng.uniform(spec.low, spec.high, size=(N, spec.dim)))
 
     # gaussian
@@ -171,7 +173,7 @@ def sample_marginal(spec: MarginalSpec, N: int) -> PointCloud:
         return PointCloud(
             truncnorm.ppf(mid_quantiles, a, b, loc=spec.mean[0], scale=sd[0])
         )
-    rng = np.random.default_rng(spec.seed)
+    rng = default_rng(spec.seed)
     chol = np.linalg.cholesky(spec.cov)
     out = np.empty((N, spec.dim))
     filled = 0

@@ -6,8 +6,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from ._native import linear_sum_assignment
 from .errors import DimensionMismatchError, SolverError
 from .integrators import solve_bvp_pairs
 # unused here, but bench/tracing.py wraps this name in this module

@@ -571,10 +571,12 @@ def test_cli_overflow_reaches_stderr_as_the_solver_error_alone(tmp_path):
 
 def test_importing_the_cli_leaves_scipy_stats_unimported():
     # only the gaussian quantile and grid samplers need scipy.stats, and import
-    # it themselves; the "%.17g" kernel builds its tables on first use
+    # it themselves; dgbsv and linear_sum_assignment come from their extension
+    # modules alone; the "%.17g" kernel builds its tables on first use
     script = (
         "import sys, otmesh.cli, otmesh.serialize as s; "
-        "print('scipy.stats' in sys.modules, s._csv_tables.cache_info().currsize)"
+        "print([m in sys.modules for m in ('scipy.stats', 'scipy.linalg', 'scipy.optimize')], "
+        "s._csv_tables.cache_info().currsize)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -583,7 +585,51 @@ def test_importing_the_cli_leaves_scipy_stats_unimported():
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0 and proc.stdout == "False 0\n"
+    assert proc.returncode == 0 and proc.stdout == "[False, False, False] 0\n"
+
+
+def test_cli_runs_import_no_numpy_or_scipy_module(tmp_path):
+    # numpy 2 imports numpy.random and numpy.ma on first use; a study must not
+    # pay for that (or for any other module import) inside main
+    configs = {
+        "converge": {
+            **valid_config("converge"),
+            "model": {"name": "cosine"},
+            "marginal_a": {"kind": "uniform_box", "low": [0.0, 0.0], "high": [0.5, 0.5]},
+            "marginal_b": {"kind": "uniform_box", "low": [0.5, 0.5], "high": [1.0, 1.0]},
+            "span": [0.0, 0.5],
+            "Ns": [3, 3],
+            "hs": [0.125, 0.0625],
+        },
+        "transport": valid_config("transport"),
+        "bvp": valid_config("bvp"),
+        "stationary": valid_config("stationary"),
+    }
+    for spec in ("marginal_a", "marginal_b"):
+        configs["converge"][spec]["sampler"] = "iid"
+    runs = [
+        [command, "--config", write_config(tmp_path, cfg, f"{command}.json"),
+         "--out", str(tmp_path / command)]
+        for command, cfg in configs.items()
+    ]
+    script = (
+        "import json, sys; from otmesh.cli import main; before = set(sys.modules); "
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
+        "new = set(sys.modules) - before; "
+        "print(codes, sorted(m for m in new if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs)],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+    # the converge run went through the assignment solve and the banded LU
+    rows = csv_lines(tmp_path / "converge" / "convergence.csv")
+    assert len(rows) == 3 and all(",ok," in row for row in rows[1:])
 
 
 # values the fuzz test puts in place of one config field: a wrong JSON type,

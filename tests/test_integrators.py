@@ -1,5 +1,9 @@
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path as FilePath
 
@@ -27,7 +31,7 @@ from otmesh import (
     solve_bvp,
     uniform_distance,
 )
-from otmesh import integrators
+from otmesh import _native, integrators
 from otmesh.integrators import reference_flow_batch
 from otmesh.models import MODEL_CATALOG
 
@@ -540,6 +544,84 @@ def test_no_solver_module_imports_scipy_sparse():
                 if name == "scipy.sparse" or name.startswith("scipy.sparse.")
             ]
     assert imports == []
+
+
+# -- dgbsv loaded from scipy.linalg._flapack alone -----------------------------------------
+
+
+def test_native_dgbsv_is_scipys_public_dgbsv():
+    from scipy.linalg.lapack import dgbsv
+
+    assert _native.dgbsv is dgbsv
+    assert integrators.dgbsv is dgbsv
+
+
+def test_native_dgbsv_reports_a_singular_band_as_scipy_does():
+    from scipy.linalg.lapack import dgbsv
+
+    # tridiagonal, kl = ku = 1, with a zero third column: singular
+    A = np.diag([2.0, 3.0, 0.0, 5.0]) + np.diag([1.0, 0.0, 1.0], 1) + np.diag([1.0, 1.0, 0.0], -1)
+    kl = ku = 1
+    ab = np.zeros((2 * kl + ku + 1, 4))
+    for j in range(4):
+        for i in range(max(0, j - ku), min(4, j + kl + 1)):
+            ab[kl + ku + i - j, j] = A[i, j]
+    rhs = np.ones((4, 1))
+    native = _native.dgbsv(kl, ku, ab.copy(), rhs.copy())
+    public = dgbsv(kl, ku, ab.copy(), rhs.copy())
+    assert native[3] == public[3] == 3
+    for got, want in zip(native[:3], public[:3]):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_native_extension_loader_raises_import_error_for_a_missing_module():
+    with pytest.raises(ImportError, match="_no_such_module"):
+        _native._extension("scipy.linalg._no_such_module")
+
+
+FALLBACK_SCRIPT = """
+import importlib.machinery, sys
+if sys.argv[1] == "fallback":
+    importlib.machinery.EXTENSION_SUFFIXES = []  # _extension finds no file
+from otmesh import _native
+public = "scipy.optimize" in sys.modules
+import scipy.linalg.lapack, scipy.optimize
+from otmesh.cli import main
+print(public, _native.dgbsv is scipy.linalg.lapack.dgbsv,
+      _native.linear_sum_assignment is scipy.optimize.linear_sum_assignment)
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def test_native_falls_back_to_scipys_public_names_with_the_same_artifacts(tmp_path):
+    # a 2-D cosine study: banded Newton steps for the costs, assignment solves
+    config = {
+        "model": {"name": "cosine"},
+        "marginal_a": {"kind": "uniform_box", "low": [0, 0], "high": [0.5, 0.5], "sampler": "iid"},
+        "marginal_b": {"kind": "uniform_box", "low": [0.5, 0.5], "high": [1, 1], "sampler": "iid"},
+        "span": [0.0, 0.5],
+        "Ns": [3, 6],
+        "hs": [0.125, 0.0625],
+        "seed": 5,
+    }
+    cfg = tmp_path / "converge.json"
+    cfg.write_text(json.dumps(config), encoding="utf-8")
+    src = FilePath(integrators.__file__).parents[1]
+    flags = {}
+    for mode in ("extension", "fallback"):
+        proc = subprocess.run(
+            [sys.executable, "-c", FALLBACK_SCRIPT, mode, "converge", "--config", str(cfg),
+             "--out", str(tmp_path / mode)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        flags[mode] = proc.stdout.splitlines()[0]
+    assert flags == {"extension": "False True True", "fallback": "True True True"}
+    csv = [(tmp_path / mode / "convergence.csv").read_bytes() for mode in flags]
+    assert csv[0] == csv[1] and b",ok," in csv[0]
 
 
 # -- the one-pair Newton core against a written-out Newton loop ----------------------------

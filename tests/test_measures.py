@@ -22,6 +22,7 @@ from otmesh import (
 )
 from otmesh import measures
 from otmesh.measures import _pairwise_sup_distances
+from otmesh.serialize import measure_from_csv, measure_to_csv
 from otmesh.transport import solve_assignment
 
 FREE = free_particle()
@@ -228,6 +229,56 @@ def test_bl_bound_measures_each_distinct_atom_once(monkeypatch, factor, mixed):
     assert np.array_equal(grounds[0], want)
     assert np.array_equal(want, np.minimum(per_pair_distances(p, q), 2.0))
     assert bound == solve_assignment(want).average_cost
+
+
+MIXED_GRIDS = [
+    TimeGrid.uniform(0, 1, 4),
+    TimeGrid.uniform(0, 1, 7),
+    TimeGrid(np.array([0.0, 0.15, 0.5, 0.8, 1.0])),
+]
+
+
+def measure_on_grids(rng, n_grids, size, dim, copies=1):
+    """Atoms spread over the first n_grids MIXED_GRIDS, replicated, copies shuffled."""
+    grids = MIXED_GRIDS[:n_grids]
+    paths = [
+        Path(grids[i % n_grids], rng.uniform(-2, 2, (grids[i % n_grids].n_intervals + 1, dim)))
+        for i in range(size)
+    ]
+    atoms = [paths[i % size] for i in range(size * copies)]
+    return EmpiricalPathMeasure(atoms[i] for i in rng.permutation(len(atoms)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("grids_p, grids_q", [(2, 3), (3, 2), (3, 1), (1, 2)])
+def test_sup_distances_on_several_grids_per_measure_match_per_pair_distances(
+    dim, grids_p, grids_q
+):
+    # one common-grid block per pair of stored grids, scattered to its atoms
+    rng = np.random.default_rng(20 + dim)
+    p = measure_on_grids(rng, grids_p, 6, dim, copies=2)
+    q = measure_on_grids(rng, grids_q, 12, dim)
+    assert (len(p._grids), len(q._grids)) == (grids_p, grids_q)
+    assert np.array_equal(_pairwise_sup_distances(p, q), per_pair_distances(p, q))
+    assert np.array_equal(_pairwise_sup_distances(q, p), per_pair_distances(q, p))
+    assert np.array_equal(_pairwise_sup_distances(p, p), per_pair_distances(p, p))
+    want = np.minimum(per_pair_distances(p, q), 2.0)
+    assert bl_distance_bound(p, q) == solve_assignment(want).average_cost
+
+
+def test_bl_bound_of_a_two_grid_paths_csv_makes_no_per_pair_call(monkeypatch):
+    rng = np.random.default_rng(21)
+    text = measure_to_csv(measure_on_grids(rng, 2, 8, 2, copies=2))
+    p = measure_from_csv(text)
+    q = measure_on_grids(rng, 3, 16, 2)
+    assert len(p._grids) == 2
+    want = np.minimum(per_pair_distances(p, q), 2.0)
+
+    def per_pair_call(a, b):
+        raise AssertionError("the bound measured one pair of paths at a time")
+
+    monkeypatch.setattr(measures, "uniform_distance", per_pair_call)
+    assert bl_distance_bound(p, q) == solve_assignment(want).average_cost
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

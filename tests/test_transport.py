@@ -20,7 +20,7 @@ from otmesh import (
     solve_assignment,
     solve_bvp,
 )
-from otmesh import integrators, transport
+from otmesh import _native, integrators, transport
 from otmesh.measures import EmpiricalPathMeasure, bl_distance_bound
 from otmesh.paths import Path
 from otmesh.integrators import solve_bvp_pairs
@@ -306,6 +306,24 @@ def test_one_dimensional_quadratic_cost_is_monotone():
 
 
 # -- sorted assignment for 1-D Monge costs ----------------------------------------
+
+
+def test_native_linear_sum_assignment_is_scipys_public_one():
+    from scipy.optimize import linear_sum_assignment
+
+    assert _native.linear_sum_assignment is linear_sum_assignment
+    assert transport.linear_sum_assignment is linear_sum_assignment
+
+
+def test_native_linear_sum_assignment_rejects_an_infeasible_matrix_as_scipy_does():
+    from scipy.optimize import linear_sum_assignment
+
+    infeasible = np.array([[np.inf, 1.0], [np.inf, 2.0]])
+    with pytest.raises(ValueError) as native:
+        _native.linear_sum_assignment(infeasible)
+    with pytest.raises(ValueError) as public:
+        linear_sum_assignment(infeasible)
+    assert str(native.value) == str(public.value) == "cost matrix is infeasible"
 
 
 @contextmanager
