@@ -429,6 +429,11 @@ def cmd_converge(args, cfg: dict) -> int:
     spec_b = _marginal_from(
         cfg, "marginal_b", seed + 1 if seed is not None else None
     )
+    if spec_a.dim != spec_b.dim:
+        raise ConfigError(
+            f"'marginal_a' and 'marginal_b' must have the same dimension, "
+            f"got {spec_a.dim} and {spec_b.dim}"
+        )
     span = _span_from(cfg)
     Ns = _require(cfg, "Ns")
     hs = _require(cfg, "hs")

@@ -13,6 +13,7 @@ nodal trajectories of the midpoint action with pinned endpoints.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -358,21 +359,32 @@ def el_residual(model: LagrangianModel, path: Path) -> float:
     return float(np.max(np.linalg.norm(defects, axis=1)))
 
 
+def _midpoint_hessians(model: LagrangianModel, nodes: np.ndarray) -> np.ndarray:
+    """Potential Hessians (..., l, n, n) at the interval midpoints of paths
+    (..., l+1, n), pointwise as ``_hessian_at`` gives them."""
+    return _hessian_at(model, 0.5 * (nodes[..., 1:, :] + nodes[..., :-1, :]))
+
+
 def _bvp_blocks(
-    model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray
+    model: LagrangianModel,
+    nodes: np.ndarray,
+    dt: np.ndarray,
+    hessians: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Blocks of the Jacobian of the stacked interior defects, which is the
     Hessian of the midpoint action in the interior nodes.
 
-    ``nodes`` is (l+1, n) or a batch (P, l+1, n) on one grid.  Returns the
-    diagonal blocks (..., l-1, n, n) and the blocks (..., l-2, n, n) that
-    couple interior nodes j and j+1; each one is both the upper block of row
-    j and the lower block of row j+1.
+    ``nodes`` is (l+1, n) or a batch (P, l+1, n) on one grid, and
+    ``hessians`` their ``_midpoint_hessians``, evaluated here if not given.
+    Returns the diagonal blocks (..., l-1, n, n) and the blocks
+    (..., l-2, n, n) that couple interior nodes j and j+1; each one is both
+    the upper block of row j and the lower block of row j+1.
     """
     m = model.mass
-    mids = 0.5 * (nodes[..., 1:, :] + nodes[..., :-1, :])
+    if hessians is None:
+        hessians = _midpoint_hessians(model, nodes)
     # d(force term)/d(node) on interval j contributes (dt_j/4) Hess V(mid_j)
-    hess = 0.25 * dt[:, None, None] * _hessian_at(model, mids)
+    hess = 0.25 * dt[:, None, None] * hessians
     eye = np.eye(nodes.shape[-1])
     diag = (
         (m / dt[:-1] + m / dt[1:])[:, None, None] * eye
@@ -495,6 +507,28 @@ def _saddle_nodes(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return node
 
 
+def _convex_pairs(model: LagrangianModel, hessians: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Pairs (P,) whose midpoint action is uniformly convex in the interior
+    nodes by a bound on their midpoint Hessians ``hessians`` (P, l, n, n).
+
+    The kinetic part of the action's Hessian is the path Laplacian with
+    weights m/dt_j, at least m/dt_max times the Dirichlet Laplacian of l unit
+    intervals, so its smallest eigenvalue is at least
+    kappa = (m/dt_max) 4 sin^2(pi/(2l)).  The potential part,
+    -sum_j (dt_j/4) (u_j + u_{j+1})^T H_j (u_j + u_{j+1}), is at most
+    dt_max max_j ||H_j||_2 |u|^2 in size, since every node lies in two
+    intervals, and the spectral norm is at most the Frobenius norm.  A pair
+    with 2 dt_max max_j ||H_j||_F < kappa thus has a Hessian whose smallest
+    eigenvalue exceeds kappa/2, and so has every block LDL^T pivot, each a
+    Schur complement of it: ``_saddle_nodes`` finds no saddle node.  A
+    non-finite Hessian certifies nothing.
+    """
+    dt_max = float(np.max(dt))
+    kappa = model.mass / dt_max * 4.0 * math.sin(0.5 * math.pi / dt.size) ** 2
+    frobenius = np.sqrt(np.max(np.einsum("pjab,pjab->pj", hessians, hessians), axis=1))
+    return 2.0 * dt_max * frobenius < kappa
+
+
 def _bvp_core(
     model: LagrangianModel,
     grid: TimeGrid,
@@ -509,8 +543,14 @@ def _bvp_core(
     ``_banded_step`` per iteration, and since a pair's step is bitwise the
     same alone or in a batch, so is its whole solve.  A pair converges
     if its residual meets the tolerance and its midpoint action is finite,
-    and, if ``check_minimum``, passes the pivot test of ``_saddle_nodes``,
-    which the converged pairs share.  No random number is drawn.
+    and, if ``check_minimum``, is a minimum.  The potential Hessians at the
+    converged pairs' midpoints are evaluated once; ``_convex_pairs`` proves
+    minimality from them for the pairs whose span is short against their
+    curvature, and only the rest take the exact pivot test of
+    ``_saddle_nodes``, which they share, on blocks built from the same
+    Hessians.  The bound proves only what that test would find, so each
+    pair's result is the same as if every pair took the test.  No random
+    number is drawn.
     """
     P = nodes.shape[0]
     dt = grid.spacings
@@ -558,7 +598,14 @@ def _bvp_core(
     saddle_node = np.zeros(P, dtype=int)
     checked = np.flatnonzero(converged)
     if check_minimum and checked.size:
-        saddle_node[checked] = _saddle_nodes(*_bvp_blocks(model, nodes[checked], dt))
+        hessians = _midpoint_hessians(model, nodes[checked])
+        # only the pairs the convexity bound leaves open take the pivot test
+        uncertified = ~_convex_pairs(model, hessians, dt)
+        if uncertified.any():
+            tested = checked[uncertified]
+            saddle_node[tested] = _saddle_nodes(
+                *_bvp_blocks(model, nodes[tested], dt, hessians[uncertified])
+            )
     return BvpBatchResult(nodes, costs, err, iters, converged & (saddle_node == 0), saddle_node)
 
 
@@ -614,8 +661,10 @@ def solve_bvp(
         line from x to y.
     check_minimum
         Reject saddle points: the Hessian of the midpoint action in the
-        interior nodes must be positive definite, which the block LDL^T
-        pivot test of ``_saddle_nodes`` decides exactly, up to rounding.
+        interior nodes must be positive definite.  A convexity bound on the
+        potential's Hessian proves it for short spans; otherwise the block
+        LDL^T pivot test of ``_saddle_nodes`` decides it exactly, up to
+        rounding.
         Failure is reported through ``converged=False`` with a message
         naming the interior node where the test fails, not by raising.
     n_restarts
@@ -677,11 +726,14 @@ def solve_bvp_pairs(
     Pair p is bitwise ``solve_bvp(model, x[p], y[p], grid, init[p],
     check_minimum)`` without restarts: the same start and Newton core, whose
     steps come from one pivoted banded LU (LAPACK ``dgbsv``) over the pairs
-    still iterating, O(P l n^3) work per Newton iteration, and one block
-    LDL^T recursion over the converged pairs tests minimality.  Both act on
-    each pair alone, so its result does not depend on the batch, and no
-    random number is drawn.  Failures are reported per pair through
-    ``converged`` and ``message``, not by raising.
+    still iterating, O(P l n^3) work per Newton iteration.  With
+    ``check_minimum``, a convexity bound on the converged pairs' midpoint
+    Hessians certifies the pairs whose span is short against their
+    curvature, and one block LDL^T recursion over the other converged pairs
+    tests minimality exactly.  All of it acts on each pair alone, so its
+    result does not depend on the batch, and no random number is drawn.
+    Failures are reported per pair through ``converged`` and ``message``,
+    not by raising.
     """
     nodes = _pair_starts(grid, x, y, init)
     return _bvp_core(model, grid, nodes, check_minimum)

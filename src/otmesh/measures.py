@@ -10,7 +10,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .integrators import _interior_defects, _rk4_march, reference_flow_batch
 from .models import LagrangianModel
-from .paths import Path, PhasePoint, TimeGrid, _midpoint_actions
+from .paths import Path, PhasePoint, TimeGrid, _merged_nodes, _midpoint_actions
 # unused here, but bench/tracing.py wraps these names in this module
 from .integrators import el_residual, reference_flow  # noqa: F401
 from .paths import midpoint_action, uniform_distance  # noqa: F401
@@ -290,7 +290,7 @@ def _pairwise_sup_distances(
     out = np.empty((p.size, q.size))
     for grid_p, X_p, at_p in _grid_atoms(p):
         for grid_q, X_q, at_q in _grid_atoms(q):
-            times = np.union1d(grid_p.nodes, grid_q.nodes)
+            times = _merged_nodes(grid_p.nodes, grid_q.nodes)
             block = _sup_distances(_rows_at(grid_p, X_p, times), _rows_at(grid_q, X_q, times))
             if at_p.size == p.size and at_q.size == q.size:
                 return block

@@ -51,7 +51,9 @@ class LagrangianModel:
     hess_bound
         Map from a radius R to an upper bound on the operator norm of the
         potential's Hessian over the ball |x| <= R.  The library does not
-        read it; the quadrature-error checks in the tests bound the gap
+        read it: the minimality certificate of the boundary-value solver
+        bounds the Hessians it evaluates, so a wrong bound cannot hide a
+        saddle.  The quadrature-error checks in the tests bound the gap
         between midpoint and continuous action by
         h^2 * hess_bound(R) * int |v|^2, so every model must supply one.
     quadratic_growth

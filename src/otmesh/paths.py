@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-# np.union1d and np.unique look up np.ma, which numpy 2 imports on first use
-import numpy.ma  # noqa: F401
 
 from .errors import DimensionMismatchError
 from .models import LagrangianModel, as_point
@@ -266,6 +264,20 @@ def many_particle_action(
     return float(np.mean(values))
 
 
+def _merged_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of two 1-D arrays.
+
+    The sort and the dedupe of ``np.union1d``, bitwise its result, without
+    its lookup of ``np.ma``, which numpy 2 imports on first use.
+    """
+    merged = np.concatenate((a, b))
+    merged.sort()
+    keep = np.empty(merged.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
+
+
 def uniform_distance(p: Path, q: Path) -> float:
     """Supremum over time of the Euclidean distance between two paths.
 
@@ -280,6 +292,6 @@ def uniform_distance(p: Path, q: Path) -> float:
             f"paths cover different time spans [{p.grid.start}, {p.grid.end}] "
             f"vs [{q.grid.start}, {q.grid.end}]"
         )
-    times = np.union1d(p.grid.nodes, q.grid.nodes)
+    times = _merged_nodes(p.grid.nodes, q.grid.nodes)
     diff = p.evaluate(times) - q.evaluate(times)
     return float(np.max(np.linalg.norm(diff, axis=1)))

@@ -232,8 +232,11 @@ def solve_discrete_otm(
     then connects all matched pairs in one ``solve_bvp_pairs`` batch, each
     pair exactly as its own ``solve_bvp`` would, so the returned measure
     consists of discrete minimizing trajectories at the grid's resolution.
-    The first pair that fails raises SolverError naming it.  The reported
-    minimum is the average midpoint action of those trajectories.
+    With BVP costs the cost matrix already tested every pair for minimality,
+    and each matched pair's connect solve is bitwise its cost solve, so the
+    connect skips that test.  The first pair that fails raises SolverError
+    naming it.  The reported minimum is the average midpoint action of those
+    trajectories.
     The measure's time-a marginal equals the source cloud and its time-b
     marginal the permuted target cloud, exactly.
 
@@ -248,7 +251,10 @@ def solve_discrete_otm(
         cost_kind = "closed_form" if has_closed_form_cost(model) else "bvp"
     costs = cost_matrix(model, source, target, grid, cost_kind)
     plan = solve_assignment(costs, source=source, target=target)
-    pairs = solve_bvp_pairs(model, source.points, target.points[plan.perm], grid)
+    pairs = solve_bvp_pairs(
+        model, source.points, target.points[plan.perm], grid,
+        check_minimum=cost_kind != "bvp",
+    )
     failed = np.flatnonzero(~pairs.converged)
     if failed.size:
         i = int(failed[0])
@@ -365,7 +371,7 @@ class ConvergenceReport:
 
 def _fit_order(hs: np.ndarray, errs: np.ndarray) -> float | None:
     mask = np.isfinite(errs) & (errs > 1e-14) & np.isfinite(hs) & (hs > 0)
-    if np.count_nonzero(mask) < 2 or np.unique(hs[mask]).size < 2:
+    if np.count_nonzero(mask) < 2 or np.all(hs[mask] == hs[mask][0]):
         return None
     slope = np.polyfit(np.log(hs[mask]), np.log(errs[mask]), 1)[0]
     return float(slope)

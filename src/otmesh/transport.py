@@ -88,7 +88,7 @@ def cost_matrix(
     order that fails, with its reason; no pair is solved again.
     ``cost_kind="closed_form"`` uses the catalog formula (free particle or
     harmonic oscillator) and ignores the grid resolution; SolverError reports
-    costs that overflow.
+    a conjugate span, where the formula has no value, and costs that overflow.
     """
     if source.size != target.size:
         raise ValueError(f"cloud sizes differ: {source.size} vs {target.size}")
@@ -97,7 +97,10 @@ def cost_matrix(
     if cost_kind == "closed_form":
         if not has_closed_form_cost(model):
             raise ValueError(f"model {model.name!r} has no closed-form cost")
-        costs = closed_form_cost_matrix(model, source.points, target.points, grid.span)
+        try:
+            costs = closed_form_cost_matrix(model, source.points, target.points, grid.span)
+        except ValueError as exc:  # a span conjugate for the harmonic model
+            raise SolverError(f"closed-form costs fail: {exc}") from None
         # min and max are NaN or infinite if any entry is; no N x N temporary
         if not (np.isfinite(costs.min()) and np.isfinite(costs.max())):
             raise SolverError("closed-form costs overflow: the clouds lie too far apart")

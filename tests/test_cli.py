@@ -430,6 +430,11 @@ def valid_config(command: str) -> dict:
             {"kind": "gaussian", "mean": 0.0, "cov": [[-1.0]], "radius": 1.0, "sampler": "iid"},
         ),
         ("converge", "Ns", [1_000_000, 4]),
+        (
+            "converge",
+            "marginal_b",
+            {"kind": "uniform_box", "low": [2.0, 2.0], "high": [3.0, 3.0], "sampler": "iid"},
+        ),
     ],
 )
 def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, command, field, value):
@@ -538,6 +543,27 @@ def test_cli_converge_non_finite_bvp_cost_gives_an_error_row(tmp_path, capsys):
     assert len(rows) == 1 and ",error," in rows[0] and NON_FINITE_ACTION in rows[0]
 
 
+def run_cli_process(tmp_path, command, payload):
+    """Run one CLI command in a fresh interpreter, where a traceback would show."""
+    cfg = write_config(tmp_path, payload, f"{command}.json")
+    return subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from otmesh.cli import main; sys.exit(main(sys.argv[1:]))",
+            command,
+            "--config",
+            cfg,
+            "--out",
+            str(tmp_path / command),
+        ],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def test_cli_overflow_reaches_stderr_as_the_solver_error_alone(tmp_path):
     # a fresh interpreter shows numpy's RuntimeWarnings, which pytest would capture
     payload = {
@@ -547,26 +573,34 @@ def test_cli_overflow_reaches_stderr_as_the_solver_error_alone(tmp_path):
         "target_points": [0.0, 1.0],
         "cost_kind": "bvp",
     }
-    cfg = write_config(tmp_path, payload, "overflow.json")
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "import sys; from otmesh.cli import main; sys.exit(main(sys.argv[1:]))",
-            "transport",
-            "--config",
-            cfg,
-            "--out",
-            str(tmp_path / "out"),
-        ],
-        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_cli_process(tmp_path, "transport", payload)
     assert proc.returncode == 2
     assert proc.stderr.startswith("solver error:")
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_cli_transport_closed_form_cost_over_a_conjugate_span_is_a_solver_error(tmp_path):
+    # the harmonic closed-form cost has no value where sin(omega T) = 0
+    payload = {**valid_config("transport"), "model": {"name": "harmonic"}, "span": [0.0, math.pi]}
+    proc = run_cli_process(tmp_path, "transport", payload)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("solver error:") and "is conjugate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_converge_closed_form_cost_over_a_conjugate_span_gives_error_rows(tmp_path):
+    payload = {
+        **valid_config("converge"),
+        "model": {"name": "harmonic"},
+        "span": [0.0, math.pi],
+        "hs": [0.5, 0.25],
+        "allow_long_horizon": True,
+    }
+    proc = run_cli_process(tmp_path, "converge", payload)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    rows = csv_lines(tmp_path / "converge" / "convergence.csv")[1:]
+    assert len(rows) == 2 and all(",error," in row and "is conjugate" in row for row in rows)
 
 
 def test_importing_the_cli_leaves_scipy_stats_unimported():

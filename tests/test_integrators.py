@@ -1040,6 +1040,124 @@ def test_pivot_test_at_an_exactly_conjugate_span(l):
             assert not screen_finds_saddle(HARMONIC, grid, nodes, got.costs[0], rng)
 
 
+# -- convexity certificate against the pivot test ---------------------------------
+
+
+SWEEP_MODELS = {
+    "free_particle": lambda dim: FREE,
+    "harmonic": lambda dim: HARMONIC,
+    "stiff_harmonic": lambda dim: harmonic_oscillator(mass=0.5, stiffness=9.0),
+    "double_well": lambda dim: double_well(),
+    "cosine": lambda dim: cosine_potential(dim=dim),
+    "cosine_2": lambda dim: cosine_potential(amplitude=2.0, dim=dim),
+    "ridge": lambda dim: inverted_ring_ridge(),
+}
+
+
+def sweep_grids(rng):
+    # spans on both sides of the bound's limit, uniform and random spacings
+    for span in (0.1, 1.0, 2.5):
+        for l in (2, 9, 60):
+            yield TimeGrid.uniform(0.0, span, l)
+            yield TimeGrid(np.concatenate([[0.0], np.sort(rng.uniform(0, span, l - 1)), [span]]))
+
+
+def certificate_and_pivot_test(model, grid, nodes):
+    dt = grid.spacings
+    certified = integrators._convex_pairs(model, integrators._midpoint_hessians(model, nodes), dt)
+    return certified, integrators._saddle_nodes(*integrators._bvp_blocks(model, nodes, dt))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_convexity_certificate_certifies_no_pair_the_pivot_test_rejects():
+    # stationary paths from straight-line starts and random perturbations of
+    # them, with analytic and finite-difference Hessians
+    rng = np.random.default_rng(18)
+    certified_total = rejected_total = open_passed_total = 0
+    for make in SWEEP_MODELS.values():
+        for dim in (1, 2, 3):
+            analytic = make(dim)
+            for model in (analytic, replace(analytic, hess_potential=None)):
+                for grid in sweep_grids(rng):
+                    x, y = rng.uniform(-1.5, 1.5, (2, 4, dim))
+                    starts = integrators._pair_starts(grid, x, y, None)
+                    solved = integrators._bvp_core(model, grid, starts, False).nodes
+                    moved = solved.copy()
+                    moved[:, 1:-1] += rng.normal(0.0, 0.3, moved[:, 1:-1].shape)
+                    nodes = np.concatenate([solved, moved])
+                    certified, node = certificate_and_pivot_test(model, grid, nodes)
+                    assert not np.any(node[certified])
+                    certified_total += np.count_nonzero(certified)
+                    rejected_total += np.count_nonzero(node)
+                    open_passed_total += np.count_nonzero(~certified & (node == 0))
+    # of 6048 pairs the bound certifies about half (3066 on x86-64) and leaves
+    # to the pivot test both saddles (798) and pairs that pass it (2184)
+    assert certified_total > 2500 and rejected_total > 500 and open_passed_total > 1500
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bvp_core_gives_the_same_results_when_the_certificate_certifies_nothing(monkeypatch):
+    cases = [
+        (model, grid, np.stack(bvp_starts(grid, dim, seed, seed == 6)))
+        for model, dim in CORE_MODELS.values()
+        for grid in CORE_GRIDS.values()
+        for seed in (5, 6)
+    ]
+    for model, starts, _ in SCREEN_CASES.values():
+        grid, paths = starts()
+        cases.append((model, grid, np.stack(paths)))
+    fields = ("nodes", "costs", "residuals", "newton_iterations", "converged", "saddle_node")
+    with_bound = [integrators._bvp_core(model, grid, s.copy(), True) for model, grid, s in cases]
+    certified = sum(
+        np.count_nonzero(
+            integrators._convex_pairs(model, integrators._midpoint_hessians(model, got.nodes),
+                                      grid.spacings) & got.converged
+        )
+        for (model, grid, _), got in zip(cases, with_bound)
+    )
+    assert certified > 100
+    monkeypatch.setattr(
+        integrators, "_convex_pairs", lambda model, hessians, dt: np.zeros(len(hessians), bool)
+    )
+    for (model, grid, s), want in zip(cases, with_bound):
+        got = integrators._bvp_core(model, grid, s.copy(), True)
+        for name in fields:
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+        assert [got.message(p) for p in range(len(s))] == [
+            want.message(p) for p in range(len(s))
+        ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_certificate_leaves_saddles_and_conjugate_endpoints_to_the_pivot_test():
+    # the 2-D double-well saddle on the long grid, whose Hessian eigenvalue
+    # -0.53 no perturbation of the random screen probes
+    grid = CORE_GRIDS["long"]
+    got = integrators._bvp_core(double_well(), grid, np.stack(bvp_starts(grid, 2, 5, False)), True)
+    certified, node = certificate_and_pivot_test(double_well(), grid, got.nodes)
+    assert got.saddle_node[1] == node[1] == 11 and not certified[1]
+    assert got.message(1) == (
+        "saddle-point check failed: the second variation of the action "
+        "turns indefinite at interior node 11"
+    )
+    # the 2-D cosine of amplitude 2 over span 2.5: minima and saddles, none certified
+    model, grid = cosine_potential(amplitude=2.0, dim=2), TimeGrid.uniform(0.0, 2.5, 40)
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-0.5, 0.5, (8, 2)) + np.pi * rng.integers(0, 2, (8, 1))
+    y = rng.uniform(-0.5, 0.5, (8, 2)) + np.pi * rng.integers(0, 2, (8, 1))
+    got = integrators.solve_bvp_pairs(model, x, y, grid)
+    certified, node = certificate_and_pivot_test(model, grid, got.nodes)
+    assert not np.any(certified) and np.any(got.saddle_node) and np.any(got.converged)
+    assert np.array_equal(got.saddle_node[got.saddle_node > 0], node[got.saddle_node > 0])
+    # the weak minimizer at an exactly conjugate span passes the pivot test only
+    for l in (10, 40):
+        grid = TimeGrid.uniform(0.0, 2 * l * np.tan(np.pi / (2 * l)), l)
+        got = integrators.solve_bvp_pairs(HARMONIC, np.zeros((1, 1)), np.zeros((1, 1)), grid)
+        certified, node = certificate_and_pivot_test(HARMONIC, grid, got.nodes)
+        assert got.converged[0] and node[0] == 0 and not certified[0]
+        assert got.message(0) == ""
+
+
 def test_bvp_core_and_pairs_draw_no_random_numbers():
     # restart noise in solve_bvp is the only draw left in the module
     for solver in (integrators._bvp_core, integrators.solve_bvp_pairs):

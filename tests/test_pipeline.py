@@ -209,6 +209,48 @@ def test_otm_connect_equals_solve_bvp_per_matched_pair_bitwise(case):
     assert result.min_action == float(np.mean([single.cost for single in want]))
 
 
+@pytest.mark.parametrize("case", sorted(CONNECT_CASES))
+def test_otm_connect_tests_minimality_only_without_bvp_costs(case, monkeypatch):
+    # a BVP cost matrix already tested every pair, so its connect runs neither
+    # the convexity certificate nor the pivot test; closed-form costs keep both
+    from otmesh import integrators
+
+    model, dim, grid, cost_kind = CONNECT_CASES[case]
+    rng = np.random.default_rng(len(case))
+    source = PointCloud(rng.uniform(-1.5, 1.5, (6, dim)))
+    target = PointCloud(rng.uniform(-1.0, 2.0, (6, dim)))
+    calls, reference, connecting = [], [], []
+
+    def spy(name):
+        real = getattr(integrators, name)
+
+        def wrapped(*args):
+            calls.append((name, bool(connecting)))
+            return real(*args)
+
+        monkeypatch.setattr(integrators, name, wrapped)
+
+    def connect_spy(model, x, y, grid, init=None, check_minimum=True):
+        # the connect as it was, with the minimality test, for reference
+        reference.append(integrators.solve_bvp_pairs(model, x, y, grid, init, True))
+        connecting.append(True)
+        return integrators.solve_bvp_pairs(model, x, y, grid, init, check_minimum)
+
+    spy("_convex_pairs")
+    spy("_saddle_nodes")
+    monkeypatch.setattr(pipeline, "solve_bvp_pairs", connect_spy)
+    result = solve_discrete_otm(model, source, target, grid, cost_kind)
+    in_connect = [name for name, during in calls if during]
+    if cost_kind == "bvp":
+        assert in_connect == [] and ("_convex_pairs", False) in calls
+    else:
+        assert "_convex_pairs" in in_connect
+    (want,) = reference
+    assert np.all(want.converged)
+    assert np.array_equal(result.measure._nodes[0], want.nodes)
+    assert result.min_action == float(np.mean(want.costs))
+
+
 @pytest.mark.parametrize(
     "grid, source, target, failing, reason",
     [
