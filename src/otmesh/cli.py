@@ -292,8 +292,13 @@ def _file_text(cfg: dict, key: str) -> str:
 def _out_dir(args, cfg: dict) -> FsPath:
     # the only environment override allowed: output directory
     out = args.out or os.environ.get("OTMESH_OUT") or cfg.get("out", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"'out' must name an output directory, got {out!r}")
     path = FsPath(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out!r}: {exc}") from None
     return path
 
 

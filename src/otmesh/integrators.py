@@ -622,23 +622,14 @@ def _cluster_paths(paths: list[Path], threshold: float) -> list[list[int]]:
     return clusters
 
 
-def _pair_starts(grid: TimeGrid, x, y, init: Sequence[Path] | None) -> np.ndarray:
-    """Start nodes (P, l+1, n) of the pairs x[p] -> y[p], endpoints pinned.
-
-    Pair p starts from ``init[p]`` resampled onto the grid, or by default
-    from the straight line.
-    """
+def _pair_starts(grid: TimeGrid, x, y) -> np.ndarray:
+    """Straight-line start nodes (P, l+1, n) of the pairs x[p] -> y[p], endpoints pinned."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or x.shape != y.shape:
         raise ValueError("endpoints must be two arrays of the same shape (P, n)")
-    if init is None:
-        u = ((grid.nodes - grid.start) / grid.span)[:, None]
-        nodes = (1.0 - u) * x[:, None, :] + u * y[:, None, :]
-    elif len(init) != x.shape[0]:
-        raise ValueError(f"{len(init)} warm-start paths for {x.shape[0]} pairs")
-    else:
-        nodes = np.stack([path.evaluate(grid.nodes) for path in init])
+    u = ((grid.nodes - grid.start) / grid.span)[:, None]
+    nodes = (1.0 - u) * x[:, None, :] + u * y[:, None, :]
     nodes[:, 0], nodes[:, -1] = x, y
     return nodes
 
@@ -657,8 +648,8 @@ def solve_bvp(
     Parameters
     ----------
     init
-        Warm-start path (resampled onto the grid); default is the straight
-        line from x to y.
+        Warm-start path, evaluated at the grid's interior nodes, so its span
+        must cover the grid's; default is the straight line from x to y.
     check_minimum
         Reject saddle points: the Hessian of the midpoint action in the
         interior nodes must be positive definite.  A convexity bound on the
@@ -689,7 +680,9 @@ def solve_bvp(
     x, y = as_point(x), as_point(y)
     if x.shape != y.shape:
         raise ValueError("endpoints have different dimensions")
-    start = _pair_starts(grid, x[None], y[None], None if init is None else [init])
+    start = _pair_starts(grid, x[None], y[None])
+    if init is not None:
+        start[0, 1:-1] = init.evaluate(grid.nodes)[1:-1]
     nodes = np.repeat(start, 1 + max(0, n_restarts), axis=0)
     if n_restarts > 0:
         noise = 0.5 * (float(np.max(np.abs(y - x))) + 1.0)
@@ -718,22 +711,21 @@ def solve_bvp_pairs(
     x: np.ndarray,
     y: np.ndarray,
     grid: TimeGrid,
-    init: Sequence[Path] | None = None,
     check_minimum: bool = True,
 ) -> BvpBatchResult:
     """Connect x[p] to y[p] for P pairs of points (P, n) on one grid at once.
 
-    Pair p is bitwise ``solve_bvp(model, x[p], y[p], grid, init[p],
-    check_minimum)`` without restarts: the same start and Newton core, whose
-    steps come from one pivoted banded LU (LAPACK ``dgbsv``) over the pairs
-    still iterating, O(P l n^3) work per Newton iteration.  With
-    ``check_minimum``, a convexity bound on the converged pairs' midpoint
-    Hessians certifies the pairs whose span is short against their
-    curvature, and one block LDL^T recursion over the other converged pairs
-    tests minimality exactly.  All of it acts on each pair alone, so its
-    result does not depend on the batch, and no random number is drawn.
+    This is the cost-matrix and connect solve of the transport; every pair
+    starts from the straight line.  Pair p is bitwise ``solve_bvp(model,
+    x[p], y[p], grid, check_minimum=check_minimum)``: the same start and
+    Newton core, whose steps come from one pivoted banded LU (LAPACK
+    ``dgbsv``) over the pairs still iterating, O(P l n^3) work per Newton
+    iteration.  With ``check_minimum``, a convexity bound on the converged
+    pairs' midpoint Hessians certifies the pairs whose span is short against
+    their curvature, and one block LDL^T recursion over the other converged
+    pairs tests minimality exactly.  All of it acts on each pair alone, so
+    its result does not depend on the batch, and no random number is drawn.
     Failures are reported per pair through ``converged`` and ``message``,
     not by raising.
     """
-    nodes = _pair_starts(grid, x, y, init)
-    return _bvp_core(model, grid, nodes, check_minimum)
+    return _bvp_core(model, grid, _pair_starts(grid, x, y), check_minimum)

@@ -21,28 +21,22 @@ class EmpiricalPathMeasure:
     """Uniform-weight sum of path masses (1/N) sum delta_{gamma_i}.
 
     The atoms are stored as arrays: one read-only node array (N_g, l+1, n)
-    per distinct grid (grids equal by value are one), and for every atom the
-    index of its grid and its row in that grid's array.  Atoms that share a
-    (grid, row) are copies of one path, as ``replicate`` makes them, and
-    every stored row belongs to at least one atom.  ``paths`` builds one
-    ``Path`` per stored row on first access and keeps them.
+    per distinct grid (grids equal by value are one), and for every atom its
+    row in those arrays stacked in grid order.  Atoms that share a row are
+    copies of one path, as ``replicate`` makes them, and every stored row
+    belongs to at least one atom.  ``paths`` builds one ``Path`` per stored
+    row on first access and keeps them.
     """
 
-    __slots__ = ("_grids", "_nodes", "_group", "_row", "_paths")
+    __slots__ = ("_grids", "_nodes", "_atom", "_paths")
 
     def __init__(self, paths):
         paths = tuple(paths)
         # a repeated Path object is one atom with copies
-        atom: dict[int, int] = {}
-        block = np.array([atom.setdefault(id(p), len(atom)) for p in paths], dtype=np.intp)
+        row: dict[int, int] = {}
+        rows = np.array([row.setdefault(id(p), len(row)) for p in paths], dtype=np.intp)
         distinct = list({id(p): p for p in paths}.values())
-        _assemble(
-            self,
-            [p.grid for p in distinct],
-            [p.nodes[None] for p in distinct],
-            block,
-            np.zeros(block.size, dtype=np.intp),
-        )
+        _assemble(self, [p.grid for p in distinct], [p.nodes[None] for p in distinct], rows)
         self._paths = paths
 
     @classmethod
@@ -60,30 +54,24 @@ class EmpiricalPathMeasure:
             )
         if not np.all(np.isfinite(nodes)):
             raise ValueError("nodal positions must be finite")
-        size = nodes.shape[0]
-        return _assemble(
-            object.__new__(cls), [grid], [nodes], np.zeros(size, dtype=np.intp), np.arange(size)
-        )
+        return _assemble(object.__new__(cls), [grid], [nodes], np.arange(nodes.shape[0]))
 
-    def _store(self, grids, nodes, group, row, paths=None) -> "EmpiricalPathMeasure":
-        group.setflags(write=False)
-        row.setflags(write=False)
+    def _store(self, grids, nodes, atom, paths=None) -> "EmpiricalPathMeasure":
+        atom.setflags(write=False)
         self._grids, self._nodes = tuple(grids), tuple(nodes)
-        self._group, self._row, self._paths = group, row, paths
+        self._atom, self._paths = atom, paths
         return self
 
     @property
     def paths(self) -> tuple[Path, ...]:
         if self._paths is None:
-            stored = [[Path(grid, x) for x in X] for grid, X in zip(self._grids, self._nodes)]
-            self._paths = tuple(
-                stored[g][r] for g, r in zip(self._group.tolist(), self._row.tolist())
-            )
+            stored = [Path(grid, x) for grid, X in zip(self._grids, self._nodes) for x in X]
+            self._paths = tuple(stored[i] for i in self._atom.tolist())
         return self._paths
 
     @property
     def size(self) -> int:
-        return self._group.size
+        return self._atom.size
 
     @property
     def dim(self) -> int:
@@ -108,21 +96,20 @@ class EmpiricalPathMeasure:
         return object.__new__(EmpiricalPathMeasure)._store(
             self._grids,
             self._nodes,
-            np.tile(self._group, factor),
-            np.tile(self._row, factor),
+            np.tile(self._atom, factor),
             None if self._paths is None else self._paths * factor,
         )
 
 
-def _assemble(measure, grids, blocks, block, row) -> EmpiricalPathMeasure:
-    """Fill measure with the atoms row[i] of blocks[block[i]], return it.
+def _assemble(measure, grids, blocks, rows) -> EmpiricalPathMeasure:
+    """Fill measure with the atoms rows[i] of the blocks stacked in order, return it.
 
     ``blocks[k]`` is a node array (k_rows, l+1, n) on ``grids[k]``.  Checks
     that there is an atom and that all share one dimension and one time span,
     with the messages of the public constructor, then copies the blocks of
     grids equal by value into one read-only array.
     """
-    if block.size == 0:
+    if rows.size == 0:
         raise ValueError("a path measure needs at least one path")
     dims = {X.shape[2] for X in blocks}
     if len(dims) != 1:
@@ -130,9 +117,8 @@ def _assemble(measure, grids, blocks, block, row) -> EmpiricalPathMeasure:
     group_of: dict[bytes, int] = {}
     distinct: list[TimeGrid] = []
     members: list[list[int]] = []
-    group = np.empty(len(blocks), dtype=np.intp)
     for k, grid in enumerate(grids):
-        g = group[k] = group_of.setdefault(grid.nodes.tobytes(), len(distinct))
+        g = group_of.setdefault(grid.nodes.tobytes(), len(distinct))
         if g == len(distinct):
             distinct.append(grid)
             members.append([])
@@ -140,28 +126,27 @@ def _assemble(measure, grids, blocks, block, row) -> EmpiricalPathMeasure:
     spans = {(grid.start, grid.end) for grid in distinct}
     if len(spans) != 1:
         raise ValueError(f"paths cover different time spans: {sorted(spans)}")
-    offset = np.empty(len(blocks), dtype=np.intp)
     nodes = []
     for ks in members:
-        sizes = [blocks[k].shape[0] for k in ks]
-        offset[ks] = np.cumsum(sizes) - sizes
         X = np.concatenate([blocks[k] for k in ks])
         X.setflags(write=False)
         nodes.append(X)
-    return measure._store(distinct, nodes, group[block], offset[block] + row)
+    # the given row of every stored row, and its inverse
+    start = np.cumsum([0] + [X.shape[0] for X in blocks])
+    given = np.concatenate([np.arange(start[k], start[k + 1]) for ks in members for k in ks])
+    stored = np.empty_like(given)
+    stored[given] = np.arange(given.size)
+    return measure._store(distinct, nodes, stored[rows])
 
 
 def _join(measures) -> EmpiricalPathMeasure:
     """The atoms of all the measures, in order, as one measure."""
-    grids = [grid for m in measures for grid in m._grids]
-    blocks = [X for m in measures for X in m._nodes]
-    base = np.cumsum([0] + [len(m._grids) for m in measures])
+    base = np.cumsum([0] + [sum(X.shape[0] for X in m._nodes) for m in measures])
     return _assemble(
         object.__new__(EmpiricalPathMeasure),
-        grids,
-        blocks,
-        np.concatenate([b + m._group for b, m in zip(base, measures)]),
-        np.concatenate([m._row for m in measures]),
+        [grid for m in measures for grid in m._grids],
+        [X for m in measures for X in m._nodes],
+        np.concatenate([b + m._atom for b, m in zip(base, measures)]),
     )
 
 
@@ -239,11 +224,7 @@ def marginal_at_time(pi: EmpiricalPathMeasure, t: float) -> PointCloud:
 
 def _per_atom(measure: EmpiricalPathMeasure, values) -> np.ndarray:
     """The value of every atom, given one array of values per stored row and grid."""
-    out = np.empty((measure.size,) + values[0].shape[1:], dtype=values[0].dtype)
-    for g, v in enumerate(values):
-        members = measure._group == g
-        out[members] = v[measure._row[members]]
-    return out
+    return np.concatenate(values)[measure._atom]
 
 
 def _rows_at(grid: TimeGrid, X: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -274,11 +255,12 @@ def _pairwise_sup_distances(
 ) -> np.ndarray:
     """Matrix of sup-over-time distances between the atoms of two measures.
 
-    For every pair of stored grids, one of each measure, the atoms on them
-    are evaluated at the merged nodes of the two grids, where the supremum
-    is attained, and a running maximum of squared distances over those times
-    keeps temporaries at (N_p, N_q, n); one square root follows.  Each block
-    goes to the rows and columns of its atoms.  ``np.linalg.norm`` of real
+    For every pair of stored grids, one of each measure, the stored rows on
+    them are evaluated at the merged nodes of the two grids, where the
+    supremum is attained, and a running maximum of squared distances over
+    those times keeps temporaries at (N_p, N_q, n); one square root follows.
+    The blocks form one stored-rows matrix whose rows and columns go to the
+    atoms, so each copied path is measured once.  ``np.linalg.norm`` of real
     input is the square root of the same sum of squares, and the square root
     is monotone and correctly rounded, so the result equals
     ``uniform_distance`` pair by pair, bitwise.
@@ -287,22 +269,30 @@ def _pairwise_sup_distances(
         raise ValueError(
             f"measures cover different time spans {p.time_span} vs {q.time_span}"
         )
-    out = np.empty((p.size, q.size))
-    for grid_p, X_p, at_p in _grid_atoms(p):
-        for grid_q, X_q, at_q in _grid_atoms(q):
-            times = _merged_nodes(grid_p.nodes, grid_q.nodes)
-            block = _sup_distances(_rows_at(grid_p, X_p, times), _rows_at(grid_q, X_q, times))
-            if at_p.size == p.size and at_q.size == q.size:
-                return block
-            out[np.ix_(at_p, at_q)] = block
+    out = np.block([
+        [_grid_sup_distances(grid_p, X_p, grid_q, X_q) for grid_q, X_q in zip(q._grids, q._nodes)]
+        for grid_p, X_p in zip(p._grids, p._nodes)
+    ])
+    if not np.array_equal(p._atom, np.arange(out.shape[0])):
+        out = out[p._atom]
+    if not np.array_equal(q._atom, np.arange(out.shape[1])):
+        out = out[:, q._atom]
     return out
 
 
+def _grid_sup_distances(grid_p, X_p, grid_q, X_q) -> np.ndarray:
+    """Sup-distances of the paths X_p on grid_p to X_q on grid_q, over the merged nodes."""
+    times = _merged_nodes(grid_p.nodes, grid_q.nodes)
+    return _sup_distances(_rows_at(grid_p, X_p, times), _rows_at(grid_q, X_q, times))
+
+
 def _grid_atoms(measure: EmpiricalPathMeasure):
-    """(grid, node array of its atoms, atom indices) for every stored grid."""
-    for g, (grid, X) in enumerate(zip(measure._grids, measure._nodes)):
-        atoms = np.flatnonzero(measure._group == g)
-        yield grid, X[measure._row[atoms]], atoms
+    """(grid, node rows of its atoms, atom indices) for every stored grid."""
+    row = measure._atom
+    for grid, X in zip(measure._grids, measure._nodes):
+        atoms = np.flatnonzero((row >= 0) & (row < X.shape[0]))
+        yield grid, X[row[atoms]], atoms
+        row = row - X.shape[0]
 
 
 def _sup_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -329,23 +319,8 @@ def bl_distance_bound(p: EmpiricalPathMeasure, q: EmpiricalPathMeasure) -> float
         raise ValueError(f"measures have different sizes: {p.size} vs {q.size}")
     if p.dim != q.dim:
         raise DimensionMismatchError("measures have different space dimensions")
-    # replicate() makes atoms share a stored row: measure each distinct atom
-    # once, in first-occurrence order, and give every copy its row
-    offsets = np.cumsum([0] + [X.shape[0] for X in p._nodes])
-    _, first, inverse = np.unique(
-        offsets[p._group] + p._row, return_index=True, return_inverse=True
-    )
-    if first.size < p.size:
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        atoms = first[order]
-        distinct = object.__new__(EmpiricalPathMeasure)._store(
-            p._grids, p._nodes, p._group[atoms], p._row[atoms]
-        )
-        ground = np.minimum(_pairwise_sup_distances(distinct, q), 2.0)[rank[inverse]]
-    else:
-        ground = np.minimum(_pairwise_sup_distances(p, q), 2.0)
+    ground = _pairwise_sup_distances(p, q)
+    np.minimum(ground, 2.0, out=ground)
     return solve_assignment(ground).average_cost
 
 

@@ -567,13 +567,14 @@ def run_stationarity_study(
     """Solve every path's boundary problem again at each resolution.
 
     Each level solves the stationarity systems of all paths (no minimality
-    check) at spacing h in one batch of the ``solve_bvp_pairs`` core,
+    check) at spacing h in one batch of the Newton core ``_bvp_core``,
     warm-starting each path's Newton from its trajectory at the previous
     level (first level: from the input path itself), then measures
     stationarity residuals and distances to the reference orbit launched
     from each path's own initial phase point.  The warm starts are the
     previous level's atoms evaluated at the new grid's nodes, endpoints
-    pinned, bitwise what ``solve_bvp_pairs`` makes of them as ``init`` paths.
+    pinned, bitwise the start ``solve_bvp`` makes of each as its ``init``
+    path.
     """
     hs = list(hs)
     if not hs:

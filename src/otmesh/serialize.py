@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .measures import EmpiricalPathMeasure, _join
+from .measures import EmpiricalPathMeasure, _grid_atoms, _join
 from .paths import Path, TimeGrid
 
 
@@ -94,16 +94,18 @@ def path_from_csv(text: str) -> Path:
 def measure_to_csv(measure: EmpiricalPathMeasure) -> str:
     """Long format with columns path_id, t, x_1..x_n."""
     header = ",".join(["path_id", "t"] + _coordinate_header(measure.dim))
-    lengths = np.array([grid.nodes.size for grid in measure._grids])[measure._group]
+    grids = list(_grid_atoms(measure))
+    lengths = np.empty(measure.size, dtype=np.intp)
+    for grid, _, atoms in grids:
+        lengths[atoms] = grid.nodes.size
     first = np.cumsum(lengths) - lengths  # the first CSV row of every atom
     rows = np.empty((int(lengths.sum()), 2 + measure.dim))
     # ids below 2^53 print as "%.17g" of the float exactly as str() of the int
     rows[:, 0] = np.repeat(np.arange(measure.size, dtype=float), lengths)
-    for g, (grid, X) in enumerate(zip(measure._grids, measure._nodes)):
-        members = measure._group == g
-        at = first[members][:, None] + np.arange(grid.nodes.size)
+    for grid, X, atoms in grids:
+        at = first[atoms][:, None] + np.arange(grid.nodes.size)
         rows[at, 1] = grid.nodes
-        rows[at, 2:] = X[measure._row[members]]
+        rows[at, 2:] = X
     return "".join(_rows_to_csv(header, rows))
 
 

@@ -543,8 +543,12 @@ def test_cli_converge_non_finite_bvp_cost_gives_an_error_row(tmp_path, capsys):
     assert len(rows) == 1 and ",error," in rows[0] and NON_FINITE_ACTION in rows[0]
 
 
-def run_cli_process(tmp_path, command, payload):
-    """Run one CLI command in a fresh interpreter, where a traceback would show."""
+def run_cli_process(tmp_path, command, payload, out=True, env=None):
+    """Run one CLI command in a fresh interpreter, where a traceback would show.
+
+    With ``out`` the outputs go to ``--out tmp_path/command``; ``env`` adds
+    environment variables.
+    """
     cfg = write_config(tmp_path, payload, f"{command}.json")
     return subprocess.run(
         [
@@ -554,14 +558,32 @@ def run_cli_process(tmp_path, command, payload):
             command,
             "--config",
             cfg,
-            "--out",
-            str(tmp_path / command),
+            *(["--out", str(tmp_path / command)] if out else []),
         ],
-        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR), **(env or {})},
+        cwd=tmp_path,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("where", ["config_number", "config_file", "env_file"])
+def test_cli_bad_output_directory_is_a_config_error(tmp_path, where):
+    # a non-string 'out', or one naming an existing file, in the config or in OTMESH_OUT
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    payload, env = valid_config("bvp"), {"OTMESH_OUT": ""}
+    if where == "config_number":
+        payload["out"] = 5
+    elif where == "config_file":
+        payload["out"] = str(taken)
+    else:
+        env["OTMESH_OUT"] = str(taken)
+    proc = run_cli_process(tmp_path, "bvp", payload, out=False, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error:") and "output directory" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_overflow_reaches_stderr_as_the_solver_error_alone(tmp_path):

@@ -793,8 +793,8 @@ def assert_solves_match_sparse_loop(model, grid, starts):
     starts = np.stack(starts)
     x, y = starts[:, 0], starts[:, -1]
     init = [Path(grid, nodes) for nodes in starts]
-    got = integrators.solve_bvp_pairs(model, x, y, grid, init)
-    for p, start in enumerate(integrators._pair_starts(grid, x, y, init)):
+    got = integrators._bvp_core(model, grid, starts.copy(), True)
+    for p, start in enumerate(starts):
         nodes, cost, _, iters, ok, node = written_out_solve(model, grid, start, sparse_step)
         single = solve_bvp(model, x[p], y[p], grid, init[p])
         assert (got.converged[p], got.saddle_node[p]) == (ok, node)
@@ -838,7 +838,7 @@ def test_bvp_restarts_match_the_sparse_newton_loop(model, x, y, grid):
     # the restarts of solve_bvp written out, with the sparse LU step; the
     # generator draws restart noise and nothing else
     rng = np.random.default_rng(0)
-    start = integrators._pair_starts(grid, x[None], y[None], None)[0]
+    start = integrators._pair_starts(grid, x[None], y[None])[0]
     bump = np.sin(np.pi * (grid.nodes[1:-1] - grid.start) / grid.span)
     noise = 0.5 * (float(np.max(np.abs(y - x))) + 1.0)
     attempts = []
@@ -940,8 +940,7 @@ def assert_action_falls_along_failed_pivot(model, grid, nodes, cost, node):
 def assert_screen_agrees_with_pivot_test(model, grid, starts):
     """Solve every start; return the result and how many saddles the screen missed."""
     starts = np.stack(starts)
-    init = [Path(grid, nodes) for nodes in starts]
-    got = integrators.solve_bvp_pairs(model, starts[:, 0], starts[:, -1], grid, init)
+    got = integrators._bvp_core(model, grid, starts, True)
     missed = 0
     for p in np.flatnonzero(got.converged | (got.saddle_node > 0)):
         rng = np.random.default_rng(0)  # the screen's draw in every solve
@@ -1080,7 +1079,7 @@ def test_convexity_certificate_certifies_no_pair_the_pivot_test_rejects():
             for model in (analytic, replace(analytic, hess_potential=None)):
                 for grid in sweep_grids(rng):
                     x, y = rng.uniform(-1.5, 1.5, (2, 4, dim))
-                    starts = integrators._pair_starts(grid, x, y, None)
+                    starts = integrators._pair_starts(grid, x, y)
                     solved = integrators._bvp_core(model, grid, starts, False).nodes
                     moved = solved.copy()
                     moved[:, 1:-1] += rng.normal(0.0, 0.3, moved[:, 1:-1].shape)
@@ -1204,7 +1203,7 @@ def test_banded_step_matches_the_sparse_step(model_name, grid_name, dim):
     model, grid = BANDED_MODELS[model_name], BANDED_GRIDS[grid_name]
     rng = np.random.default_rng(10 * dim + len(model_name))
     x, y = rng.uniform(-1.2, 1.2, (6, dim)), rng.uniform(-0.8, 1.5, (6, dim))
-    nodes = integrators._pair_starts(grid, x, y, None)
+    nodes = integrators._pair_starts(grid, x, y)
     nodes[:, 1:-1] += rng.uniform(-0.3, 0.3, nodes[:, 1:-1].shape)
     banded = banded_steps(model, grid, nodes)
     for p, pair in enumerate(nodes):
@@ -1234,7 +1233,7 @@ def test_banded_step_isolates_singular_and_non_finite_pairs():
     # a non-finite node between pairs of a longer grid
     grid = TimeGrid.uniform(0.0, 0.6, 24)
     x, y = rng.uniform(-1, 1, (4, 2)), rng.uniform(-1, 1, (4, 2))
-    nodes = integrators._pair_starts(grid, x, y, None)
+    nodes = integrators._pair_starts(grid, x, y)
     nodes[2, 7, 1] = np.inf
     assert_broken_pairs_isolated(double_well(), grid, nodes, [2])
 
@@ -1242,8 +1241,12 @@ def test_banded_step_isolates_singular_and_non_finite_pairs():
 # -- P pairs in one batch against one solve_bvp per pair -------------------------
 
 
-def assert_pairs_match_solve_bvp(model, x, y, grid, init=None, check_minimum=True):
-    got = integrators.solve_bvp_pairs(model, x, y, grid, init, check_minimum)
+def assert_pairs_match_solve_bvp(model, x, y, grid, check_minimum=True):
+    got = integrators.solve_bvp_pairs(model, x, y, grid, check_minimum)
+    return assert_batch_matches_solve_bvp(got, model, x, y, grid, None, check_minimum)
+
+
+def assert_batch_matches_solve_bvp(got, model, x, y, grid, init, check_minimum):
     for p in range(x.shape[0]):
         want = solve_bvp(
             model, x[p], y[p], grid, None if init is None else init[p], check_minimum
@@ -1279,7 +1282,8 @@ def test_bvp_pairs_connect_equals_solve_bvp_per_pair_bitwise(case):
 
 @pytest.mark.parametrize("case", sorted(PAIR_CASES))
 def test_bvp_pairs_warm_started_level_equals_solve_bvp_per_pair_bitwise(case):
-    # warm starts on another grid, as one level of the stationarity study gets them
+    # warm starts on another grid fed to the Newton core, as one level of the
+    # stationarity study feeds them
     model, dim, grid = PAIR_CASES[case]
     rng = np.random.default_rng(len(case) + 1)
     coarse = TimeGrid(grid.start + grid.span * np.array([0.0, 0.3, 0.45, 0.8, 1.0]))
@@ -1290,7 +1294,10 @@ def test_bvp_pairs_warm_started_level_equals_solve_bvp_per_pair_bitwise(case):
         warm.append(Path(coarse, nodes + interior * rng.uniform(-0.3, 0.3, nodes.shape)))
     x = np.stack([path.start_point for path in warm])
     y = np.stack([path.end_point for path in warm])
-    got = assert_pairs_match_solve_bvp(model, x, y, grid, init=warm, check_minimum=False)
+    starts = np.stack([path.evaluate(grid.nodes) for path in warm])
+    starts[:, 0], starts[:, -1] = x, y
+    got = integrators._bvp_core(model, grid, starts, False)
+    assert_batch_matches_solve_bvp(got, model, x, y, grid, warm, False)
     assert np.all(got.converged)
     if grid.n_intervals > 1:
         assert np.any(got.newton_iterations > 0)
@@ -1338,7 +1345,11 @@ def test_bvp_pairs_rejects_mismatched_inputs():
     grid = TimeGrid.uniform(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="same shape"):
         integrators.solve_bvp_pairs(FREE, np.zeros((2, 1)), np.zeros((3, 1)), grid)
-    with pytest.raises(ValueError, match="warm-start paths"):
-        integrators.solve_bvp_pairs(
-            FREE, np.zeros((2, 1)), np.zeros((2, 1)), grid, init=[Path.line(grid, 0.0, 0.0)]
-        )
+
+
+def test_bvp_rejects_a_warm_start_that_does_not_cover_the_grid():
+    grid = TimeGrid.uniform(0.0, 1.0, 4)
+    for span in ((0.0, 0.9), (0.1, 1.0)):
+        warm = Path.line(TimeGrid.uniform(*span, 4), 0.0, 1.0)
+        with pytest.raises(ValueError, match="outside the path's span"):
+            solve_bvp(FREE, 0.0, 1.0, grid, init=warm)

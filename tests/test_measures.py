@@ -203,31 +203,36 @@ def test_bl_bound_on_two_common_grids_matches_per_pair_distances(coarse, fine, d
 @pytest.mark.parametrize("factor", [1, 2, 4])
 @pytest.mark.parametrize("mixed", [False, True], ids=["common_grid", "mixed_grids"])
 def test_bl_bound_measures_each_distinct_atom_once(monkeypatch, factor, mixed):
-    # a replicated level, its copies shuffled, against a fine level; the
-    # ground matrix must be bitwise the one measured without the dedupe
+    # two replicated levels, their copies shuffled: every pair of distinct
+    # paths is measured once, and the ground matrix is bitwise the per-pair one
     rng = np.random.default_rng(12)
     coarse, fine = TimeGrid.uniform(0, 1, 5), TimeGrid.uniform(0, 1, 10)
-    atoms = random_measure(rng, coarse, 6, 2)
-    if mixed:
-        atoms = EmpiricalPathMeasure(atoms.paths[:3] + random_measure(rng, fine, 3, 2).paths)
-    copies = atoms.replicate(factor).paths
-    p = EmpiricalPathMeasure(tuple(copies[i] for i in rng.permutation(len(copies))))
-    q = random_measure(rng, fine, p.size, 2)
-    sup_distances = measures._pairwise_sup_distances
+
+    def shuffled_copies(grid):
+        atoms = random_measure(rng, grid, 6, 2)
+        if mixed:
+            atoms = EmpiricalPathMeasure(atoms.paths[:3] + random_measure(rng, fine, 3, 2).paths)
+        copies = atoms.replicate(factor).paths
+        return EmpiricalPathMeasure(tuple(copies[i] for i in rng.permutation(len(copies))))
+
+    p, q = shuffled_copies(coarse), shuffled_copies(fine)
+    sup_distances = measures._sup_distances
     measured, grounds = [], []
     monkeypatch.setattr(
         measures,
-        "_pairwise_sup_distances",
-        lambda a, b: measured.append(a.size) or sup_distances(a, b),
+        "_sup_distances",
+        lambda a, b: measured.append((a.shape[0], b.shape[0])) or sup_distances(a, b),
     )
     monkeypatch.setattr(
         measures, "solve_assignment", lambda g: grounds.append(g) or solve_assignment(g)
     )
     bound = bl_distance_bound(p, q)
-    assert measured == [6]
-    want = np.minimum(sup_distances(p, q), 2.0)
+    assert len(measured) == len(p._grids) * len(q._grids)
+    assert sum(a for a, _ in measured) == 6 * len(q._grids)
+    assert sum(b for _, b in measured) == 6 * len(p._grids)
+    assert sum(a * b for a, b in measured) == 6 * 6
+    want = np.minimum(per_pair_distances(p, q), 2.0)
     assert np.array_equal(grounds[0], want)
-    assert np.array_equal(want, np.minimum(per_pair_distances(p, q), 2.0))
     assert bound == solve_assignment(want).average_cost
 
 
@@ -477,7 +482,7 @@ def test_replicate_shares_read_only_node_arrays():
     copies = m.replicate(4)
     assert copies.size == 12 and copies.common_grid_nodes() is grid.nodes
     assert all(np.shares_memory(a, b) for a, b in zip(m._nodes, copies._nodes))
-    for arr in (*m._nodes, *copies._nodes, copies._group, copies._row):
+    for arr in (*m._nodes, *copies._nodes, copies._atom):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         copies._nodes[0][0, 0, 0] = 1.0
@@ -495,7 +500,7 @@ def test_public_constructor_merges_equal_grids_and_repeated_paths():
     assert m.size == 3 and len(m._grids) == 1 and m._nodes[0].shape[0] == 2
     assert m.common_grid_nodes() is grid.nodes
     assert m.paths[0] is a and m.paths[1] is b and m.paths[2] is a
-    assert list(m._row) == [0, 1, 0]
+    assert list(m._atom) == [0, 1, 0]
 
 
 def _path_error(grid, nodes) -> str:

@@ -230,11 +230,11 @@ def test_otm_connect_tests_minimality_only_without_bvp_costs(case, monkeypatch):
 
         monkeypatch.setattr(integrators, name, wrapped)
 
-    def connect_spy(model, x, y, grid, init=None, check_minimum=True):
+    def connect_spy(model, x, y, grid, check_minimum=True):
         # the connect as it was, with the minimality test, for reference
-        reference.append(integrators.solve_bvp_pairs(model, x, y, grid, init, True))
+        reference.append(integrators.solve_bvp_pairs(model, x, y, grid, True))
         connecting.append(True)
-        return integrators.solve_bvp_pairs(model, x, y, grid, init, check_minimum)
+        return integrators.solve_bvp_pairs(model, x, y, grid, check_minimum)
 
     spy("_convex_pairs")
     spy("_saddle_nodes")

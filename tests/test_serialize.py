@@ -92,7 +92,7 @@ def test_measure_csv_groups_interleaved_path_ids_in_id_order():
         assert np.array_equal(path.nodes, nodes)
     again = measure_from_csv(measure_to_csv(back))
     assert measure_to_csv(again) == measure_to_csv(back)
-    assert np.array_equal(again._group, back._group)
+    assert np.array_equal(again._atom, back._atom)
 
 
 def test_measure_csv_of_mixed_grids_and_copies_equals_the_per_cell_join():
