@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: ``bvp``, ``flow``, ``transport``, ``converge``, ``stationary``.
+Commands: ``bvp``, ``flow``, ``transport``, ``converge``, ``stationary``.
 Each reads a single JSON config (the experiment record), writes JSON/CSV
 artifacts to the output directory, and exits with 0 on success, 1 on config
 errors, 2 on solver failures, and 3 on partial per-row failures.  Identical
@@ -78,24 +78,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="otmesh",
         description="Meshfree particle transport with variational time integration",
+        epilog="""commands:
+  bvp         solve one two-point boundary problem
+  flow        integrate the reference or discrete flow from a phase point
+  transport   solve an assignment problem from a cost matrix or clouds
+  converge    run a convergence study over an (N, h) schedule
+  stationary  run a stationarity refinement study""",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-        ("bvp", "solve one two-point boundary problem"),
-        ("flow", "integrate the reference or discrete flow from a phase point"),
-        ("transport", "solve an assignment problem from a cost matrix or clouds"),
-        ("converge", "run a convergence study over an (N, h) schedule"),
-        ("stationary", "run a stationarity refinement study"),
-    ]:
-        cmd = sub.add_parser(name, help=doc)
-        cmd.add_argument("--config", required=True, help="path to the JSON config")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None, help="override config seed")
-        cmd.add_argument(
-            "--allow-long-horizon",
-            action="store_true",
-            help="permit spans beyond the admissible horizon",
-        )
+    parser.add_argument("command", choices=list(_HANDLERS), metavar="command")
+    parser.add_argument("--config", required=True, help="path to the JSON config")
+    parser.add_argument("--out", default=None, help="output directory")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument(
+        "--allow-long-horizon",
+        action="store_true",
+        help="permit spans beyond the admissible horizon",
+    )
     return parser
 
 
@@ -290,19 +289,20 @@ def _file_text(cfg: dict, key: str) -> str:
 
 
 def _out_dir(args, cfg: dict) -> FsPath:
-    # the only environment override allowed: output directory
+    # the only environment override allowed; checked before the solve, made by _write
     out = args.out or os.environ.get("OTMESH_OUT") or cfg.get("out", ".")
     if not isinstance(out, str):
         raise ConfigError(f"'out' must name an output directory, got {out!r}")
-    path = FsPath(out)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {out!r}: {exc}") from None
-    return path
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"cannot make output directory {out!r}: it names a file")
+    return FsPath(out)
 
 
 def _write(path: FsPath, text: str) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory: {exc}") from None
     path.write_text(text, encoding="utf-8", newline="")
     print(f"wrote {path}")
 
@@ -313,13 +313,13 @@ def _write(path: FsPath, text: str) -> None:
 
 
 def cmd_bvp(args, cfg: dict) -> int:
+    out = _out_dir(args, cfg)
     model = _model_from(cfg)
     grid = _grid_from(cfg)
     x, y = _points_from(cfg, "x", "y")
     restarts = _int_from(cfg.get("restarts", 0), "'restarts'", minimum=0)
     _check_size(restarts + 1, grid.n_intervals, x.size, "'bvp' with its 'restarts'")
     result = solve_bvp(model, x, y, grid, n_restarts=restarts)
-    out = _out_dir(args, cfg)
     payload = {
         "kind": "bvp_result",
         "schema_version": 1,
@@ -342,6 +342,7 @@ def cmd_bvp(args, cfg: dict) -> int:
 
 
 def cmd_flow(args, cfg: dict) -> int:
+    out = _out_dir(args, cfg)
     model = _model_from(cfg)
     grid = _grid_from(cfg)
     start = PhasePoint(*_points_from(cfg, "x", "v"))
@@ -353,7 +354,6 @@ def cmd_flow(args, cfg: dict) -> int:
         result = discrete_flow(model, start, grid)
     else:
         raise ConfigError(f"unknown flow kind {kind!r}")
-    out = _out_dir(args, cfg)
     payload = {
         "kind": "flow_result",
         "schema_version": 1,
@@ -372,6 +372,7 @@ def cmd_flow(args, cfg: dict) -> int:
 
 
 def cmd_transport(args, cfg: dict) -> int:
+    out = _out_dir(args, cfg)
     # clouds, when given, let a 1-D Monge matrix skip the assignment solve
     source = target = None
     if "costs_csv" in cfg:
@@ -408,7 +409,6 @@ def cmd_transport(args, cfg: dict) -> int:
 
         costs = build_costs(model, source, target, grid, cost_kind)
     plan = solve_assignment(costs, source=source, target=target)
-    out = _out_dir(args, cfg)
     payload = {
         "kind": "transport_result",
         "schema_version": 1,
@@ -426,6 +426,7 @@ def cmd_transport(args, cfg: dict) -> int:
 
 
 def cmd_converge(args, cfg: dict) -> int:
+    out = _out_dir(args, cfg)
     model = _model_from(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is not None:
@@ -472,13 +473,13 @@ def cmd_converge(args, cfg: dict) -> int:
         reference_action=reference,
         allow_long_horizon=allow,
     )
-    out = _out_dir(args, cfg)
     _write(out / "convergence.csv", convergence_report_to_csv(report))
     _write(out / "convergence_summary.json", dumps_json(convergence_report_to_json(report)))
     return EXIT_OK if report.all_ok else EXIT_PARTIAL
 
 
 def cmd_stationary(args, cfg: dict) -> int:
+    out = _out_dir(args, cfg)
     model = _model_from(cfg)
     hs = _require(cfg, "hs")
     if not isinstance(hs, list) or not hs:
@@ -512,7 +513,6 @@ def cmd_stationary(args, cfg: dict) -> int:
         _check_intervals((b - a) / h, "an 'hs' entry")
         _check_size(pi0.size, (b - a) / h, pi0.dim, "the paths with an 'hs' entry")
     report = run_stationarity_study(model, pi0, hs)
-    out = _out_dir(args, cfg)
     _write(out / "stationarity.csv", stationarity_report_to_csv(report))
     _write(out / "stationarity_summary.json", dumps_json(stationarity_report_to_json(report)))
     return EXIT_OK if report.all_scaling_ok else EXIT_PARTIAL

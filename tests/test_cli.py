@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from otmesh import PointCloud, TimeGrid, cost_matrix, make_model, serialize
-from otmesh.cli import build_parser, main
+from otmesh.cli import _HANDLERS, build_parser, main
 
 SRC_DIR = FsPath(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = SRC_DIR / "otmesh" / "schemas"
@@ -44,6 +45,46 @@ def test_the_parser_is_built_once_per_process():
     assert (args.command, args.config, args.seed, args.out) == ("flow", "a.json", 3, None)
     args = build_parser().parse_args(["bvp", "--config", "b.json"])
     assert (args.command, args.config, args.seed) == ("bvp", "b.json", None)
+
+
+COMMAND_HELP = {
+    "bvp": "solve one two-point boundary problem",
+    "flow": "integrate the reference or discrete flow from a phase point",
+    "transport": "solve an assignment problem from a cost matrix or clouds",
+    "converge": "run a convergence study over an (N, h) schedule",
+    "stationary": "run a stationarity refinement study",
+}
+
+
+def test_help_lists_every_command_with_its_description(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        build_parser().parse_args(["--help"])
+    assert exit_.value.code == 0
+    help_text = capsys.readouterr().out
+    assert list(COMMAND_HELP) == list(_HANDLERS)
+    for name, doc in COMMAND_HELP.items():
+        assert any(line.split() == [name, *doc.split()] for line in help_text.splitlines())
+
+
+def test_an_unknown_command_exits_two(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--config", "a.json"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'run'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(_HANDLERS))
+def test_every_command_parses_the_four_options(command):
+    parser = build_parser()
+    args = parser.parse_args(
+        [command, "--config", "c.json", "--out", "o", "--seed", "7", "--allow-long-horizon"]
+    )
+    assert (args.command, args.config, args.out, args.seed, args.allow_long_horizon) == (
+        command, "c.json", "o", 7, True
+    )
+    args = parser.parse_args([command, "--config", "c.json"])
+    assert (args.out, args.seed, args.allow_long_horizon) == (None, None, False)
+    assert build_parser() is parser
 
 
 # -- bvp ------------------------------------------------------------------------
@@ -123,6 +164,31 @@ def test_cli_flow_free_particle(tmp_path):
     payload = load_and_validate(out / "flow_result.json", "flow_result.schema.json")
     assert payload["final_position"] == pytest.approx([1.0])
     assert csv_lines(out / "flow_path.csv")[0] == "t,x_1"
+
+
+def sha256_of(path: FsPath) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_cli_reference_flow_csv_is_pinned_bytewise(tmp_path):
+    # the RK4 march of a 2-D cosine model with mass != 1, which no benchmark
+    # digest covers; the digest was recorded before the march was optimized
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"name": "cosine", "params": {"mass": 1.7, "amplitude": 0.8, "dim": 2}},
+            "flow": "reference",
+            "x": [0.3, -0.45],
+            "v": [0.9, 0.35],
+            "span": [0.0, 1.5],
+            "intervals": 24,
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["flow", "--config", cfg, "--out", str(out)]) == 0
+    assert sha256_of(out / "flow_path.csv") == (
+        "0475dcda86954a2770f75058f940cbd2d53e904de6b90cfcea5e85cbc9ac88a3"
+    )
 
 
 # -- transport -------------------------------------------------------------------------
@@ -586,6 +652,25 @@ def test_cli_bad_output_directory_is_a_config_error(tmp_path, where):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("out", [5, "taken"])
+def test_cli_bad_output_directory_fails_before_the_study(
+    tmp_path, capsys, monkeypatch, out
+):
+    def study(*args, **kwargs):
+        raise AssertionError("the study ran before the output directory was checked")
+
+    monkeypatch.setattr("otmesh.cli.run_convergence_study", study)
+    monkeypatch.delenv("OTMESH_OUT", raising=False)
+    if out == "taken":
+        out = str(tmp_path / "taken")
+        FsPath(out).write_text("", encoding="utf-8")
+    payload = json.loads(FsPath(converge_config(tmp_path)).read_text(encoding="utf-8"))
+    cfg = write_config(tmp_path, {**payload, "out": out}, "bad_out.json")
+    assert main(["converge", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "output directory" in err
+
+
 def test_cli_overflow_reaches_stderr_as_the_solver_error_alone(tmp_path):
     # a fresh interpreter shows numpy's RuntimeWarnings, which pytest would capture
     payload = {
@@ -755,6 +840,25 @@ def test_cli_stationary_free_lines(tmp_path):
     assert payload["levels"][0]["max_el_residual"] <= 1e-12
     lines = csv_lines(out / "stationarity.csv")
     assert lines[0].startswith("h,max_el_residual,")
+
+
+def test_cli_stationarity_csv_is_pinned_bytewise(tmp_path):
+    # the reconstruction distances come from the RK4 march (double well,
+    # mass != 1); the digest was recorded before the march was optimized
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"name": "double_well", "params": {"mass": 1.3}},
+            "span": [0.0, 0.6],
+            "lines": [{"x": -0.8, "y": 0.9}, {"x": 0.2, "y": -0.3}, {"x": 1.1, "y": 0.7}],
+            "hs": [0.1, 0.05, 0.025],
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["stationary", "--config", cfg, "--out", str(out)]) == 0
+    assert sha256_of(out / "stationarity.csv") == (
+        "be14a9337bacf832dfb118d8c56d95b0171953ddc47ee45fc7289add8e86821d"
+    )
 
 
 def test_cli_stationary_from_paths_csv(tmp_path):
