@@ -19,7 +19,6 @@ from .errors import (
 from .integrators import (
     BvpResult,
     FlowResult,
-    discrete_el_step,
     discrete_flow,
     el_residual,
     reference_flow,
@@ -28,11 +27,9 @@ from .integrators import (
 from .measures import (
     ConcentrationReport,
     EmpiricalPathMeasure,
-    PhaseMeasure,
     bl_distance_bound,
     concentration_diagnostics,
     marginal_at_time,
-    push_forward_flow,
 )
 from .models import (
     LagrangianModel,
@@ -98,7 +95,6 @@ __all__ = [
     "OtmResult",
     "OtmeshError",
     "Path",
-    "PhaseMeasure",
     "PhasePoint",
     "PointCloud",
     "SolverError",
@@ -115,7 +111,6 @@ __all__ = [
     "continuous_action",
     "cosine_potential",
     "cost_matrix",
-    "discrete_el_step",
     "discrete_flow",
     "double_well",
     "el_residual",
@@ -126,7 +121,6 @@ __all__ = [
     "many_particle_action",
     "marginal_at_time",
     "midpoint_action",
-    "push_forward_flow",
     "reference_flow",
     "run_convergence_study",
     "run_stationarity_study",

@@ -129,9 +129,14 @@ def _model_from(cfg: dict) -> LagrangianModel:
     name = _require(spec, "name", "'model'")
     if not isinstance(name, str) or name not in MODEL_CATALOG:
         raise ConfigError(f"unknown model {name!r}; available: {sorted(MODEL_CATALOG)}")
+    unknown = sorted(set(spec) - {"name", "params"})
+    if unknown:
+        raise ConfigError(f"'model' has unknown keys {unknown}; parameters go in 'model.params'")
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("'model.params' must be an object")
+    for key, value in params.items():
+        _number(value, f"'model.params.{key}'")
     try:
         return make_model(name, **params)
     except (TypeError, ValueError) as exc:

@@ -296,23 +296,6 @@ def _el_step(
     raise AssertionError("unreachable")
 
 
-def discrete_el_step(
-    model: LagrangianModel,
-    prev,
-    curr,
-    dt_prev: float,
-    dt_next: float,
-) -> np.ndarray:
-    """Advance the midpoint three-term recurrence by one node."""
-    prev, curr = as_point(prev), as_point(curr)
-    if prev.shape != curr.shape:
-        raise ValueError("prev and curr have different dimensions")
-    if dt_prev <= 0 or dt_next <= 0:
-        raise ValueError("time steps must be positive")
-    nxt, _ = _el_step(model, prev, curr, dt_prev, dt_next)
-    return nxt
-
-
 def discrete_flow(
     model: LagrangianModel,
     start: PhasePoint,

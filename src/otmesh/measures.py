@@ -1,16 +1,15 @@
-"""Empirical measures on path space and phase space, and their diagnostics."""
+"""Empirical measures on path space and their diagnostics."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .integrators import _interior_defects, _rk4_march, reference_flow_batch
+from .integrators import _interior_defects, _rk4_march
 from .models import LagrangianModel
-from .paths import Path, PhasePoint, TimeGrid, _merged_nodes, _midpoint_actions
+from .paths import Path, TimeGrid, _merged_nodes, _midpoint_actions
 # unused here, but bench/tracing.py wraps these names in this module
 from .integrators import el_residual, reference_flow  # noqa: F401
 from .paths import midpoint_action, uniform_distance  # noqa: F401
@@ -82,10 +81,6 @@ class EmpiricalPathMeasure:
         g = self._grids[0]
         return g.start, g.end
 
-    def common_grid_nodes(self) -> np.ndarray | None:
-        """Shared node vector when every path lives on the same grid."""
-        return self._grids[0].nodes if len(self._grids) == 1 else None
-
     def replicate(self, factor: int) -> "EmpiricalPathMeasure":
         """Duplicate every atom; represents the same measure as a multiset.
 
@@ -148,70 +143,6 @@ def _join(measures) -> EmpiricalPathMeasure:
         [X for m in measures for X in m._nodes],
         np.concatenate([b + m._atom for b, m in zip(base, measures)]),
     )
-
-
-@dataclass(frozen=True)
-class PhaseMeasure:
-    """Uniform-weight empirical measure on phase space R^n x R^n."""
-
-    positions: np.ndarray
-    velocities: np.ndarray
-
-    def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        vel = np.atleast_2d(np.asarray(self.velocities, dtype=float))
-        if pos.shape != vel.shape:
-            raise DimensionMismatchError("positions and velocities shapes differ")
-        if pos.shape[0] == 0:
-            raise ValueError("a phase measure needs at least one state")
-        pos, vel = pos.copy(), vel.copy()
-        pos.setflags(write=False)
-        vel.setflags(write=False)
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "velocities", vel)
-
-    @classmethod
-    def from_states(cls, states) -> "PhaseMeasure":
-        return cls(
-            np.stack([s.position for s in states]),
-            np.stack([s.velocity for s in states]),
-        )
-
-    @property
-    def size(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
-    def states(self) -> Iterator[PhasePoint]:
-        for x, v in zip(self.positions, self.velocities):
-            yield PhasePoint(x, v)
-
-
-def push_forward_flow(
-    model: LagrangianModel,
-    eta: PhaseMeasure,
-    grid: TimeGrid,
-    kind: str = "discrete",
-) -> EmpiricalPathMeasure:
-    """Launch every phase-space atom along a flow; path i comes from state i.
-
-    ``kind="reference"`` integrates all atoms in one batched RK4 reference
-    flow, ``kind="discrete"`` marches the midpoint recurrence atom by atom.
-    For unbounded potentials the caller is responsible for keeping the span
-    within the admissible horizon when the resulting measure feeds a
-    minimization; pure flow studies remain valid beyond it.
-    """
-    from .integrators import discrete_flow  # local import keeps module load light
-
-    if kind == "reference":
-        nodes, _, _ = reference_flow_batch(model, eta.positions, eta.velocities, grid)
-        return EmpiricalPathMeasure._from_nodes(grid, nodes)
-    if kind == "discrete":
-        return EmpiricalPathMeasure(discrete_flow(model, s, grid).path for s in eta.states())
-    raise ValueError(f"unknown flow kind {kind!r}")
 
 
 def marginal_at_time(pi: EmpiricalPathMeasure, t: float) -> PointCloud:

@@ -96,16 +96,6 @@ class LagrangianModel:
     def bounded_potential(self) -> bool:
         return self.potential_sup is not None
 
-    @property
-    def kinetic_convexity(self) -> float:
-        """Lower bound on the velocity Hessian of L (equals m for this family)."""
-        return self.mass
-
-    @property
-    def kinetic_coercivity(self) -> float:
-        """Coefficient of |v|^2 in the lower bound L >= c1 |v|^2 - c2 (1 + |x|^2)."""
-        return 0.5 * self.mass
-
     # -- pointwise evaluations ---------------------------------------------
 
     def lagrangian(self, x, v) -> float:
@@ -113,17 +103,6 @@ class LagrangianModel:
         x, v = as_point(x), as_point(v)
         _require_same_dim(x, v)
         return 0.5 * self.mass * float(v @ v) - float(self.potential(x))
-
-    def hamiltonian(self, x, p) -> tuple[float, np.ndarray]:
-        """Legendre transform of L in the velocity.
-
-        Returns the pair (H, v) where H(x, p) = |p|^2 / (2m) + V(x) and
-        v = p / m is the maximizing velocity.
-        """
-        x, p = as_point(x), as_point(p)
-        _require_same_dim(x, p, names="x, p")
-        v = p / self.mass
-        return float(p @ p) / (2.0 * self.mass) + float(self.potential(x)), v
 
     def energy(self, x, v) -> float:
         """Total energy (m/2)|v|^2 + V(x), conserved along extremals."""
@@ -265,8 +244,8 @@ def cosine_potential(mass: float = 1.0, amplitude: float = 1.0, dim: int = 1) ->
     """V(x) = A sum_i cos(x_i); bounded, so the horizon is unbounded."""
     if amplitude <= 0:
         raise ValueError("amplitude must be positive")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    if dim < 1 or not float(dim).is_integer():
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
     amp = float(amplitude)
 
     def hess(x):

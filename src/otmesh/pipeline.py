@@ -443,7 +443,8 @@ def run_convergence_study(
     Failures are recorded per level and the study continues: if the combined
     call fails, every level is diagnosed on its own, so only the failing
     levels get error rows.  Wall times cover each level's solve, not its
-    diagnostics.  Distances to the finest level are computed by atom
+    diagnostics.  The finest solved level has the largest N and, among
+    those, the smallest h.  Distances to the finest level are computed by atom
     replication when the finest particle count is an integer multiple;
     otherwise they are left as NaN.
     """
@@ -483,12 +484,11 @@ def run_convergence_study(
         res.measure if row.status == "ok" else None for row, res in zip(rows, results)
     ]
 
-    finest_idx = None
-    for i, (row, measure) in enumerate(zip(rows, measures)):
-        if measure is not None and (
-            finest_idx is None or row.N > rows[finest_idx].N
-        ):
-            finest_idx = i
+    finest_idx = max(
+        (i for i, measure in enumerate(measures) if measure is not None),
+        key=lambda i: (rows[i].N, -rows[i].h),
+        default=None,
+    )
     if finest_idx is not None:
         finest = measures[finest_idx]
         for i, (row, measure) in enumerate(zip(rows, measures)):

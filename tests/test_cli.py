@@ -501,6 +501,10 @@ def valid_config(command: str) -> dict:
             "marginal_b",
             {"kind": "uniform_box", "low": [2.0, 2.0], "high": [3.0, 3.0], "sampler": "iid"},
         ),
+        ("bvp", "model", {"name": "harmonic", "stiffness": 4}),
+        ("bvp", "model", {"name": "harmonic", "params": {"stiffness": True}}),
+        ("bvp", "model", {"name": "cosine", "params": {"dim": True}}),
+        ("bvp", "model", {"name": "cosine", "params": {"dim": 1.5}}),
     ],
 )
 def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, command, field, value):

@@ -4,23 +4,23 @@ import pytest
 from otmesh import (
     EmpiricalPathMeasure,
     Path,
-    PhaseMeasure,
     PhasePoint,
     TimeGrid,
     bl_distance_bound,
     concentration_diagnostics,
     cosine_potential,
+    discrete_flow,
     double_well,
     el_residual,
     free_particle,
     harmonic_oscillator,
     marginal_at_time,
     midpoint_action,
-    push_forward_flow,
     reference_flow,
     uniform_distance,
 )
 from otmesh import measures
+from otmesh.integrators import reference_flow_batch
 from otmesh.measures import _pairwise_sup_distances
 from otmesh.serialize import measure_from_csv, measure_to_csv
 from otmesh.transport import solve_assignment
@@ -36,6 +36,13 @@ def line_measure(grid, pairs):
 def random_measure(rng, grid, size, dim):
     return EmpiricalPathMeasure(
         tuple(Path(grid, rng.uniform(-2, 2, (grid.n_intervals + 1, dim))) for _ in range(size))
+    )
+
+
+def discrete_flow_measure(model, positions, velocities, grid):
+    """The measure of the discrete flows launched from the states (x_i, v_i)."""
+    return EmpiricalPathMeasure(
+        discrete_flow(model, PhasePoint(x, v), grid).path for x, v in zip(positions, velocities)
     )
 
 
@@ -60,58 +67,29 @@ def test_measure_invariants():
     assert measure.replicate(3).size == 6
 
 
-def test_common_grid_nodes_compares_distinct_grid_objects_by_value(monkeypatch):
-    grid = TimeGrid.uniform(0, 1, 4)
-    twin = TimeGrid.uniform(0, 1, 4)
-    other = TimeGrid(np.array([0.0, 0.2, 0.5, 0.75, 1.0]))
-    shared = line_measure(grid, [(0.0, 1.0), (1.0, 0.0)]).replicate(3)
-    equal = EmpiricalPathMeasure((Path.line(grid, 0.0, 1.0), Path.line(twin, 1.0, 0.0)))
-    differing = EmpiricalPathMeasure(equal.paths + (Path.line(other, 0.5, 0.5),))
-    compared = []
-    array_equal = np.array_equal
-    monkeypatch.setattr(
-        np, "array_equal", lambda a, b: compared.append(1) or array_equal(a, b)
-    )
-    assert shared.common_grid_nodes() is grid.nodes
-    assert compared == []  # one grid object: no node comparison
-    assert np.array_equal(equal.common_grid_nodes(), grid.nodes)
-    assert differing.common_grid_nodes() is None
-
-
-def test_phase_measure_round_trip():
-    states = [PhasePoint([0.0, 1.0], [1.0, 0.0]), PhasePoint([2.0, 0.0], [0.0, 1.0])]
-    eta = PhaseMeasure.from_states(states)
-    assert eta.size == 2 and eta.dim == 2
-    back = list(eta.states())
-    assert np.array_equal(back[1].position, states[1].position)
-
-
 # -- flow pushforward ----------------------------------------------------------------
-
-
-def test_push_forward_single_free_atom():
-    eta = PhaseMeasure([[0.0]], [[1.0]])
-    grid = TimeGrid.uniform(0, 1, 5)
-    pi = push_forward_flow(FREE, eta, grid, kind="discrete")
-    assert pi.paths[0].nodes[:, 0] == pytest.approx(grid.nodes)
 
 
 def test_push_forward_initial_marginal_is_exact():
     rng = np.random.default_rng(4)
-    eta = PhaseMeasure(rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (6, 2)))
+    positions, velocities = rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (6, 2))
     grid = TimeGrid.uniform(0, 0.5, 8)
-    for kind in ("discrete", "reference"):
-        pi = push_forward_flow(HARMONIC, eta, grid, kind=kind)
+    for pi in (
+        discrete_flow_measure(HARMONIC, positions, velocities, grid),
+        EmpiricalPathMeasure._from_nodes(
+            grid, reference_flow_batch(HARMONIC, positions, velocities, grid)[0]
+        ),
+    ):
         cloud = marginal_at_time(pi, 0.0)
-        assert np.array_equal(cloud.points, eta.positions)  # order-preserving
+        assert np.array_equal(cloud.points, positions)  # order-preserving
 
 
 def test_push_forward_discrete_tracks_reference():
-    eta = PhaseMeasure([[1.0]], [[0.0]])
     grid = TimeGrid.from_step(0, np.pi / 2, 0.01)
-    disc = push_forward_flow(HARMONIC, eta, grid, kind="discrete")
-    ref = push_forward_flow(HARMONIC, eta, grid, kind="reference")
-    assert uniform_distance(disc.paths[0], ref.paths[0]) <= 5e-3
+    start = PhasePoint([1.0], [0.0])
+    disc = discrete_flow(HARMONIC, start, grid).path
+    ref = reference_flow(HARMONIC, start, grid).path
+    assert uniform_distance(disc, ref) <= 5e-3
 
 
 # -- time marginals ---------------------------------------------------------------------
@@ -334,9 +312,9 @@ def test_bl_bound_between_template_samples_decreases_in_n():
 
 def test_diagnostics_on_discrete_flow_output():
     rng = np.random.default_rng(6)
-    eta = PhaseMeasure(rng.uniform(-1, 1, (5, 1)), rng.uniform(-1, 1, (5, 1)))
+    positions, velocities = rng.uniform(-1, 1, (5, 1)), rng.uniform(-1, 1, (5, 1))
     grid = TimeGrid.uniform(0, 1, 40)
-    pi = push_forward_flow(HARMONIC, eta, grid, kind="discrete")
+    pi = discrete_flow_measure(HARMONIC, positions, velocities, grid)
     report = concentration_diagnostics(HARMONIC, pi)
     assert np.max(report.el_residuals) <= 1e-10
     summary = report.summary()
@@ -353,11 +331,10 @@ def test_diagnostics_straight_lines_free_particle():
 
 
 def test_diagnostics_reconstruction_distance_shrinks_with_h():
-    eta = PhaseMeasure([[1.0], [0.5]], [[0.0], [0.3]])
     maxima = []
     for h in (0.02, 0.01):
         grid = TimeGrid.from_step(0, np.pi / 2, h)
-        pi = push_forward_flow(HARMONIC, eta, grid, kind="discrete")
+        pi = discrete_flow_measure(HARMONIC, [[1.0], [0.5]], [[0.0], [0.3]], grid)
         report = concentration_diagnostics(HARMONIC, pi)
         maxima.append(float(np.max(report.reconstruction_distances)))
     assert maxima[0] / maxima[1] >= 1.8
@@ -385,16 +362,6 @@ def test_diagnostics_match_per_path_oracle_on_mixed_grids(model):
         assert report.el_residuals[i] == resid
         assert report.reconstruction_distances[i] == uniform_distance(path, orbit)
         assert report.midpoint_actions[i] == midpoint_action(model, path)
-
-
-def test_push_forward_reference_matches_per_atom_flow():
-    rng = np.random.default_rng(13)
-    eta = PhaseMeasure(rng.uniform(-1, 1, (9, 2)), rng.uniform(-1, 1, (9, 2)))
-    grid = TimeGrid.uniform(0, 0.8, 6)
-    pi = push_forward_flow(HARMONIC, eta, grid, kind="reference")
-    for path, state in zip(pi.paths, eta.states()):
-        assert np.array_equal(path.nodes, reference_flow(HARMONIC, state, grid).path.nodes)
-
 
 
 # -- the array-backed representation ------------------------------------------------------
@@ -480,7 +447,7 @@ def test_replicate_shares_read_only_node_arrays():
     nodes[0, 0, 0] = 7.0  # _from_nodes keeps a copy of its own
     assert m._nodes[0][0, 0, 0] != 7.0
     copies = m.replicate(4)
-    assert copies.size == 12 and copies.common_grid_nodes() is grid.nodes
+    assert copies.size == 12 and copies._grids[0].nodes is grid.nodes
     assert all(np.shares_memory(a, b) for a, b in zip(m._nodes, copies._nodes))
     for arr in (*m._nodes, *copies._nodes, copies._atom):
         assert not arr.flags.writeable
@@ -498,7 +465,7 @@ def test_public_constructor_merges_equal_grids_and_repeated_paths():
     b = Path.line(TimeGrid.uniform(0, 1, 4), 1.0, 0.0)
     m = EmpiricalPathMeasure([a, b, a])
     assert m.size == 3 and len(m._grids) == 1 and m._nodes[0].shape[0] == 2
-    assert m.common_grid_nodes() is grid.nodes
+    assert m._grids[0].nodes is grid.nodes
     assert m.paths[0] is a and m.paths[1] is b and m.paths[2] is a
     assert list(m._atom) == [0, 1, 0]
 

@@ -35,14 +35,10 @@ def test_lagrangian_values():
 
 
 def test_hamiltonian_values():
-    H, v = harmonic_oscillator(mass=2.0, stiffness=2.0).hamiltonian(1.0, 4.0)
-    assert H == pytest.approx(5.0)
-    assert v == pytest.approx([2.0])
-    H, v = free_particle().hamiltonian(0.0, 0.0)
-    assert H == 0.0 and v == pytest.approx([0.0])
-    H, v = quadratic_well().hamiltonian(0.0, 1.0)
-    assert H == pytest.approx(0.5)
-    assert v == pytest.approx([1.0])
+    # H(x, p) = |p|^2 / (2m) + V(x) is the energy at the velocity v = p / m
+    assert harmonic_oscillator(mass=2.0, stiffness=2.0).energy(1.0, 4.0 / 2.0) == pytest.approx(5.0)
+    assert free_particle().energy(0.0, 0.0) == 0.0
+    assert quadratic_well().energy(0.0, 1.0) == pytest.approx(0.5)
 
 
 def test_energy_values():
@@ -105,15 +101,11 @@ def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatchError):
         model.lagrangian([1.0, 2.0], [1.0])
     with pytest.raises(DimensionMismatchError):
-        model.hamiltonian([1.0], [1.0, 2.0])
-    with pytest.raises(DimensionMismatchError):
         model.energy([1.0, 2.0, 3.0], [1.0])
 
 
 def test_derived_constants():
     model = harmonic_oscillator(mass=2.5)
-    assert model.kinetic_convexity == 2.5
-    assert model.kinetic_coercivity == 1.25
     assert model.bounded_potential is False
     assert cosine_potential(amplitude=1.0, dim=2).potential_sup == 2.0
 
@@ -157,11 +149,6 @@ def test_kinetic_doubling_and_legendre_duality(model):
         assert model.lagrangian(x, v) + model.energy(x, v) == pytest.approx(
             model.mass * float(v @ v), rel=1e-12, abs=1e-12
         )
-        # H(x, dL/dv) = <dL/dv, v> - L(x, v)
-        p = model.mass * v
-        H, v_back = model.hamiltonian(x, p)
-        assert H == pytest.approx(float(p @ v) - model.lagrangian(x, v), rel=1e-12, abs=1e-12)
-        assert v_back == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -464,6 +464,9 @@ def test_convergence_study_fits_action_order_for_harmonic():
     assert report.all_ok
     assert report.trajectory_order is not None
     assert report.trajectory_order >= 0.8  # at least linear in h
+    # equal N: the reference action is the smallest h's, and the midpoint
+    # action error is second order
+    assert 1.8 <= report.action_order <= 2.6
 
 
 # -- stationarity study ------------------------------------------------------------------
