@@ -8,8 +8,11 @@ bound) live in the extension modules ``scipy.linalg._flapack`` and
 (``scipy.fft``, ``scipy.special``, ``scipy.sparse.linalg``, numpy's testing
 and f2py modules, ...) that otmesh never uses.  Loading the two extension
 files directly gives the same function objects, since CPython keeps one copy
-of a single-phase extension module per file.  Where SciPy does not lay its
-files out this way, the public names are imported instead.
+of a single-phase extension module per file.  SciPy's directory is found
+with ``importlib.util.find_spec``, so not even ``scipy/__init__`` runs (it
+imports ``scipy._lib``, ``subprocess``, ``sysconfig`` and ``locale``).  Where
+SciPy does not lay its files out this way, the public names are imported
+instead.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 from pathlib import Path
-
-import scipy
 
 
 def _extension(name: str):
@@ -28,7 +29,10 @@ def _extension(name: str):
     no file of that name is there.
     """
     *package, leaf = name.split(".")
-    folder = Path(scipy.__file__).parent.joinpath(*package[1:])
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        raise ImportError("scipy is not installed")
+    folder = Path(spec.origin).parent.joinpath(*package[1:])
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         path = folder / (leaf + suffix)
         if path.is_file():

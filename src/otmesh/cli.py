@@ -15,6 +15,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+# argparse's gettext imports locale on the first parser build: import it
+# here, not inside main
+import locale  # noqa: F401
 import os
 import sys
 from pathlib import Path as FsPath
@@ -67,8 +70,9 @@ MAX_PARTICLES = 4096
 # every batched solve (a BVP cost-matrix row, the connect step, a
 # stationarity level) is the dgbsv band of its Newton step,
 # (6n - 2) * N * (l - 1) * n doubles: four per path and interior node for
-# n = 1, and for n = 2 about 1.7 times the Hessians and Jacobian blocks it is
-# filled from (read from the code, not measured).
+# n = 1.  The Jacobian blocks are written straight into it from the N l n^2
+# midpoint Hessians, which for n = 2 are about a fifth of its size (read
+# from the code, not measured).
 MAX_BATCH = 10_000_000
 
 
@@ -389,6 +393,8 @@ def cmd_transport(args, cfg: dict) -> int:
             raise ConfigError(
                 f"'costs_csv' must be a square matrix, got shape {costs.shape}"
             )
+        # its rows are the particles of the O(N^3) assignment solve
+        _check_size(costs.shape[0], 0, 1, "'costs_csv'")
         # min and max are NaN or infinite if any entry is; no N x N temporary
         if costs.size and not (np.isfinite(costs.min()) and np.isfinite(costs.max())):
             raise ConfigError("'costs_csv' entries must be finite")

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from otmesh import PointCloud, TimeGrid, cost_matrix, make_model, serialize
+from otmesh import PointCloud, TimeGrid, cli, cost_matrix, make_model, serialize
 from otmesh.cli import _HANDLERS, build_parser, main
 
 SRC_DIR = FsPath(__file__).resolve().parents[1] / "src"
@@ -206,6 +206,19 @@ def test_cli_transport_from_csv(tmp_path):
     assert payload["perm"] == [0, 1]
     assert payload["total_cost"] == pytest.approx(2.0)
     assert csv_lines(out / "cost_matrix.csv")[0] == "c_1,c_2"
+
+
+def test_cli_transport_from_csv_checks_the_particle_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_PARTICLES", 2)
+    matrix = tmp_path / "costs.csv"
+    matrix.write_text("c_1,c_2,c_3\n1,2,3\n3,1,2\n2,3,1\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {"costs_csv": str(matrix)})
+    out = tmp_path / "out"
+    assert main(["transport", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: 'costs_csv' asks for 3 paths; at most 2 are allowed\n"
+    )
+    assert not (out / "transport_result.json").exists()
 
 
 def test_cli_transport_from_clouds(tmp_path):
@@ -717,10 +730,12 @@ def test_cli_converge_closed_form_cost_over_a_conjugate_span_gives_error_rows(tm
 def test_importing_the_cli_leaves_scipy_stats_unimported():
     # only the gaussian quantile and grid samplers need scipy.stats, and import
     # it themselves; dgbsv and linear_sum_assignment come from their extension
-    # modules alone; the "%.17g" kernel builds its tables on first use
+    # modules alone, found without running scipy's own __init__; the "%.17g"
+    # kernel builds its tables on first use
     script = (
         "import sys, otmesh.cli, otmesh.serialize as s; "
-        "print([m in sys.modules for m in ('scipy.stats', 'scipy.linalg', 'scipy.optimize')], "
+        "print([m in sys.modules for m in "
+        "('scipy', 'scipy.stats', 'scipy.linalg', 'scipy.optimize')], "
         "s._csv_tables.cache_info().currsize)"
     )
     proc = subprocess.run(
@@ -730,12 +745,13 @@ def test_importing_the_cli_leaves_scipy_stats_unimported():
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0 and proc.stdout == "[False, False, False] 0\n"
+    assert proc.returncode == 0 and proc.stdout == "[False, False, False, False] 0\n"
 
 
 def test_cli_runs_import_no_numpy_or_scipy_module(tmp_path):
-    # numpy 2 imports numpy.random and numpy.ma on first use; a study must not
-    # pay for that (or for any other module import) inside main
+    # numpy 2 imports numpy.random and numpy.ma on first use, and argparse's
+    # gettext imports locale; a study must not pay for that (or for any other
+    # module import) inside main
     configs = {
         "converge": {
             **valid_config("converge"),
@@ -761,7 +777,7 @@ def test_cli_runs_import_no_numpy_or_scipy_module(tmp_path):
         "import json, sys; from otmesh.cli import main; before = set(sys.modules); "
         "codes = [main(argv) for argv in json.loads(sys.argv[1])]; "
         "new = set(sys.modules) - before; "
-        "print(codes, sorted(m for m in new if m.split('.')[0] in ('numpy', 'scipy')))"
+        "print(codes, sorted(new))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(runs)],

@@ -32,7 +32,7 @@ from otmesh import (
 )
 from otmesh import _native, integrators
 from otmesh.integrators import _el_step, reference_flow_batch
-from otmesh.models import MODEL_CATALOG
+from otmesh.models import MODEL_CATALOG, LagrangianModel
 
 FREE = free_particle()
 HARMONIC = harmonic_oscillator()
@@ -619,8 +619,11 @@ def test_native_falls_back_to_scipys_public_names_with_the_same_artifacts(tmp_pa
 # -- the one-pair Newton core against a written-out Newton loop ----------------------------
 
 
-def newton_loop(model, nodes, dt, tol, max_iter, scale, linear_step):
-    """Damped Newton on one stacked system with the given linear step, written out."""
+def newton_loop(model, nodes, dt, tol, max_iter, scale, linear_step, lengths=None):
+    """Damped Newton on one stacked system with the given linear step, written out.
+
+    The Armijo step length of every iteration is appended to ``lengths`` if given.
+    """
     defects = integrators._interior_defects(model, nodes, dt)
     err = float(np.max(np.abs(defects)))
     for it in range(max_iter):
@@ -637,6 +640,8 @@ def newton_loop(model, nodes, dt, tol, max_iter, scale, linear_step):
             if trial_phi <= phi * (1.0 - 1e-4 * t) or t < 1e-12:
                 break
             t *= 0.5
+        if lengths is not None:
+            lengths.append(t)
         if t < 1e-12:
             return nodes, err, it, False
         nodes, defects = trial, trial_defects
@@ -767,6 +772,41 @@ def test_bvp_core_one_pair_equals_the_written_out_newton_loop_when_damped_or_sta
 
 def test_bvp_core_one_pair_equals_the_written_out_newton_loop_on_saddles():
     assert_core_matches_written_out_loop(HARMONIC, *saddle_starts())
+
+
+def armijo_lengths(model, grid, start):
+    """The step lengths of the written-out Newton loop of one start."""
+    tol, lengths = integrators._BVP_TOL, []
+    scale = float(integrators._residual_scale(model, start[0], start[-1], grid, tol))
+    newton_loop(model, start.copy(), grid.spacings, tol, integrators._BVP_MAX_ITER, scale,
+                banded_step, lengths)
+    return lengths
+
+
+@pytest.mark.parametrize("batch", ["damped", "damped_and_converged", "stall_and_long"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bvp_core_batch_equals_the_written_out_newton_loop_per_pair(batch):
+    # the batch first steps every pair (no pair gathered), then pairs converge
+    # or stall at different iterations and the rest go on indexed
+    model = double_well()
+    grid, starts = damped_starts()
+    if batch == "damped_and_converged":
+        # constant paths at equilibria of the double well are stationary
+        starts = starts + [np.zeros_like(starts[0]), np.tile([0.0, 1.0], (25, 1))]
+    elif batch == "stall_and_long":
+        # every pair iterates while one backtracks, until the other converges
+        starts = starts[2:4]
+    lengths = [armijo_lengths(model, grid, start) for start in starts]
+    assert any(t == 1.0 for ts in lengths for t in ts)
+    assert any(1e-12 <= t < 1.0 for ts in lengths for t in ts)
+    assert any(ts and ts[-1] < 1e-12 for ts in lengths)
+    assert (batch == "damped_and_converged") == any(not ts for ts in lengths)
+    got = integrators._bvp_core(model, grid, np.stack(starts), True)
+    for p, start in enumerate(starts):
+        nodes, *want = written_out_solve(model, grid, start, banded_step)
+        assert np.array_equal(got.nodes[p], nodes)
+        fields = (got.costs, got.residuals, got.newton_iterations, got.converged, got.saddle_node)
+        assert [a[p] for a in fields] == want
 
 
 # -- every solve against the sparse LU Newton loop ----------------------------------------
@@ -1228,6 +1268,137 @@ def test_banded_step_isolates_singular_and_non_finite_pairs():
     nodes = integrators._pair_starts(grid, x, y)
     nodes[2, 7, 1] = np.inf
     assert_broken_pairs_isolated(double_well(), grid, nodes, [2])
+
+
+# -- the band the banded step factors against the band filled from the blocks -------------
+
+
+def block_loop_band(diag, off, bad):
+    """LAPACK band of P stacked systems filled from their blocks (P, K, n, n) and
+    (P, K-1, n, n) by the slice loop, one slice per block entry and slot; the
+    pairs ``bad`` hold identity systems."""
+    P, K, n = diag.shape[:3]
+    w = 2 * n - 1
+    band = np.zeros((P, K, n, 3 * w + 1))
+    for a in range(n):
+        for b in range(n):
+            band[:, :, b, 2 * w + a - b] = diag[:, :, a, b]
+            band[:, 1:, b, 2 * w + a - b - n] = off[:, :, a, b]  # block (k, k+1)
+            band[:, :-1, b, 2 * w + a - b + n] = off[:, :, a, b]  # block (k+1, k)
+    band[bad] = 0.0
+    band[bad, :, :, 2 * w] = 1.0
+    return band.reshape(P * K * n, 3 * w + 1).T
+
+
+def factored_bands(monkeypatch, model, nodes, dt):
+    """One Newton step of the pairs (P, l+1, n), with the band and right-hand
+    side of every dgbsv call as passed to it."""
+    calls = []
+
+    def recording_dgbsv(kl, ku, ab, b, overwrite_ab=False):
+        calls.append((ab.copy(), b.copy()))
+        return _native.dgbsv(kl, ku, ab, b, overwrite_ab=overwrite_ab)
+
+    monkeypatch.setattr(integrators, "dgbsv", recording_dgbsv)
+    rhs = -integrators._interior_defects(model, nodes, dt)
+    return integrators._banded_step(model, nodes, dt, rhs), rhs, calls
+
+
+def assert_bands_equal_the_block_loop(monkeypatch, model, nodes, dt, broken):
+    """Every band and right-hand side dgbsv gets, bitwise, and the step; the
+    pairs broken[i] turn bad before the i-th call."""
+    step, rhs, calls = factored_bands(monkeypatch, model, nodes, dt)
+    diag, off = integrators._bvp_blocks(model, nodes, dt)
+    bad = np.zeros(nodes.shape[0], dtype=bool)
+    assert len(calls) == len(broken)
+    for (ab, b), newly_bad in zip(calls, broken):
+        bad[newly_bad] = True
+        want_rhs = rhs.copy()
+        want_rhs[bad] = 0.0
+        assert np.array_equal(ab, block_loop_band(diag, off, bad))
+        assert np.array_equal(b, want_rhs.reshape(-1, 1))
+    w = 2 * nodes.shape[-1] - 1
+    _, _, want, _ = _native.dgbsv(w, w, ab.copy(), b)
+    want = want.reshape(rhs.shape)
+    want[bad] = np.nan
+    assert np.array_equal(step, want, equal_nan=True)
+
+
+def coupled_model():
+    """A custom potential coupling every coordinate, with no analytic Hessian."""
+    return LagrangianModel(
+        mass=1.5,
+        potential=lambda x: np.sin(np.sum(x, axis=-1)) + 0.5 * np.sum(x * x, axis=-1),
+        grad_potential=lambda x: np.cos(np.sum(x, axis=-1))[..., None] + x,
+        hess_bound=lambda radius: 2.0,
+        quadratic_growth=2.0,
+    )
+
+
+BAND_MODELS = {
+    **{name: factory for name, factory in MODEL_CATALOG.items() if name != "cosine"},
+    "cosine": lambda dim: cosine_potential(amplitude=2.0, dim=dim),
+    "custom_fd": coupled_model,
+}
+BAND_GRIDS = {
+    "uniform": TimeGrid.uniform(0.0, 0.6, 12),
+    "random": TimeGrid(np.sort(np.random.default_rng(4).uniform(0.0, 0.6, 13))),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("grid_name", sorted(BAND_GRIDS))
+@pytest.mark.parametrize("model_name", sorted(BAND_MODELS))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_banded_step_factors_the_band_filled_from_the_blocks(
+    model_name, grid_name, dim, monkeypatch
+):
+    factory, grid = BAND_MODELS[model_name], BAND_GRIDS[grid_name]
+    model = factory(dim=dim) if model_name == "cosine" else factory()
+    rng = np.random.default_rng(dim + len(model_name))
+    x, y = rng.uniform(-1.2, 1.2, (5, dim)), rng.uniform(-0.8, 1.5, (5, dim))
+    nodes = integrators._pair_starts(grid, x, y)
+    nodes[:, 1:-1] += rng.uniform(-0.3, 0.3, nodes[:, 1:-1].shape)
+    nodes[3, 4, dim - 1] = np.nan  # a non-finite block or right-hand side
+    assert_bands_equal_the_block_loop(monkeypatch, model, nodes, grid.spacings, [[3]])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("model_name", sorted(BAND_MODELS))
+def test_bvp_blocks_entry_by_entry_equal_the_broadcast_formulas(model_name, dim):
+    factory, grid = BAND_MODELS[model_name], BAND_GRIDS["random"]
+    model = factory(dim=dim) if model_name == "cosine" else factory()
+    rng = np.random.default_rng(dim)
+    nodes = rng.uniform(-1.5, 1.5, (3, grid.n_intervals + 1, dim))
+    dt, m = grid.spacings, model.mass
+    hess = 0.25 * dt[:, None, None] * integrators._midpoint_hessians(model, nodes)
+    eye = np.eye(dim)
+    kinetic = (m / dt[:-1] + m / dt[1:])[:, None, None] * eye
+    diag = kinetic - hess[..., :-1, :, :] - hess[..., 1:, :, :]
+    off = -(m / dt[1:-1])[:, None, None] * eye - hess[..., 1:-1, :, :]
+    for got, want in zip(integrators._bvp_blocks(model, nodes, dt), (diag, off)):
+        assert np.array_equal(got, want)
+    for got, want in zip(integrators._bvp_blocks(model, nodes[0], dt), (diag[0], off[0])):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_banded_step_refills_the_band_after_a_singular_pair(dim, monkeypatch):
+    # at dt = 2 the cosine's path through pi has the Jacobian of every
+    # coordinate tridiagonal with zero diagonal, singular with five interior nodes
+    grid = TimeGrid.uniform(0.0, 12.0, 6)
+    rng = np.random.default_rng(dim)
+    x, y = rng.uniform(-1, 1, (4, dim)), rng.uniform(-1, 1, (4, dim))
+    nodes = integrators._pair_starts(grid, x, y)
+    nodes[2] = np.pi
+    nodes[0, 2] = np.nan
+    # near pi the LU of pair 1 pivots, so the first solve leaves fill-in in
+    # its band that the second fill must clear
+    nodes[1] = np.pi + rng.uniform(-0.2, 0.2, nodes[1].shape)
+    assert_bands_equal_the_block_loop(
+        monkeypatch, cosine_potential(dim=dim), nodes, grid.spacings, [[0], [2]]
+    )
 
 
 # -- P pairs in one batch against one solve_bvp per pair -------------------------
