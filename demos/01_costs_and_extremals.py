@@ -48,7 +48,6 @@ ridge = LagrangianModel(
     grad_potential=lambda x: (
         -4.0 * (np.sum(np.square(x), axis=-1) - 1.0)[..., None] * np.asarray(x, float)
     ),
-    hess_bound=lambda r: 12.0 * r**2 + 4.0,
     quadratic_growth=6.4,
 )
 grid = TimeGrid.uniform(0.0, 3.0, 48)

@@ -29,7 +29,7 @@ N = 16
 source = sample_marginal(spec_a, N)
 target = sample_marginal(spec_b, N)
 
-print(f"admissible horizon for this model: {model.admissible_horizon('midpoint'):.4f}")
+print(f"admissible horizon for this model: {model.admissible_horizon():.4f}")
 print(f"solving the transport problem for N = {N} over span {grid.span}")
 result = solve_discrete_otm(model, source, target, grid, cost_kind="bvp")
 print(f"minimal average action: {result.min_action:.8f}")

@@ -48,7 +48,7 @@ for N in (64, 256, 1024):
 print()
 print("=== harmonic oscillator: the horizon guard ===")
 model = harmonic_oscillator(stiffness=2.0)  # unit mass and growth constant
-bound = model.admissible_horizon("midpoint")
+bound = model.admissible_horizon()
 print(f"admissible midpoint horizon: {bound:.6f}")
 spec_b = MarginalSpec("uniform_box", low=0.5, high=1.5, sampler="quantile")
 failing = run_convergence_study(

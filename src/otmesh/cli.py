@@ -19,6 +19,7 @@ import json
 # here, not inside main
 import locale  # noqa: F401
 import os
+import re
 import sys
 from pathlib import Path as FsPath
 
@@ -385,8 +386,14 @@ def cmd_transport(args, cfg: dict) -> int:
     # clouds, when given, let a 1-D Monge matrix skip the assignment solve
     source = target = None
     if "costs_csv" in cfg:
+        text = _file_text(cfg, "costs_csv")
+        # a square matrix has as many rows as its first line has cells, so the
+        # particle cap is checked before any cell is parsed
+        first_line = re.search(r"\S[^\n]*", text)
+        if first_line is not None:
+            _check_size(first_line.group().count(",") + 1, 0, 1, "'costs_csv'")
         try:
-            costs = matrix_from_csv(_file_text(cfg, "costs_csv"))
+            costs = matrix_from_csv(text)
         except ValueError as exc:
             raise ConfigError(f"cannot load 'costs_csv': {exc}") from None
         if costs.shape[0] != costs.shape[1]:

@@ -127,29 +127,11 @@ def reference_flow(
 ) -> FlowResult:
     """Integrate m x'' = -grad V(x) with classical RK4, sampled on the grid.
 
-    This is the one-start case of ``reference_flow_batch`` and returns
-    bitwise the same trajectory.
+    This is the one-start case of ``_rk4_march`` and returns bitwise the
+    same trajectory.
     """
-    nodes, x, v = reference_flow_batch(
-        model, start.position[None, :], start.velocity[None, :], grid
-    )
+    nodes, x, v = _rk4_march(model, [(start.position[None, :], start.velocity[None, :], grid)])[0]
     return FlowResult(Path(grid, nodes[0]), PhasePoint(x[0], v[0]), 0)
-
-
-def reference_flow_batch(
-    model: LagrangianModel,
-    positions: np.ndarray,
-    velocities: np.ndarray,
-    grid: TimeGrid,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """RK4 reference flow from P starts (P, n) at once on one grid.
-
-    Returns the nodes (P, l+1, n) and the final positions and velocities
-    (P, n).  This is the one-group case of ``_rk4_march``: each path is
-    bitwise what a one-start integration gives, and if any path leaves the
-    guard radius, BlowUpError names the earliest grid interval where one did.
-    """
-    return _rk4_march(model, [(positions, velocities, grid)])[0]
 
 
 def _rk4_march(

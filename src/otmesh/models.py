@@ -1,7 +1,7 @@
 """Mechanical Lagrangians of kinetic-minus-potential form on flat R^n.
 
 A model bundles L(x, v) = (m/2)|v|^2 - V(x) with the derivatives and growth
-constants that the solvers and the horizon bounds need.  Potentials and their
+constants that the solvers and the horizon bound need.  Potentials and their
 gradients must be vectorized: they map arrays of shape (..., n) to shapes
 (...) and (..., n) respectively, so that quadrature and diagnostics can
 evaluate them in batch.
@@ -48,14 +48,6 @@ class LagrangianModel:
         Particle mass m > 0.
     potential, grad_potential
         V and its gradient, both batched over leading axes.
-    hess_bound
-        Map from a radius R to an upper bound on the operator norm of the
-        potential's Hessian over the ball |x| <= R.  The library does not
-        read it: the minimality certificate of the boundary-value solver
-        bounds the Hessians it evaluates, so a wrong bound cannot hide a
-        saddle.  The quadrature-error checks in the tests bound the gap
-        between midpoint and continuous action by
-        h^2 * hess_bound(R) * int |v|^2, so every model must supply one.
     quadratic_growth
         Constant c with |V(x)| <= c (1 + |x|^2) on the working region;
         validated on sample grids, not proven.
@@ -75,7 +67,6 @@ class LagrangianModel:
     mass: float
     potential: BatchFn
     grad_potential: BatchFn
-    hess_bound: Callable[[float], float]
     quadratic_growth: float
     potential_sup: Optional[float] = None
     hess_potential: Optional[BatchFn] = None
@@ -110,20 +101,13 @@ class LagrangianModel:
         _require_same_dim(x, v)
         return 0.5 * self.mass * float(v @ v) + float(self.potential(x))
 
-    def admissible_horizon(self, scheme: str = "midpoint") -> float:
-        """Longest time span with guaranteed coercivity of the action.
+    def admissible_horizon(self) -> float:
+        """Longest time span with guaranteed coercivity of the midpoint action.
 
-        Returns +inf for bounded potentials.  Otherwise sqrt(m / (8 c2)) for
-        the continuous action and the stricter sqrt(m / (32 c2)) for the
-        midpoint-discretized one.
+        Returns +inf for bounded potentials, otherwise sqrt(m / (32 c2)).
         """
-        if scheme not in ("continuous", "midpoint"):
-            raise ValueError(f"unknown scheme {scheme!r}")
         if self.bounded_potential:
             return math.inf
-        if scheme == "continuous":
-            # c1 / (4 c2) with c1 = m/2
-            return math.sqrt(self.mass / (8.0 * self.quadratic_growth))
         return math.sqrt(self.mass / (32.0 * self.quadratic_growth))
 
     # -- validation helpers -------------------------------------------------
@@ -169,7 +153,6 @@ def free_particle(mass: float = 1.0) -> LagrangianModel:
         mass=mass,
         potential=lambda x: np.zeros(_shape(x)[:-1]),
         grad_potential=lambda x: np.zeros(_shape(x)),
-        hess_bound=lambda radius: 0.0,
         quadratic_growth=1.0,
         potential_sup=0.0,
         hess_potential=lambda x: np.zeros(_shape(x) + (_shape(x)[-1],)),
@@ -193,7 +176,6 @@ def harmonic_oscillator(mass: float = 1.0, stiffness: float = 1.0) -> Lagrangian
         mass=mass,
         potential=lambda x: 0.5 * k * np.sum(np.square(x), axis=-1),
         grad_potential=lambda x: k * np.asarray(x, dtype=float),
-        hess_bound=lambda radius: k,
         quadratic_growth=0.5 * k,
         potential_sup=None,
         hess_potential=hess,
@@ -231,7 +213,6 @@ def double_well(mass: float = 1.0, validation_radius: float = 3.0) -> Lagrangian
         mass=mass,
         potential=lambda x: np.square(np.sum(np.square(x), axis=-1) - 1.0),
         grad_potential=grad,
-        hess_bound=lambda radius: 12.0 * radius**2 + 4.0,
         quadratic_growth=c2,
         potential_sup=None,
         hess_potential=hess,
@@ -261,7 +242,6 @@ def cosine_potential(mass: float = 1.0, amplitude: float = 1.0, dim: int = 1) ->
         mass=mass,
         potential=lambda x: amp * np.sum(np.cos(x), axis=-1),
         grad_potential=lambda x: -amp * np.sin(x),
-        hess_bound=lambda radius: amp,
         quadratic_growth=amp * dim,
         potential_sup=amp * dim,
         hess_potential=hess,
@@ -305,27 +285,11 @@ def closed_form_cost(model: LagrangianModel, x, y, span: float) -> float:
     oscillator, (m w / 2) ((|x|^2+|y|^2) cos(wT) - 2 x.y) / sin(wT) with
     w = sqrt(k/m).  The harmonic formula degenerates at conjugate spans
     wT = j pi, where the connecting extremal is non-unique or non-existent.
+    This is the one-pair case of ``closed_form_cost_matrix``.
     """
     x, y = as_point(x), as_point(y)
     _require_same_dim(x, y, names="x, y")
-    if span <= 0:
-        raise ValueError("span must be positive")
-    if model.name == "free_particle":
-        d = y - x
-        return 0.5 * model.mass * float(d @ d) / span
-    if model.name == "harmonic":
-        omega = math.sqrt(model.params["stiffness"] / model.mass)
-        s = math.sin(omega * span)
-        if abs(s) < 1e-12:
-            raise ValueError(f"span {span} is conjugate for the harmonic model")
-        return (
-            0.5
-            * model.mass
-            * omega
-            * ((float(x @ x) + float(y @ y)) * math.cos(omega * span) - 2.0 * float(x @ y))
-            / s
-        )
-    raise ValueError(f"no closed-form cost for model {model.name!r}")
+    return float(closed_form_cost_matrix(model, x[None], y[None], span)[0, 0])
 
 
 def closed_form_cost_matrix(

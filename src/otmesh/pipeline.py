@@ -48,8 +48,8 @@ class MarginalSpec:
         radius), or "custom_points" (explicit cloud).
     sampler
         "quantile" (mid-quantile points, dimension 1 only), "grid" (centers
-        of an equal-mass partition), or "iid" (seeded pseudo-random draws,
-        rejected onto the compact support).
+        of an equal-mass partition; dimension 1 only for gaussians), or
+        "iid" (seeded pseudo-random draws, rejected onto the compact support).
     seed
         Seed for the iid sampler; the same spec always produces the same
         cloud.
@@ -101,6 +101,8 @@ class MarginalSpec:
             raise ValueError(f"unknown marginal kind {self.kind!r}")
         if self.kind != "custom_points" and self.sampler == "quantile" and self.dim != 1:
             raise ValueError("the quantile sampler is only defined in dimension 1")
+        if self.kind == "gaussian" and self.sampler == "grid" and self.dim != 1:
+            raise ValueError("gaussian grid sampling is only supported in dimension 1")
 
     @property
     def dim(self) -> int:
@@ -164,8 +166,6 @@ def sample_marginal(spec: MarginalSpec, N: int) -> PointCloud:
     # gaussian
     sd = np.sqrt(np.diag(spec.cov))
     if spec.sampler in ("quantile", "grid"):
-        if spec.dim != 1:
-            raise ValueError("gaussian grid sampling is only supported in dimension 1")
         # scipy.stats is slow to import and only this branch needs it
         from scipy.stats import truncnorm
 
@@ -208,7 +208,7 @@ class OtmResult:
 
 def check_horizon(model: LagrangianModel, span: float, allow_long_horizon: bool = False):
     """Raise HorizonError when the span exceeds the midpoint coercivity bound."""
-    bound = model.admissible_horizon("midpoint")
+    bound = model.admissible_horizon()
     if span > bound and not allow_long_horizon:
         raise HorizonError(
             f"time span {span:.6g} exceeds the admissible horizon {bound:.6g} "

@@ -127,12 +127,8 @@ def test_c03_midpoint_quadrature_error():
                 grid, lambda t: x0 * math.cos(t) + v0 * math.sin(t)
             )
             gap = abs(midpoint_action(HARMONIC, path) - continuous_action(HARMONIC, path))
-            radius = float(np.max(np.abs(path.nodes)))
-            bound = (
-                grid.max_spacing**2
-                * HARMONIC.hess_bound(radius)
-                * path.velocity_sq_integral()
-            )
+            # sup |Hess V| = k = 1 for the unit harmonic oscillator
+            bound = grid.max_spacing**2 * 1.0 * path.velocity_sq_integral()
             assert gap <= bound
             errors.append(gap)
         for coarse, fine in zip(errors, errors[1:]):
@@ -259,7 +255,7 @@ def test_c08_assignment_exactness():
 @criterion(9, "horizon guard rejects span 0.2 and accepts span 0.17 at unit constants")
 def test_c09_horizon_guard():
     model = harmonic_oscillator(stiffness=2.0)  # mass 1, growth constant 1
-    assert model.admissible_horizon("midpoint") == pytest.approx(math.sqrt(1 / 32))
+    assert model.admissible_horizon() == pytest.approx(math.sqrt(1 / 32))
     spec_a = MarginalSpec("uniform_box", low=0.0, high=1.0, sampler="quantile")
     spec_b = MarginalSpec("uniform_box", low=0.5, high=1.5, sampler="quantile")
     failing = run_convergence_study(

@@ -208,10 +208,19 @@ def test_cli_transport_from_csv(tmp_path):
     assert csv_lines(out / "cost_matrix.csv")[0] == "c_1,c_2"
 
 
-def test_cli_transport_from_csv_checks_the_particle_cap(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "c_1,c_2,c_3\n1,2,3\n3,1,2\n2,3,1\n",
+        # the bad cell would be a parse error: the cap is checked before parsing
+        "\n1,2,3\n3,1,2\n2,3,oops\n",
+    ],
+    ids=["header", "bad_last_cell"],
+)
+def test_cli_transport_from_csv_checks_the_particle_cap(tmp_path, capsys, monkeypatch, text):
     monkeypatch.setattr(cli, "MAX_PARTICLES", 2)
     matrix = tmp_path / "costs.csv"
-    matrix.write_text("c_1,c_2,c_3\n1,2,3\n3,1,2\n2,3,1\n", encoding="utf-8")
+    matrix.write_text(text, encoding="utf-8")
     cfg = write_config(tmp_path, {"costs_csv": str(matrix)})
     out = tmp_path / "out"
     assert main(["transport", "--config", cfg, "--out", str(out)]) == 1
@@ -389,6 +398,21 @@ def test_cli_converge_horizon_violation_exits_three(tmp_path, capsys):
     assert main(["converge", "--config", cfg, "--out", str(out)]) == 3
     lines = csv_lines(out / "convergence.csv")
     assert all("error" in line for line in lines[1:])
+
+
+def test_cli_converge_gaussian_grid_in_two_dimensions_is_a_config_error(tmp_path, capsys):
+    payload = json.loads(FsPath(converge_config(tmp_path)).read_text())
+    payload["marginal_a"] = {"kind": "gaussian", "mean": [0, 0], "radius": 1, "sampler": "grid"}
+    payload["marginal_b"] = {
+        "kind": "uniform_box", "low": [2, 2], "high": [3, 3], "sampler": "grid"
+    }
+    payload.update(Ns=[4], hs=[0.5])
+    cfg = write_config(tmp_path, payload, "grid2d.json")
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: invalid marginal 'marginal_a': "
+        "gaussian grid sampling is only supported in dimension 1\n"
+    )
 
 
 def test_cli_converge_iid_requires_seed(tmp_path):

@@ -31,7 +31,7 @@ from otmesh import (
     uniform_distance,
 )
 from otmesh import _native, integrators
-from otmesh.integrators import _el_step, reference_flow_batch
+from otmesh.integrators import _el_step
 from otmesh.models import MODEL_CATALOG, LagrangianModel
 
 FREE = free_particle()
@@ -120,11 +120,11 @@ def scalar_rk4(model, x, v, grid, substeps=16):
     ],
     ids=["uniform", "nonuniform"],
 )
-def test_reference_flow_batch_matches_scalar_loop_bitwise(model, dim, grid):
+def test_rk4_march_one_group_matches_scalar_loop_bitwise(model, dim, grid):
     rng = np.random.default_rng(17)
     starts = rng.uniform(-1.2, 1.2, (9, dim))
     launches = rng.uniform(-1.0, 1.0, (9, dim))
-    nodes, x_end, v_end = reference_flow_batch(model, starts, launches, grid)
+    ((nodes, x_end, v_end),) = integrators._rk4_march(model, [(starts, launches, grid)])
     assert nodes.shape == (9, grid.n_intervals + 1, dim)
     for i in range(9):
         want_nodes, want_x, want_v = scalar_rk4(model, starts[i], launches[i], grid)
@@ -194,7 +194,7 @@ def test_rk4_march_blow_up_in_a_shorter_group_names_its_interval():
     with pytest.raises(BlowUpError, match="within grid interval 1$"):
         integrators._rk4_march(FREE, groups)
     with pytest.raises(BlowUpError, match="within grid interval 1$"):
-        reference_flow_batch(FREE, *groups[1])
+        integrators._rk4_march(FREE, [groups[1]])
 
 
 def test_rk4_march_blow_up_is_not_hidden_by_a_nan_row():
@@ -211,7 +211,7 @@ def test_rk4_march_blow_up_is_not_hidden_by_a_nan_row():
     with pytest.raises(BlowUpError, match="within grid interval 1$"):
         integrators._rk4_march(FREE, groups)
     with pytest.raises(BlowUpError, match="within grid interval 1$"):
-        reference_flow_batch(FREE, *groups[1])
+        integrators._rk4_march(FREE, [groups[1]])
 
 
 def test_rk4_march_keeps_empty_groups():
@@ -221,7 +221,7 @@ def test_rk4_march_keeps_empty_groups():
     ]
     (nodes, x_end, v_end), flow = integrators._rk4_march(HARMONIC, groups)
     assert nodes.shape == (0, 7, 2) and x_end.shape == v_end.shape == (0, 2)
-    assert np.array_equal(flow[0], reference_flow_batch(HARMONIC, *groups[1])[0])
+    assert np.array_equal(flow[0], integrators._rk4_march(HARMONIC, [groups[1]])[0][0])
 
 
 def test_integrators_hold_one_rk4_substep_loop():
@@ -236,12 +236,12 @@ def test_integrators_hold_one_rk4_substep_loop():
     assert len(loops) == 1
 
 
-def test_reference_flow_batch_blow_up_of_one_path_raises():
+def test_rk4_march_blow_up_of_one_path_raises():
     # only path 5 leaves the radius 1e6, at t = 1/3, inside interval 3
     launches = np.zeros((8, 1))
     launches[5] = 3e6
     with pytest.raises(BlowUpError, match="within grid interval 3$"):
-        reference_flow_batch(FREE, np.zeros((8, 1)), launches, TimeGrid.uniform(0, 1, 10))
+        integrators._rk4_march(FREE, [(np.zeros((8, 1)), launches, TimeGrid.uniform(0, 1, 10))])
 
 
 # -- single implicit step --------------------------------------------------------
@@ -435,7 +435,6 @@ def inverted_ring_ridge():
             -4.0 * (np.sum(np.square(x), axis=-1) - 1.0)[..., None]
             * np.asarray(x, dtype=float)
         ),
-        hess_bound=lambda r: 12.0 * r**2 + 4.0,
         quadratic_growth=6.4,
     )
 
@@ -1330,7 +1329,6 @@ def coupled_model():
         mass=1.5,
         potential=lambda x: np.sin(np.sum(x, axis=-1)) + 0.5 * np.sum(x * x, axis=-1),
         grad_potential=lambda x: np.cos(np.sum(x, axis=-1))[..., None] + x,
-        hess_bound=lambda radius: 2.0,
         quadratic_growth=2.0,
     )
 

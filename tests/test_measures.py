@@ -20,7 +20,7 @@ from otmesh import (
     uniform_distance,
 )
 from otmesh import measures
-from otmesh.integrators import reference_flow_batch
+from otmesh.integrators import _rk4_march
 from otmesh.measures import _pairwise_sup_distances
 from otmesh.serialize import measure_from_csv, measure_to_csv
 from otmesh.transport import solve_assignment
@@ -77,7 +77,7 @@ def test_push_forward_initial_marginal_is_exact():
     for pi in (
         discrete_flow_measure(HARMONIC, positions, velocities, grid),
         EmpiricalPathMeasure._from_nodes(
-            grid, reference_flow_batch(HARMONIC, positions, velocities, grid)[0]
+            grid, _rk4_march(HARMONIC, [(positions, velocities, grid)])[0][0]
         ),
     ):
         cloud = marginal_at_time(pi, 0.0)

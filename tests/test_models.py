@@ -5,6 +5,7 @@ import pytest
 
 from otmesh import (
     DimensionMismatchError,
+    TimeGrid,
     cosine_potential,
     closed_form_cost,
     closed_form_cost_matrix,
@@ -12,6 +13,7 @@ from otmesh import (
     free_particle,
     harmonic_oscillator,
     make_model,
+    solve_bvp,
 )
 
 
@@ -23,9 +25,17 @@ def quadratic_well(mass=1.0):
         mass=mass,
         potential=lambda x: 0.5 * np.sum(np.square(x), axis=-1),
         grad_potential=lambda x: np.asarray(x, dtype=float),
-        hess_bound=lambda r: 1.0,
         quadratic_growth=0.5,
     )
+
+
+def test_a_custom_model_needs_only_mass_potential_gradient_and_growth():
+    # the custom-model contract: no Hessian and no bound on it are required
+    model = quadratic_well()
+    result = solve_bvp(model, 0.0, 1.0, TimeGrid.uniform(0.0, 0.8, 200))
+    assert result.converged
+    exact = closed_form_cost(harmonic_oscillator(), 0.0, 1.0, 0.8)
+    assert result.cost == pytest.approx(exact, rel=1e-4)
 
 
 def test_lagrangian_values():
@@ -114,19 +124,10 @@ def test_admissible_horizon_values():
     # harmonic with stiffness 2 has growth constant exactly 1
     model = harmonic_oscillator(stiffness=2.0)
     assert model.quadratic_growth == pytest.approx(1.0)
-    assert model.admissible_horizon("midpoint") == pytest.approx(math.sqrt(1 / 32))
-    assert model.admissible_horizon("continuous") == pytest.approx(math.sqrt(1 / 8))
+    assert model.admissible_horizon() == pytest.approx(math.sqrt(1 / 32))
     # bounded potentials have no horizon restriction
-    assert cosine_potential().admissible_horizon("midpoint") == math.inf
-    assert free_particle().admissible_horizon("continuous") == math.inf
-    with pytest.raises(ValueError):
-        model.admissible_horizon("verlet")
-
-
-@pytest.mark.parametrize("factory", [harmonic_oscillator, double_well])
-def test_horizon_ordering(factory):
-    model = factory()
-    assert model.admissible_horizon("midpoint") <= model.admissible_horizon("continuous")
+    assert cosine_potential().admissible_horizon() == math.inf
+    assert free_particle().admissible_horizon() == math.inf
 
 
 @pytest.mark.parametrize(
