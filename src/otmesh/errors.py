@@ -14,11 +14,10 @@ class SolverError(OtmeshError, RuntimeError):
 
 
 class NewtonError(SolverError):
-    """Newton iteration did not converge; carries the last residual."""
+    """Newton iteration did not converge or met a non-finite value.
 
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    The message gives the last residual.
+    """
 
 
 class BlowUpError(SolverError):

@@ -83,8 +83,9 @@ class BvpBatchResult:
         return ""
 
 
-# Newton tolerance and iteration cap of every boundary-value solve, and the
-# sup-distance that clusters restarts
+# Newton tolerance and iteration cap of every Newton solve (the boundary-value
+# solves and the implicit midpoint step), and the sup-distance that clusters
+# restarts
 _BVP_TOL = 1e-12
 _BVP_MAX_ITER = 50
 _CLUSTER_RADIUS = 1e-3
@@ -96,10 +97,6 @@ _CLUSTER_RADIUS = 1e-3
 # a modelling or usage error.
 _RK4_SUBSTEPS = 16
 _GUARD_RADIUS = 1e6
-
-# Newton tolerance and iteration cap of the implicit midpoint step
-_EL_TOL = 1e-12
-_EL_MAX_ITER = 50
 
 
 def _hessian_at(model: LagrangianModel, x: np.ndarray) -> np.ndarray:
@@ -243,7 +240,7 @@ def _el_step(
     dt_next: float,
 ) -> tuple[np.ndarray, int]:
     """Newton solve of the implicit midpoint step; returns (next, iterations)."""
-    tol, max_iter = _EL_TOL, _EL_MAX_ITER
+    tol, max_iter = _BVP_TOL, _BVP_MAX_ITER
     m = model.mass
     outgoing = m * (curr - prev) / dt_prev - 0.5 * dt_prev * np.asarray(
         model.grad_potential(0.5 * (prev + curr)), dtype=float
@@ -263,13 +260,18 @@ def _el_step(
             - outgoing
         )
         err = float(np.max(np.abs(resid)))
+        # checked before the tolerance: an infinite outgoing momentum makes
+        # the residual non-finite and the tolerance tol * scale infinite
+        if not math.isfinite(err):
+            raise NewtonError(
+                f"implicit midpoint step has residual {err:.3e} at iteration {it}"
+            )
         if err <= tol * scale:
             return z, it
         if it == max_iter:
             raise NewtonError(
                 f"implicit midpoint step did not converge in {max_iter} iterations "
-                f"(residual {err:.3e})",
-                residual=err,
+                f"(residual {err:.3e})"
             )
         jac = (m / dt_next) * eye + 0.25 * dt_next * _hessian_at(model, mid)
         if curr.size == 1:

@@ -22,10 +22,12 @@ BatchFn = Callable[[np.ndarray], np.ndarray]
 
 
 def as_point(x) -> np.ndarray:
-    """Coerce a scalar or sequence to a finite 1-D float vector."""
+    """Coerce a scalar or sequence to a finite, nonempty 1-D float vector."""
     pt = np.atleast_1d(np.asarray(x, dtype=float))
     if pt.ndim != 1:
         raise ValueError(f"expected a single point, got array of shape {pt.shape}")
+    if pt.size == 0:
+        raise ValueError("a point needs at least one coordinate")
     if not np.all(np.isfinite(pt)):
         raise ValueError("point has non-finite coordinates")
     return pt
@@ -49,8 +51,9 @@ class LagrangianModel:
     potential, grad_potential
         V and its gradient, both batched over leading axes.
     quadratic_growth
-        Constant c with |V(x)| <= c (1 + |x|^2) on the working region;
-        validated on sample grids, not proven.
+        Constant c with |V(x)| <= c (1 + |x|^2) on the working region.  It
+        is not checked at construction; ``check_quadratic_growth`` tests it
+        on a sample of points when called.
     potential_sup
         sup |V| when the potential is bounded, else None.
     hess_potential
@@ -81,12 +84,6 @@ class LagrangianModel:
                 f"quadratic growth constant must be positive, got {self.quadratic_growth}"
             )
 
-    # -- derived constants -------------------------------------------------
-
-    @property
-    def bounded_potential(self) -> bool:
-        return self.potential_sup is not None
-
     # -- pointwise evaluations ---------------------------------------------
 
     def lagrangian(self, x, v) -> float:
@@ -106,7 +103,7 @@ class LagrangianModel:
 
         Returns +inf for bounded potentials, otherwise sqrt(m / (32 c2)).
         """
-        if self.bounded_potential:
+        if self.potential_sup is not None:
             return math.inf
         return math.sqrt(self.mass / (32.0 * self.quadratic_growth))
 

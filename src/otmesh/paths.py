@@ -96,17 +96,6 @@ class TimeGrid:
         )
         return idx, (times - self.nodes[idx]) / self.spacings[idx]
 
-    def refine(self, factor: int = 2) -> "TimeGrid":
-        """Split every interval into `factor` equal pieces."""
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        if factor == 1:
-            return self
-        left = self.nodes[:-1]
-        steps = np.diff(self.nodes)
-        inner = left[:, None] + steps[:, None] * (np.arange(factor) / factor)[None, :]
-        return TimeGrid(np.append(inner.ravel(), self.nodes[-1]))
-
 
 @dataclass(frozen=True)
 class Path:
@@ -159,11 +148,6 @@ class Path:
     @property
     def end_point(self) -> np.ndarray:
         return self.nodes[-1]
-
-    @property
-    def velocities(self) -> np.ndarray:
-        """Per-interval constant velocities, shape (l, n)."""
-        return np.diff(self.nodes, axis=0) / self.grid.spacings[:, None]
 
     def velocity_sq_integral(self) -> float:
         """Integral of |velocity|^2 over the whole span."""

@@ -10,7 +10,6 @@ marginals at an O(eps) action premium), and the refinement studies.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +72,10 @@ class MarginalSpec:
             high = _finite_array(self.high, 1, "uniform_box 'high'")
             if low.shape != high.shape or np.any(low >= high):
                 raise ValueError("uniform_box needs low < high componentwise")
+            with np.errstate(over="ignore"):
+                width = high - low
+            if not np.all(np.isfinite(width)):  # the samplers scale by it
+                raise ValueError("uniform_box needs a finite width high - low")
             object.__setattr__(self, "low", low)
             object.__setattr__(self, "high", high)
         elif self.kind == "gaussian":
@@ -338,13 +341,14 @@ def build_recovery_measure(
 
 @dataclass
 class ConvergenceRow:
+    """One study level; its fields are the columns of ``convergence.csv``."""
+
     N: int
     h: float
     min_action: float = np.nan
     d_bl_to_finest: float = np.nan
     max_el_residual: float = np.nan
     max_reconstruction_dist: float = np.nan
-    wall_time: float = 0.0
     status: str = "ok"
     error: str = ""
 
@@ -355,8 +359,7 @@ class ConvergenceReport:
 
     ``action_order`` and ``trajectory_order`` are log-log slopes fitted
     against the step size; they are None when fewer than two usable error
-    values exist.  Wall times are kept in memory only: emitted artifacts stay
-    byte-reproducible across runs.
+    values exist.
     """
 
     rows: list[ConvergenceRow] = field(default_factory=list)
@@ -442,11 +445,10 @@ def run_convergence_study(
     level's in turn; the values are bitwise those of one call per level.
     Failures are recorded per level and the study continues: if the combined
     call fails, every level is diagnosed on its own, so only the failing
-    levels get error rows.  Wall times cover each level's solve, not its
-    diagnostics.  The finest solved level has the largest N and, among
-    those, the smallest h.  Distances to the finest level are computed by atom
-    replication when the finest particle count is an integer multiple;
-    otherwise they are left as NaN.
+    levels get error rows.  The finest solved level has the largest N and,
+    among those, the smallest h.  Distances to the finest level are computed
+    by atom replication when the finest particle count is an integer
+    multiple; otherwise they are left as NaN.
     """
     Ns, hs = list(Ns), list(hs)
     if len(Ns) != len(hs) or not Ns:
@@ -456,7 +458,6 @@ def run_convergence_study(
     results: list[OtmResult | None] = []
     for N, h in zip(Ns, hs):
         row = ConvergenceRow(N=int(N), h=float(h))
-        tic = time.perf_counter()
         try:
             grid = TimeGrid.from_step(a, b, h)
             row.h = grid.max_spacing
@@ -475,7 +476,6 @@ def run_convergence_study(
             row.error = str(exc)
             result = None
         results.append(result)
-        row.wall_time = time.perf_counter() - tic
         rows.append(row)
     _diagnose_levels(
         model, [(row, res) for row, res in zip(rows, results) if res is not None]
@@ -533,6 +533,8 @@ def run_convergence_study(
 
 @dataclass
 class StationarityLevel:
+    """One study level; its fields are the columns of ``stationarity.csv``."""
+
     h: float
     max_el_residual: float
     max_reconstruction_dist: float

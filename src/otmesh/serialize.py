@@ -6,6 +6,7 @@ files round-trip exactly and identical runs produce byte-identical artifacts.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import io
 import json
@@ -15,6 +16,7 @@ import numpy as np
 
 from .measures import EmpiricalPathMeasure, _grid_atoms, _join
 from .paths import Path, TimeGrid
+from .pipeline import ConvergenceRow, StationarityLevel
 
 
 def format_float(value: float) -> str:
@@ -81,14 +83,6 @@ def path_to_csv(path: Path) -> str:
     """One nodal row per line with columns t, x_1..x_n."""
     header = ",".join(["t"] + _coordinate_header(path.dim))
     return "".join(_rows_to_csv(header, np.column_stack((path.grid.nodes, path.nodes))))
-
-
-def path_from_csv(text: str) -> Path:
-    rows = _numeric_rows(text)
-    data = np.asarray(rows, dtype=float)
-    if data.ndim != 2 or data.shape[1] < 2:
-        raise ValueError("path CSV needs columns t, x_1..x_n")
-    return Path(TimeGrid(data[:, 0]), data[:, 1:])
 
 
 def measure_to_csv(measure: EmpiricalPathMeasure) -> str:
@@ -363,25 +357,9 @@ def _rows_to_csv(header: str, M: np.ndarray) -> Iterator[str]:
 # Study reports
 # ---------------------------------------------------------------------------
 
-CONVERGENCE_CSV_COLUMNS = [
-    "N",
-    "h",
-    "min_action",
-    "d_bl_to_finest",
-    "max_el_residual",
-    "max_reconstruction_dist",
-    "status",
-    "error",
-]
-
-STATIONARITY_CSV_COLUMNS = [
-    "h",
-    "max_el_residual",
-    "max_reconstruction_dist",
-    "mean_reconstruction_dist",
-    "max_newton_iterations",
-    "scaling_ok",
-]
+# the CSV and JSON columns are the fields of the report rows, in their order
+CONVERGENCE_CSV_COLUMNS = [f.name for f in dataclasses.fields(ConvergenceRow)]
+STATIONARITY_CSV_COLUMNS = [f.name for f in dataclasses.fields(StationarityLevel)]
 
 
 def _csv_cell(value) -> str:

@@ -39,6 +39,8 @@ class PointCloud:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("a point cloud needs at least one point")
+        if pts.shape[1] == 0:
+            raise ValueError("points need at least one coordinate")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points must be finite")
         pts = pts.copy()

@@ -166,6 +166,26 @@ def test_cli_flow_free_particle(tmp_path):
     assert csv_lines(out / "flow_path.csv")[0] == "t,x_1"
 
 
+def test_cli_discrete_flow_with_an_infinite_force_is_a_solver_error(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"name": "double_well"},
+            "x": 0.0,
+            "v": 1e200,
+            "span": [0.0, 1.0],
+            "h": 0.25,
+            "flow": "discrete",
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["flow", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "solver error: implicit midpoint step has residual inf at iteration 0\n"
+    )
+    assert not out.exists()
+
+
 def sha256_of(path: FsPath) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -542,6 +562,13 @@ def valid_config(command: str) -> dict:
         ("bvp", "model", {"name": "harmonic", "params": {"stiffness": True}}),
         ("bvp", "model", {"name": "cosine", "params": {"dim": True}}),
         ("bvp", "model", {"name": "cosine", "params": {"dim": 1.5}}),
+        # the width high - low overflows
+        (
+            "converge",
+            "marginal_a",
+            {"kind": "uniform_box", "low": -1e308, "high": 1e308, "sampler": "iid"},
+        ),
+        ("stationary", "lines", [{"x": [], "y": []}]),
     ],
 )
 def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, command, field, value):
@@ -557,6 +584,23 @@ def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, command, field
     assert err.startswith("config error:")
     assert field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cost_kind", ["bvp", "closed_form"])
+def test_cli_transport_points_of_dimension_zero_are_a_config_error(
+    tmp_path, capsys, cost_kind
+):
+    payload = {
+        **valid_config("transport"),
+        "source_points": [[]],
+        "target_points": [[]],
+        "cost_kind": cost_kind,
+    }
+    cfg = write_config(tmp_path, payload, "empty.json")
+    assert main(["transport", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: invalid 'source_points': points need at least one coordinate\n"
+    )
 
 
 @contextmanager

@@ -14,6 +14,7 @@ from scipy.sparse.linalg import spsolve
 
 from otmesh import (
     BlowUpError,
+    NewtonError,
     Path,
     PhasePoint,
     TimeGrid,
@@ -323,6 +324,14 @@ def test_discrete_flow_energy_stays_bounded():
     fitted = deviation[:100].max()
     assert deviation.max() <= 2.0 * fitted
     assert fitted <= 2.0 * h  # O(h) oscillation for difference-quotient energy
+
+
+def test_discrete_flow_with_an_infinite_force_raises():
+    # the force at 1.25e199 overflows, so the outgoing momentum is infinite
+    grid = TimeGrid.from_step(0.0, 1.0, 0.25)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NewtonError, match="residual inf at iteration 0"):
+            discrete_flow(double_well(), PhasePoint(0.0, 1e200), grid)
 
 
 # -- stationarity residual ----------------------------------------------------------

