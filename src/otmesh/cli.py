@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, HorizonError, OtmeshError, SolverError
 from .integrators import discrete_flow, reference_flow, solve_bvp
 from .measures import EmpiricalPathMeasure
-from .models import LagrangianModel, MODEL_CATALOG, has_closed_form_cost, make_model
+from .models import LagrangianModel, MODEL_CATALOG, as_point, has_closed_form_cost, make_model
 from .paths import Path, PhasePoint, TimeGrid
 from .pipeline import (
     MarginalSpec,
@@ -118,7 +118,20 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _reject_booleans(dict(cfg, allow_long_horizon=None), "config")
     return cfg
+
+
+def _reject_booleans(value, where: str) -> None:
+    """A JSON boolean is a flag, never a number (Python and NumPy would read
+    it as 1 or 0): one anywhere in value is a config error.  The one flag,
+    'allow_long_horizon', is not passed in."""
+    if isinstance(value, bool):
+        raise ConfigError(f"'{where}' is {json.dumps(value)}, and only flags take one")
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            if isinstance(item, (bool, dict, list)):
+                _reject_booleans(item, f"{where}.{key}")
 
 
 def _require(cfg: dict, key: str, where: str = "config"):
@@ -149,12 +162,8 @@ def _model_from(cfg: dict) -> LagrangianModel:
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; booleans do not count."""
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
+    """A finite JSON number (a boolean is rejected when the config is read)."""
+    return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
 
 
 def _number(value, what: str, positive: bool = False) -> float:
@@ -248,32 +257,22 @@ def _marginal_from(cfg: dict, key: str, seed: int) -> MarginalSpec:
     sampler = spec.get("sampler", "quantile")
     if sampler == "iid" and seed is None:
         raise ConfigError("iid sampling requires a seed")
-    fields = {}
-    for name in ("low", "high", "mean", "cov", "radius", "points"):
-        if name in spec:
-            fields[name] = spec[name]
+    names = ("low", "high", "mean", "cov", "radius", "points")
+    fields = {name: spec[name] for name in names if name in spec}
     try:
         return MarginalSpec(kind=kind, sampler=sampler, seed=seed, **fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid marginal '{key}': {exc}") from None
 
 
-def _point_from(cfg: dict, key: str) -> np.ndarray:
-    value = _require(cfg, key)
-    try:
-        point = np.atleast_1d(np.asarray(value, dtype=float))
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{key}' must be a number or vector") from None
-    if point.ndim != 1 or point.size == 0:
-        raise ConfigError(f"'{key}' must be a number or vector")
-    if not np.all(np.isfinite(point)):
-        raise ConfigError(f"'{key}' must be finite")
-    return point
-
-
 def _points_from(cfg: dict, *keys: str) -> list[np.ndarray]:
     """Points of one common dimension."""
-    points = [_point_from(cfg, key) for key in keys]
+    points = []
+    for key in keys:
+        try:
+            points.append(as_point(_require(cfg, key)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid '{key}': {exc}") from None
     if len({p.size for p in points}) != 1:
         dims = ", ".join(f"'{k}' {p.size}" for k, p in zip(keys, points))
         raise ConfigError(f"points must have the same dimension, got {dims}")
@@ -282,7 +281,7 @@ def _points_from(cfg: dict, *keys: str) -> list[np.ndarray]:
 
 def _cloud_from(cfg: dict, key: str) -> PointCloud:
     try:
-        return PointCloud(np.asarray(_require(cfg, key), dtype=float))
+        return PointCloud(_require(cfg, key))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid '{key}': {exc}") from None
 
@@ -509,18 +508,10 @@ def cmd_stationary(args, cfg: dict) -> int:
         except ValueError as exc:
             raise ConfigError(f"cannot load 'paths_csv': {exc}") from None
     elif "lines" in cfg:
-        lines = cfg["lines"]
         grid = TimeGrid.uniform(*_span_from(cfg), 1)
         try:
             pi0 = EmpiricalPathMeasure(
-                tuple(
-                    Path.line(
-                        grid,
-                        np.atleast_1d(np.asarray(seg["x"], dtype=float)),
-                        np.atleast_1d(np.asarray(seg["y"], dtype=float)),
-                    )
-                    for seg in lines
-                )
+                tuple(Path.line(grid, seg["x"], seg["y"]) for seg in cfg["lines"])
             )
         except (TypeError, ValueError, KeyError, IndexError) as exc:
             raise ConfigError(f"invalid 'lines': {exc}") from None

@@ -14,6 +14,7 @@ nodal trajectories of the midpoint action with pinned endpoints.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
@@ -246,9 +247,17 @@ def _el_step(
         model.grad_potential(0.5 * (prev + curr)), dtype=float
     )
     # evaluating the residual costs eps * m |x| / dt of noise per momentum
-    # term; the tolerance cannot be tighter than that floor
+    # term; the tolerance cannot be tighter than that floor.  Taken in Python
+    # floats, which overflow to inf without a warning: a floor that overflows
+    # once scaled by 1 / tol would make the tolerance pass any residual
     size = max(1.0, float(np.max(np.abs(prev))), float(np.max(np.abs(curr))))
-    noise = 64.0 * np.finfo(float).eps * m / min(dt_prev, dt_next) * size
+    dt = float(min(dt_prev, dt_next))
+    noise = 64.0 * sys.float_info.epsilon * float(m) / dt * size
+    if not math.isfinite(noise / tol):
+        raise NewtonError(
+            f"implicit midpoint step has no finite tolerance for positions of "
+            f"size {size:.3e} and a step of {dt:.3e}"
+        )
     scale = max(1.0, float(np.max(np.abs(outgoing))), noise / tol)
     z = curr + (curr - prev) * (dt_next / dt_prev)
     eye = np.eye(curr.size)

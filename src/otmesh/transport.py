@@ -22,8 +22,8 @@ _BRUTE_FORCE_MAX = 9
 # matrix: about 10 MB of band matrix, and never less than one source row
 _BVP_BATCH_BUDGET = 2**18
 
-# entries of one row block of the sorted matrix in the 1-D Monge check: 1 MB,
-# and 128 rows at N = 1024
+# entries of one row block of the sorted matrix in the 1-D Monge check: 1 MB
+# in each of its two block buffers, and 128 rows at N = 1024
 _MONGE_BLOCK_BUDGET = 2**17
 
 
@@ -186,12 +186,20 @@ def _monotone_matching(
         return None
     rows = np.argsort(source.points[:, 0], kind="stable")
     cols = np.argsort(target.points[:, 0], kind="stable")
-    # the sorted matrix S in row blocks that share their edge rows, so no
-    # N x N temporary is built; each inequality is tested as on the whole S
+    # the sorted matrix S in row blocks that share their edge rows, gathered
+    # and differenced inside two block buffers, so no N x N temporary is
+    # built; each inequality is tested as on the whole S (a NaN difference
+    # makes the max NaN, and fails the test as it fails "<= 0")
     step = max(1, _MONGE_BLOCK_BUDGET // N)
+    rows_of, S = np.empty((2, min(step, N - 1) + 1, N))
     for first in range(0, N - 1, step):
-        S = M[np.ix_(rows[first : first + step + 1], cols)]
-        if not np.all(np.diff(np.diff(S, axis=0), axis=1) <= 0):
+        k = min(step, N - 1 - first) + 1
+        # take with mode="clip" writes straight into out; "raise" buffers it
+        np.take(M, rows[first : first + k], axis=0, out=rows_of[:k], mode="clip")
+        np.take(rows_of[:k], cols, axis=1, out=S[:k], mode="clip")
+        down = np.subtract(S[1:k], S[: k - 1], out=rows_of[: k - 1])
+        mixed = np.subtract(down[:, 1:], down[:, :-1], out=S[: k - 1, :-1])
+        if not mixed.max() <= 0:
             return None
     return rows, cols
 

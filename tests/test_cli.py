@@ -569,6 +569,25 @@ def valid_config(command: str) -> dict:
             {"kind": "uniform_box", "low": -1e308, "high": 1e308, "sampler": "iid"},
         ),
         ("stationary", "lines", [{"x": [], "y": []}]),
+        # JSON booleans are not numbers, though Python and NumPy read them as 1 and 0
+        ("converge", "marginal_a", {"kind": "uniform_box", "low": False, "high": True}),
+        (
+            "converge",
+            "marginal_a",
+            {"kind": "gaussian", "mean": True, "cov": True, "radius": True, "sampler": "iid"},
+        ),
+        ("converge", "marginal_b", {"kind": "gaussian", "mean": 0.0, "radius": True}),
+        (
+            "converge",
+            "marginal_a",
+            {"kind": "custom_points", "points": [[0.1], [0.2], [0.3], [True]]},
+        ),
+        ("converge", "span", [False, 1.0]),
+        ("transport", "source_points", [True, False]),
+        ("transport", "target_points", [[False], [1.0]]),
+        ("bvp", "x", True),
+        ("flow", "v", [True]),
+        ("stationary", "lines", [{"x": 0.0, "y": True}]),
     ],
 )
 def test_cli_malformed_config_is_a_config_error(tmp_path, capsys, command, field, value):
@@ -801,10 +820,10 @@ def test_importing_the_cli_leaves_scipy_stats_unimported():
     # modules alone, found without running scipy's own __init__; the "%.17g"
     # kernel builds its tables on first use
     script = (
-        "import sys, otmesh.cli, otmesh.serialize as s; "
+        "import sys, otmesh.cli, otmesh._csvformat; "
         "print([m in sys.modules for m in "
         "('scipy', 'scipy.stats', 'scipy.linalg', 'scipy.optimize')], "
-        "s._csv_tables.cache_info().currsize)"
+        "otmesh._csvformat._csv_tables.cache_info().currsize)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],

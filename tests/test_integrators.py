@@ -334,6 +334,16 @@ def test_discrete_flow_with_an_infinite_force_raises():
             discrete_flow(double_well(), PhasePoint(0.0, 1e200), grid)
 
 
+def test_discrete_flow_whose_tolerance_floor_overflows_raises():
+    # the tolerance floor 64 eps m |x| / dt is finite, but scaled by 1 / tol
+    # it overflows; the same launch at x = 1 resolves each step in one
+    # Newton iteration
+    grid = TimeGrid.uniform(0.0, 4e-6, 4)
+    assert discrete_flow(HARMONIC, PhasePoint([1.0], [0.0]), grid).newton_iterations_max == 1
+    with pytest.raises(NewtonError, match="no finite tolerance"):
+        discrete_flow(HARMONIC, PhasePoint([1e306], [0.0]), grid)
+
+
 # -- stationarity residual ----------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from otmesh import (
     make_model,
     solve_bvp,
 )
+from otmesh import models
 
 
 def quadratic_well(mass=1.0):
@@ -225,6 +226,26 @@ def test_in_place_closed_form_cost_matrix_is_bitwise_the_expression(dim):
             costs = closed_form_cost_matrix(model, X, Y, span)
             assert costs.shape == (9, 6)
             assert np.array_equal(costs, one_line_cost_matrix(model, X, Y, span))
+
+
+@pytest.mark.parametrize("budget", [1, 5, 7, 64, None])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_in_place_closed_form_cost_matrix_is_bitwise_over_row_blocks(
+    monkeypatch, budget, dim
+):
+    # a budget below one row still takes a row per block; 5 and 7 leave the
+    # last block of a 1-column matrix short; the default budget splits the
+    # 300 x 250 matrix into three blocks
+    if budget is not None:
+        monkeypatch.setattr(models, "_COST_BLOCK_BUDGET", budget)
+    rng = np.random.default_rng(dim)
+    for model in (free_particle(mass=0.3), harmonic_oscillator(mass=2.5, stiffness=0.7)):
+        for N, M in ((1, 6), (1, 1), (9, 1), (13, 4), (300, 250)):
+            X = rng.standard_normal((N, dim)) * 10.0 ** rng.integers(-3, 4, (N, 1))
+            Y = rng.uniform(-4.0, 4.0, (M, dim))
+            costs = closed_form_cost_matrix(model, X, Y, 2.9)
+            assert costs.shape == (N, M)
+            assert np.array_equal(costs, one_line_cost_matrix(model, X, Y, 2.9))
 
 
 def test_closed_form_costs():

@@ -303,6 +303,25 @@ def test_writing_a_matrix_csv_holds_one_chunk_not_the_text(tmp_path):
     assert path.stat().st_size > 2 * 8 * 2**20
 
 
+def test_writing_a_matrix_csv_allocates_its_workspace_once(tmp_path):
+    # every chunk of both matrices holds the same cells, so their peaks may
+    # differ only by the header line (its text and its bytes), which is
+    # longer for 1024 columns; one allocation per chunk would add up
+    cells = np.random.default_rng(2).uniform(-3.0, 3.0, serialize._CSV_CELL_BUDGET)
+    write_matrix_csv(tmp_path / "warm.csv", cells[:4].reshape(2, 2))  # builds the tables
+    peaks, headers = {}, {}
+    for N in (512, 1024):
+        M = np.tile(cells, N * N // cells.size).reshape(N, N)
+        tracemalloc.start()
+        try:
+            write_matrix_csv(tmp_path / "matrix.csv", M)
+            peaks[N] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        headers[N] = len(",".join(f"c_{j + 1}" for j in range(N)))
+    assert abs(peaks[1024] - peaks[512]) <= 2 * (headers[1024] - headers[512])
+
+
 def test_csv_writers_raise_no_runtime_warning_outside_errstate():
     # the pytest configuration turns RuntimeWarnings into errors as well; the
     # CLI alone runs under np.errstate

@@ -20,7 +20,7 @@ from otmesh import (
     solve_assignment,
     solve_bvp,
 )
-from otmesh import _native, integrators, transport
+from otmesh import _native, integrators, models, transport
 from otmesh.measures import EmpiricalPathMeasure, bl_distance_bound
 from otmesh.paths import Path
 from otmesh.integrators import solve_bvp_pairs
@@ -508,3 +508,23 @@ def test_assignment_of_one_dimensional_clouds_holds_no_n_squared_temporary():
     assert calls == []
     assert peak < costs.nbytes
     assert plan.total_cost == solve_assignment(costs).total_cost
+
+
+def test_closed_form_cost_matrix_holds_one_row_block_beside_the_matrix():
+    N = 1024
+    rng = np.random.default_rng(0)
+    source = PointCloud(rng.uniform(0.0, 1.0, N))
+    target = PointCloud(rng.uniform(0.5, 2.5, N))
+    grid = TimeGrid.uniform(0.0, 1.0, 1)
+    model = harmonic_oscillator()
+    tracemalloc.start()
+    try:
+        costs = cost_matrix(model, source, target, grid, "closed_form")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beside the matrix: one block of |x|^2 + |y|^2, the 64 KB operand buffer
+    # of one broadcasting ufunc and the two norm vectors; a cross-product
+    # temporary would make the peak about twice the matrix
+    block = models._COST_BLOCK_BUDGET * costs.itemsize
+    assert peak < costs.nbytes + block + 2**17
