@@ -176,8 +176,8 @@ def _numeric_rows(text: str) -> list[list[float]]:
 # Rows of floats as CSV text, in chunks formatted by _csvformat
 # ---------------------------------------------------------------------------
 
-# cells formatted per chunk: the chunk's scratch arrays take about 200 bytes
-# per cell, some 3.3 MB, and 16 rows at N = 1024
+# cells formatted per chunk: the chunk's scratch arrays take about 160 bytes
+# per cell, some 2.7 MB, and 16 rows at N = 1024
 _CSV_CELL_BUDGET = 2**14
 
 
