@@ -237,30 +237,22 @@ def format_cells(x: np.ndarray, row_ends: slice, scratch: tuple) -> bytes:
     key += zeros
     sign = np.signbit(x, out=flag[: x.size])
     key[: x.size] += np.multiply(sign, 17 * (_FALLBACK + 1), out=N[: x.size])
-    # cells of exponent 1 to 16 get their point; when that is every cell, in
-    # place, else on a gathered copy of theirs
-    carry = N.view(np.uint64)
-    point_scratch = spent[2:].reshape(2, -1, 2)
-    shifts = np.flatnonzero(np.less_equal(p, 15, out=flag))
-    every = shifts.size == p.size
-    if every:
-        _insert_points(body, p, t, point_scratch, carry)
     # each cell's two body words as one 16-byte item: numpy copies a column
     # of those much faster than rows of two words
     bodies = words[:, 1:3].view("V16")[:, 0]
     words[:, 0] = t["ends"][0]
     bodies[...] = body.view("V16")[:, 0]
-    if every:
-        np.bitwise_or(carry, t["ends"][2], out=words[:, 3])
-    else:
-        words[:, 3] = t["ends"][1]
-        if shifts.size:
-            m = shifts.size
-            points = np.take(body, shifts, axis=0, out=lows.view(np.uint64)[:m], mode="clip")
-            at = np.take(p, shifts, out=ints[-1, :m], mode="clip")
-            _insert_points(points, at, t, point_scratch[:, :m], carry[:m])
-            bodies[shifts] = points.view("V16")[:, 0]
-            words[shifts, 3] = np.bitwise_or(carry[:m], t["ends"][2], out=carry[:m])
+    words[:, 3] = t["ends"][1]
+    # cells of exponent 1 to 16 get their point on a gathered copy of theirs
+    shifts = np.flatnonzero(np.less_equal(p, 15, out=flag))
+    if shifts.size:
+        m = shifts.size
+        carry = N.view(np.uint64)[:m]
+        points = np.take(body, shifts, axis=0, out=lows.view(np.uint64)[:m], mode="clip")
+        at = np.take(p, shifts, out=ints[-1, :m], mode="clip")
+        _insert_points(points, at, t, spent[2:].reshape(2, -1, 2)[:, :m], carry)
+        bodies[shifts] = points.view("V16")[:, 0]
+        words[shifts, 3] = np.bitwise_or(carry, t["ends"][2], out=carry)
     slots = words.view(np.uint8)
     np.add(lead, ord("0"), out=slots[:, _SLOT_LEAD], casting="unsafe")
     np.add(p, ord("0") - 16, out=slots[:, _SLOT_EXP], casting="unsafe")
