@@ -49,7 +49,7 @@ from .serialize import (
 )
 # unused here, but bench/tracing.py wraps this name
 from .serialize import matrix_to_csv  # noqa: F401
-from .transport import PointCloud, solve_assignment
+from .transport import PointCloud, solve_assignment, solve_transport
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -63,7 +63,8 @@ MAX_INTERVALS = 1_000_000
 # Most particles a run may ask for: each 'Ns' entry, each 'transport' cloud,
 # the 'stationary' paths and the attempts of a 'bvp' with 'restarts'.  Cost
 # and sup-distance matrices hold N^2 entries, 134 MB each at the cap, which
-# is the largest study of the paper (N = 4096).
+# is the largest study of the paper (N = 4096); a 1-D closed-form transport
+# that passes the Monge check holds none.
 MAX_PARTICLES = 4096
 # Most entries N * l * n^2 of one batched solve of N paths over l intervals
 # in dimension n, the size of its Newton Jacobian blocks.  A 1-D study at
@@ -382,8 +383,6 @@ def cmd_flow(args, cfg: dict) -> int:
 
 def cmd_transport(args, cfg: dict) -> int:
     out = _out_dir(args, cfg)
-    # clouds, when given, let a 1-D Monge matrix skip the assignment solve
-    source = target = None
     if "costs_csv" in cfg:
         text = _file_text(cfg, "costs_csv")
         # a square matrix has as many rows as its first line has cells, so the
@@ -404,6 +403,7 @@ def cmd_transport(args, cfg: dict) -> int:
         # min and max are NaN or infinite if any entry is; no N x N temporary
         if costs.size and not (np.isfinite(costs.min()) and np.isfinite(costs.max())):
             raise ConfigError("'costs_csv' entries must be finite")
+        plan = solve_assignment(costs)
     else:
         model = _model_from(cfg)
         grid = _grid_from(cfg)
@@ -422,10 +422,8 @@ def cmd_transport(args, cfg: dict) -> int:
         if cost_kind == "bvp":
             # the horizon bounds the midpoint action, which closed-form costs skip
             check_horizon(model, grid.span, allow)
-        from .transport import cost_matrix as build_costs
-
-        costs = build_costs(model, source, target, grid, cost_kind)
-    plan = solve_assignment(costs, source=source, target=target)
+        # costs may be computed as the CSV writer reads them
+        plan, costs = solve_transport(model, source, target, grid, cost_kind)
     payload = {
         "kind": "transport_result",
         "schema_version": 1,

@@ -301,36 +301,59 @@ def closed_form_cost_matrix(
     Y = np.atleast_2d(np.asarray(target, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise DimensionMismatchError("source and target dimensions differ")
-    if span <= 0:
-        raise ValueError("span must be positive")
-    if model.name == "free_particle":
-        scale, cos, sin = 0.5 * model.mass, 1.0, span
-    elif model.name == "harmonic":
-        omega = math.sqrt(model.params["stiffness"] / model.mass)
-        sin = math.sin(omega * span)
-        if abs(sin) < 1e-12:
-            raise ValueError(f"span {span} is conjugate for the harmonic model")
-        scale, cos = 0.5 * model.mass * omega, math.cos(omega * span)
-    else:
-        raise ValueError(f"no closed-form cost for model {model.name!r}")
+    coefficients = _closed_form_coefficients(model, span)
     sq_x = np.sum(X * X, axis=1)[:, None]
     sq_y = np.sum(Y * Y, axis=1)
     costs = X @ Y.T
-    # in place in X Y^T, one row block at a time, in the order of operations
-    # of 0.5 m omega ((|x|^2 + |y|^2) cos - 2 x.y) / sin, which for the free
-    # particle is 0.5 m (|x|^2 + |y|^2 - 2 x.y) / span with an exact "* 1.0":
-    # bitwise their values, holding the costs and one block of sums
+    # in place in X Y^T, one row block at a time, holding the costs and one
+    # block of sums
     rows = max(1, _COST_BLOCK_BUDGET // max(1, costs.shape[1]))
     block = np.empty((min(rows, costs.shape[0]), costs.shape[1]))
     for first in range(0, costs.shape[0], rows):
         cross = costs[first : first + rows]
-        # a broadcasting ufunc buffers its operands; an assignment does not
         sums = block[: len(cross)]
-        sums[:] = sq_x[first : first + rows]
-        sums += sq_y
-        sums *= cos
-        cross *= 2.0
-        np.subtract(sums, cross, out=cross)
-        cross *= scale
-        cross /= sin
+        _costs_from_products(cross, sq_x[first : first + rows], sq_y, coefficients, sums)
     return costs
+
+
+def _closed_form_coefficients(model: LagrangianModel, span: float) -> tuple[float, float, float]:
+    """(scale, cos, sin) of the closed-form cost scale ((|x|^2 + |y|^2) cos - 2 x.y) / sin.
+
+    The free particle's are (m / 2, 1, span); the harmonic oscillator's are
+    (m w / 2, cos(wT), sin(wT)), and ValueError reports a conjugate span.
+    """
+    if span <= 0:
+        raise ValueError("span must be positive")
+    if model.name == "free_particle":
+        return 0.5 * model.mass, 1.0, span
+    if model.name == "harmonic":
+        omega = math.sqrt(model.params["stiffness"] / model.mass)
+        sin = math.sin(omega * span)
+        if abs(sin) < 1e-12:
+            raise ValueError(f"span {span} is conjugate for the harmonic model")
+        return 0.5 * model.mass * omega, math.cos(omega * span), sin
+    raise ValueError(f"no closed-form cost for model {model.name!r}")
+
+
+def _costs_from_products(
+    cross: np.ndarray, sq_x: np.ndarray, sq_y: np.ndarray, coefficients, sums: np.ndarray
+) -> np.ndarray:
+    """Turn the products x.y in cross into closed-form costs, in place.
+
+    sq_x and sq_y are |x|^2 and |y|^2, broadcast against cross; sums is
+    scratch of cross's shape.  The order of operations is that of
+    scale ((|x|^2 + |y|^2) cos - 2 x.y) / sin, which for the free particle is
+    m / 2 (|x|^2 + |y|^2 - 2 x.y) / span with an exact "* 1.0".  Every
+    closed-form cost is computed here, so a matrix, a row block of it and a
+    matched pair give an entry the same bits.
+    """
+    scale, cos, sin = coefficients
+    # a broadcasting ufunc buffers its operands; an assignment does not
+    sums[...] = sq_x
+    sums += sq_y
+    sums *= cos
+    cross *= 2.0
+    np.subtract(sums, cross, out=cross)
+    cross *= scale
+    cross /= sin
+    return cross

@@ -17,6 +17,7 @@ from ._csvformat import format_cells, workspace
 from .measures import EmpiricalPathMeasure, _grid_atoms, _join
 from .paths import Path, TimeGrid
 from .pipeline import ConvergenceRow, StationarityLevel
+from .transport import ClosedFormCosts
 
 
 def format_float(value: float) -> str:
@@ -142,7 +143,7 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 
 def _matrix_csv_chunks(matrix: np.ndarray) -> Iterator[bytes]:
-    M = np.atleast_2d(np.asarray(matrix, dtype=float))
+    M = matrix if isinstance(matrix, ClosedFormCosts) else np.atleast_2d(np.asarray(matrix, float))
     return _rows_to_csv(",".join(f"c_{j + 1}" for j in range(M.shape[1])), M)
 
 
@@ -194,7 +195,7 @@ def _rows_to_csv(header: str, M: np.ndarray) -> Iterator[bytes]:
         yield (header + "\n" * (rows + 1)).encode()
         return
     yield (header + "\n").encode()
-    flat = np.ravel(M)
+    flat = M.ravel()
     scratch = workspace(min(_CSV_CELL_BUDGET, flat.size))
     for start in range(0, flat.size, _CSV_CELL_BUDGET):
         row_ends = slice((cols - 1 - start) % cols, None, cols)

@@ -12,7 +12,13 @@ from .errors import DimensionMismatchError, SolverError
 from .integrators import solve_bvp_pairs
 # unused here, but bench/tracing.py wraps this name in this module
 from .integrators import solve_bvp  # noqa: F401
-from .models import LagrangianModel, closed_form_cost_matrix, has_closed_form_cost
+from .models import (
+    LagrangianModel,
+    _closed_form_coefficients,
+    _costs_from_products,
+    closed_form_cost_matrix,
+    has_closed_form_cost,
+)
 from .paths import TimeGrid
 
 # largest N the brute-force oracle enumerates (9! = 362880 permutations)
@@ -91,6 +97,7 @@ def cost_matrix(
     ``cost_kind="closed_form"`` uses the catalog formula (free particle or
     harmonic oscillator) and ignores the grid resolution; SolverError reports
     a conjugate span, where the formula has no value, and costs that overflow.
+    ``solve_transport`` needs no such matrix for 1-D Monge costs.
     """
     if source.size != target.size:
         raise ValueError(f"cloud sizes differ: {source.size} vs {target.size}")
@@ -103,10 +110,7 @@ def cost_matrix(
             costs = closed_form_cost_matrix(model, source.points, target.points, grid.span)
         except ValueError as exc:  # a span conjugate for the harmonic model
             raise SolverError(f"closed-form costs fail: {exc}") from None
-        # min and max are NaN or infinite if any entry is; no N x N temporary
-        if not (np.isfinite(costs.min()) and np.isfinite(costs.max())):
-            raise SolverError("closed-form costs overflow: the clouds lie too far apart")
-        return costs
+        return _finite(costs)
     if cost_kind != "bvp":
         raise ValueError(f"unknown cost kind {cost_kind!r}")
 
@@ -130,6 +134,101 @@ def cost_matrix(
     return costs
 
 
+def _finite(costs: np.ndarray) -> np.ndarray:
+    # min and max are NaN or infinite if any entry is; no temporary of costs' size
+    if not (np.isfinite(costs.min()) and np.isfinite(costs.max())):
+        raise SolverError("closed-form costs overflow: the clouds lie too far apart")
+    return costs
+
+
+def solve_transport(
+    model: LagrangianModel,
+    source: PointCloud,
+    target: PointCloud,
+    grid: TimeGrid,
+    cost_kind: str = "bvp",
+) -> tuple[AssignmentPlan, np.ndarray | ClosedFormCosts]:
+    """(plan, costs) of ``solve_assignment(cost_matrix(...), source=source,
+    target=target)``, bitwise, with the same errors.
+
+    Closed-form costs of 1-D clouds that pass the Monge check are never held:
+    costs is then a ``ClosedFormCosts``.  A failed check goes to the
+    assignment solve on the matrix without a second check.
+    """
+    if cost_kind == "closed_form" and source.dim == target.dim == 1:
+        if has_closed_form_cost(model) and source.size == target.size:
+            costs = ClosedFormCosts(model, source, target, grid.span)
+            plan = costs.monotone_plan()
+            if plan is not None:
+                return plan, costs
+            matrix = cost_matrix(model, source, target, grid, cost_kind)
+            return solve_assignment(matrix), matrix
+    matrix = cost_matrix(model, source, target, grid, cost_kind)
+    return solve_assignment(matrix, source=source, target=target), matrix
+
+
+class ClosedFormCosts:
+    """The closed-form cost matrix of two 1-D clouds, computed a row block at
+    a time.  ``serialize.write_matrix_csv`` reads it as the matrix: it has a
+    ``shape``, ``ravel()`` is itself, and ``[start:stop]`` gives those cells of
+    the row-major matrix in a buffer that the next slice reuses."""
+
+    def __init__(self, model: LagrangianModel, source: PointCloud, target: PointCloud, span):
+        try:
+            self.coefficients = _closed_form_coefficients(model, span)
+        except ValueError as exc:  # a span conjugate for the harmonic model
+            raise SolverError(f"closed-form costs fail: {exc}") from None
+        self.x, self.y = source.points[:, 0], target.points[:, 0]
+        self.shape = (source.size, target.size)
+        self.size = source.size * target.size
+        self._rows = np.empty((2, 0, target.size))
+
+    def ravel(self) -> ClosedFormCosts:
+        return self
+
+    def __getitem__(self, cells: slice) -> np.ndarray:
+        N = self.shape[1]
+        start, stop, _ = cells.indices(self.size)
+        first, last = start // N, -(-stop // N)
+        if last - first > self._rows.shape[1]:
+            # a later slice of the same length may reach into one row more
+            self._rows = np.empty((2, last - first + 1, N))
+        rows = self._rows[:, : last - first]
+        self._fill(self.x[first:last], self.y, *rows)
+        return rows[0].ravel()[start - first * N : stop - first * N]
+
+    def _fill(self, x, y, out, sums) -> np.ndarray:
+        """Costs of the points x (k,) against y (N,), into out (k, N)."""
+        # one product per entry, by matmul as closed_form_cost_matrix's X @ Y.T
+        # forms it (a -0 product reads +0: a BLAS sum starts at +0)
+        np.matmul(x[:, None], y[None, :], out=out)
+        return _costs_from_products(out, (x * x)[:, None], y * y, self.coefficients, sums)
+
+    def monotone_plan(self) -> AssignmentPlan | None:
+        """The plan of ``solve_assignment`` if the Monge check passes; the check
+        runs on row blocks of the sorted matrix, computed from sorted points."""
+        N = self.shape[0]
+        rows = np.argsort(self.x, kind="stable")
+        cols = np.argsort(self.y, kind="stable")
+        x, y = self.x[rows], self.y[cols]
+
+        def sorted_rows(first, block, sums):
+            _finite(self._fill(x[first : first + len(block)], y, block, sums))
+
+        if not _is_monge(N, sorted_rows):
+            return None
+        perm = np.empty(N, dtype=int)
+        perm[rows] = cols
+        # the matched costs in row order, as solve_assignment sums them; for
+        # N = 1 this is the one entry, which no Monge block has checked
+        matched = self.y[perm]
+        pairs, sums = np.empty((2, N))
+        np.matmul(self.x[:, None, None], matched[:, None, None], out=pairs[:, None, None])
+        _costs_from_products(pairs, self.x * self.x, matched * matched, self.coefficients, sums)
+        total = float(_finite(pairs).sum())
+        return AssignmentPlan(perm, total, total / N)
+
+
 def solve_assignment(
     costs: np.ndarray,
     *,
@@ -147,6 +246,8 @@ def solve_assignment(
     harmonic model below its conjugate span, and is returned without an
     assignment solve.  Every other matrix (no clouds, clouds of dimension
     two or more, or a failed check) goes to scipy's ``linear_sum_assignment``.
+    ``solve_transport`` runs this check on closed-form costs computed from
+    1-D clouds a row block at a time, and builds their matrix only if it fails.
 
     Negative entries are allowed (Lagrangian costs can be negative); the
     matrix is shifted by its minimum before the assignment solve, which does
@@ -186,22 +287,34 @@ def _monotone_matching(
         return None
     rows = np.argsort(source.points[:, 0], kind="stable")
     cols = np.argsort(target.points[:, 0], kind="stable")
-    # the sorted matrix S in row blocks that share their edge rows, gathered
-    # and differenced inside two block buffers, so no N x N temporary is
-    # built; each inequality is tested as on the whole S (a NaN difference
-    # makes the max NaN, and fails the test as it fails "<= 0")
+
+    def sorted_rows(first, block, spare):
+        # take with mode="clip" writes straight into out; "raise" buffers it
+        np.take(M, rows[first : first + len(block)], axis=0, out=spare, mode="clip")
+        np.take(spare, cols, axis=1, out=block, mode="clip")
+
+    return (rows, cols) if _is_monge(N, sorted_rows) else None
+
+
+def _is_monge(N: int, sorted_rows) -> bool:
+    """Whether the sorted N x N matrix S passes the adjacent Monge check.
+
+    ``sorted_rows(first, block, spare)`` writes rows first, first + 1, ... of
+    S into the (k, N) block, with spare as scratch of its shape.  The blocks
+    share their edge rows and are differenced inside the two block buffers,
+    so no N x N temporary is built; each inequality is tested as on the
+    whole S (a NaN difference makes the max NaN, and fails "<= 0").
+    """
     step = max(1, _MONGE_BLOCK_BUDGET // N)
-    rows_of, S = np.empty((2, min(step, N - 1) + 1, N))
+    spare, S = np.empty((2, min(step, N - 1) + 1, N))
     for first in range(0, N - 1, step):
         k = min(step, N - 1 - first) + 1
-        # take with mode="clip" writes straight into out; "raise" buffers it
-        np.take(M, rows[first : first + k], axis=0, out=rows_of[:k], mode="clip")
-        np.take(rows_of[:k], cols, axis=1, out=S[:k], mode="clip")
-        down = np.subtract(S[1:k], S[: k - 1], out=rows_of[: k - 1])
+        sorted_rows(first, S[:k], spare[:k])
+        down = np.subtract(S[1:k], S[: k - 1], out=spare[: k - 1])
         mixed = np.subtract(down[:, 1:], down[:, :-1], out=S[: k - 1, :-1])
         if not mixed.max() <= 0:
-            return None
-    return rows, cols
+            return False
+    return True
 
 
 def brute_force_assignment(costs: np.ndarray) -> AssignmentPlan:

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path as FsPath
 
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from otmesh import PointCloud, TimeGrid, cli, cost_matrix, make_model, serialize
+from otmesh import PointCloud, TimeGrid, cli, cost_matrix, make_model, serialize, transport
 from otmesh.cli import _HANDLERS, build_parser, main
+from otmesh.errors import SolverError
 
 SRC_DIR = FsPath(__file__).resolve().parents[1] / "src"
 SCHEMA_DIR = SRC_DIR / "otmesh" / "schemas"
@@ -298,6 +300,153 @@ def test_cli_transport_streams_the_cost_matrix_csv_byte_for_byte(
     )
     expected = serialize.matrix_to_csv(costs).encode("ascii")
     assert (out / "cost_matrix.csv").read_bytes() == expected
+
+
+def transport_payload(model, params, span, source, target):
+    return {
+        "model": {"name": model, "params": params},
+        "cost_kind": "closed_form",
+        "span": [0.0, span],
+        "intervals": 1,
+        "source_points": list(source),
+        "target_points": list(target),
+    }
+
+
+def matrix_path_artifacts(payload, tmp_path):
+    """transport_result.json and cost_matrix.csv as the held cost matrix gives
+    them: cost_matrix, then solve_assignment with the clouds, then
+    write_matrix_csv."""
+    model = make_model(payload["model"]["name"], **payload["model"]["params"])
+    source = PointCloud(payload["source_points"])
+    target = PointCloud(payload["target_points"])
+    grid = TimeGrid.uniform(*payload["span"], 1)
+    costs = cost_matrix(model, source, target, grid, "closed_form")
+    plan = transport.solve_assignment(costs, source=source, target=target)
+    result = {
+        "kind": "transport_result",
+        "schema_version": 1,
+        "size": int(plan.perm.size),
+        "perm": [int(v) for v in plan.perm],
+        "total_cost": plan.total_cost,
+        "average_cost": plan.average_cost,
+    }
+    serialize.write_matrix_csv(tmp_path / "reference.csv", costs)
+    csv = (tmp_path / "reference.csv").read_bytes()
+    return serialize.dumps_json(result).encode(), csv
+
+
+def transport_clouds(N, rng, ties):
+    """Shuffled 1-D clouds; with ties, repeated half-integers in [-2, 2],
+    -0.0 among them."""
+    if not ties:
+        return rng.uniform(-1.0, 1.0, N).tolist(), rng.uniform(-0.5, 2.5, N).tolist()
+    source, target = (rng.integers(-4, 5, N) * 0.5 for _ in range(2))
+    source[source == 0] = -0.0
+    return source.tolist(), target.tolist()
+
+
+@pytest.mark.parametrize("budgets", [(None, None), (7, 1), (777, 131)])
+@pytest.mark.parametrize("N", [1, 2, 3, 60])
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize(
+    "model, params, span",
+    [
+        ("free_particle", {"mass": 2.5}, 0.75),
+        ("harmonic", {"mass": 1.0, "stiffness": 1.0}, 1.0),
+        # omega T = 2.47: cos < 0 < sin, so the costs are still Monge
+        ("harmonic", {"mass": 0.7, "stiffness": 1.9}, 1.5),
+    ],
+)
+def test_cli_transport_of_1d_closed_form_costs_matches_the_matrix_path_bytewise(
+    tmp_path, monkeypatch, model, params, span, ties, N, budgets
+):
+    cells, monge = budgets
+    if cells is not None:
+        # chunks and Monge blocks that end inside rows and before the last row
+        monkeypatch.setattr(serialize, "_CSV_CELL_BUDGET", cells)
+        monkeypatch.setattr(transport, "_MONGE_BLOCK_BUDGET", monge)
+    rng = np.random.default_rng(N)
+    payload = transport_payload(model, params, span, *transport_clouds(N, rng, ties))
+    result, csv = matrix_path_artifacts(payload, tmp_path)
+    built = []
+    monkeypatch.setattr(
+        transport, "cost_matrix", lambda *args: built.append(args) or cost_matrix(*args)
+    )
+    out = tmp_path / "out"
+    assert main(["transport", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    assert built == []  # the streamed path held no N x N matrix
+    assert (out / "transport_result.json").read_bytes() == result
+    assert (out / "cost_matrix.csv").read_bytes() == csv
+
+
+@pytest.mark.parametrize("N", [2, 3, 60])
+def test_cli_transport_that_fails_the_monge_check_solves_the_assignment_once(
+    tmp_path, monkeypatch, N
+):
+    # omega T = 4 is past pi, where sin < 0 turns the 1-D costs anti-Monge
+    rng = np.random.default_rng(N)
+    source, target = rng.uniform(-1.0, 1.0, N).tolist(), rng.uniform(0.0, 2.0, N).tolist()
+    payload = transport_payload("harmonic", {"stiffness": 4.0}, 2.0, source, target)
+    result, csv = matrix_path_artifacts(payload, tmp_path)
+    checks, solves = [], []
+    is_monge, lap = transport._is_monge, transport.linear_sum_assignment
+    monkeypatch.setattr(transport, "_is_monge", lambda *a: checks.append(1) or is_monge(*a))
+    monkeypatch.setattr(transport, "linear_sum_assignment", lambda M: solves.append(1) or lap(M))
+    out = tmp_path / "out"
+    assert main(["transport", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    assert (len(checks), len(solves)) == (1, 1)
+    assert (out / "transport_result.json").read_bytes() == result
+    assert (out / "cost_matrix.csv").read_bytes() == csv
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 60])
+@pytest.mark.parametrize(
+    "params, span, far",
+    [
+        # the harmonic cost has no value where sin(omega T) = 0
+        ({}, math.pi, (0.0, 1.0)),
+        ({"stiffness": 4.0}, math.pi / 2, (0.0, 1.0)),
+        # a square that overflows, in the last row of the sorted matrix or not
+        ({}, 1.0, (1e200, 1.0)),
+        ({}, 1.0, (-1e300, 1.0)),
+        ({"mass": 3.0}, 0.5, (1e160, 1.0)),
+        # |x|^2 + |y|^2 overflows in the last row's first entry alone, and
+        # S[-1, 0] = inf passes its one Monge inequality, finite - inf <= 0
+        ({}, 1.0, (1e154, -1e154)),
+    ],
+)
+def test_cli_transport_of_1d_closed_form_costs_keeps_the_matrix_path_errors(
+    tmp_path, capsys, monkeypatch, params, span, far, N
+):
+    monkeypatch.setattr(transport, "_MONGE_BLOCK_BUDGET", 1)
+    rng = np.random.default_rng(N)
+    source, target = rng.uniform(0.0, 1.0, N), rng.uniform(0.5, 2.5, N)
+    source[N // 2], target[N // 3] = far
+    payload = transport_payload("harmonic", params, span, source.tolist(), target.tolist())
+    # main ignores the overflow warnings too, and reports the overflow itself
+    with pytest.raises(SolverError) as expected, np.errstate(all="ignore"):
+        matrix_path_artifacts(payload, tmp_path)
+    out = tmp_path / "out"
+    assert main(["transport", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"solver error: {expected.value}\n"
+    assert not out.exists()
+
+
+def test_cli_transport_of_1d_closed_form_costs_holds_no_n_by_n_matrix(tmp_path):
+    N = 1024
+    rng = np.random.default_rng(0)
+    source, target = rng.uniform(0.0, 1.0, N).tolist(), rng.uniform(0.5, 2.5, N).tolist()
+    cfg = write_config(tmp_path, transport_payload("harmonic", {}, 1.0, source, target))
+    tracemalloc.start()
+    try:
+        code = main(["transport", "--config", cfg, "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # one N x N float64 matrix takes 8 MiB
+    assert peak < N * N * 8
 
 
 @pytest.mark.parametrize(
