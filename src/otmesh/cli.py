@@ -68,13 +68,11 @@ MAX_INTERVALS = 1_000_000
 MAX_PARTICLES = 4096
 # Most entries N * l * n^2 of one batched solve of N paths over l intervals
 # in dimension n, the size of its Newton Jacobian blocks.  A 1-D study at
-# N = 4096, h = 0.005 over a unit span needs 819200.  The largest array of
-# every batched solve (a BVP cost-matrix row, the connect step, a
-# stationarity level) is the dgbsv band of its Newton step,
-# (6n - 2) * N * (l - 1) * n doubles: four per path and interior node for
-# n = 1.  The Jacobian blocks are written straight into it from the N l n^2
-# midpoint Hessians, which for n = 2 are about a fifth of its size (read
-# from the code, not measured).
+# N = 4096, h = 0.005 over a unit span needs 819200.  The dgbsv band of a
+# Newton step is filled a chunk of pairs at a time, in 512 KB or one pair's
+# band, so the largest arrays of every batched solve (a BVP cost-matrix row,
+# the connect step, a stationarity level) are the N l n^2 midpoint Hessians
+# of its minimality test and its N l n Newton iterates (read from the code).
 MAX_BATCH = 10_000_000
 
 

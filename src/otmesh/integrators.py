@@ -91,6 +91,12 @@ _BVP_TOL = 1e-12
 _BVP_MAX_ITER = 50
 _CLUSTER_RADIUS = 1e-3
 
+# doubles of the LAPACK band one chunk of a Newton step fills and factors:
+# 512 KB, 84 pairs of 2-D paths over 40 intervals.  2^16 and 2^17 timed
+# alike on 2-D cost matrices, 2^15 slower at 4096 pairs; all beat one band
+# of every pair (2-core x86-64 box, BLAS on one thread)
+_BAND_BUDGET = 2**16
+
 # RK4 substeps per grid interval of the reference flow: they keep its O(dt^4)
 # error negligible against the O(h) / O(h^2) effects it referees.  A
 # trajectory leaving the guard radius raises BlowUpError instead of being
@@ -320,12 +326,23 @@ def _interior_defects(
 
     ``nodes`` is (l+1, n) or a batch (P, l+1, n) of paths on one grid.
     """
-    m = model.mass
-    momenta = m * np.diff(nodes, axis=-2) / dt[:, None]
-    mids = 0.5 * (nodes[..., 1:, :] + nodes[..., :-1, :])
+    # m (x_{j+1} - x_j) / dt_j and 0.5 dt_j grad V(mid_j) in place, the same
+    # operations in the same order: at most three arrays of the nodes' size
+    # live at once
+    head, tail = nodes[..., 1:, :], nodes[..., :-1, :]
+    momenta = np.subtract(head, tail)
+    np.multiply(model.mass, momenta, out=momenta)
+    np.divide(momenta, dt[:, None], out=momenta)
+    mids = np.add(head, tail)
+    np.multiply(0.5, mids, out=mids)
     grads = np.asarray(model.grad_potential(mids), dtype=float)
-    forces = 0.5 * dt[:, None] * grads
-    return momenta[..., :-1, :] - momenta[..., 1:, :] - forces[..., :-1, :] - forces[..., 1:, :]
+    forces = np.multiply(0.5 * dt[:, None], grads, out=mids)
+    del grads
+    defects = np.subtract(momenta[..., :-1, :], momenta[..., 1:, :])
+    del momenta
+    np.subtract(defects, forces[..., :-1, :], out=defects)
+    np.subtract(defects, forces[..., 1:, :], out=defects)
+    return defects
 
 
 def el_residual(model: LagrangianModel, path: Path) -> float:
@@ -389,16 +406,22 @@ def _bvp_blocks(
 def _banded_step(
     model: LagrangianModel, nodes: np.ndarray, dt: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Newton steps of P problems (P, l+1, n) by one pivoted banded LU.
+    """Newton steps of P problems (P, l+1, n) by pivoted banded LU, a chunk
+    of pairs at a time.
 
-    The P Jacobians sit block-diagonally in one LAPACK band matrix of
-    half-bandwidth w = 2n-1, solved by one ``dgbsv`` call; partial pivoting
-    never leaves a pair's own rows, since every entry coupling two pairs is
-    zero.  A pair with a non-finite block or right-hand side is replaced by
-    an identity system with zero right-hand side before the solve (0 * NaN
-    in the substitutions would reach its neighbours), and so is every pair
-    the LU finds singular, after which the solve is repeated once.  Those
-    pairs get a NaN step, which the line search rejects.
+    A chunk holds as many pairs as keep its LAPACK band within
+    ``_BAND_BUDGET`` doubles (at least one pair); one band of that size is
+    allocated per call and reused by every chunk, and the midpoint Hessians
+    are evaluated a chunk at a time.  The Jacobians of a chunk's pairs sit
+    block-diagonally in that band, of half-bandwidth w = 2n-1, solved by one
+    ``dgbsv`` call; partial pivoting never leaves a pair's own rows, since
+    every entry coupling two pairs is zero, so a pair's step is bitwise the
+    same whatever chunk it is solved in.  A pair with a non-finite block or
+    right-hand side is replaced by an identity system with zero right-hand
+    side before the solve (0 * NaN in the substitutions would reach its
+    neighbours), and so is every pair the LU finds singular, after which
+    that chunk is filled and solved once more.  Those pairs get a NaN step,
+    which the line search rejects.
 
     ``_bvp_blocks`` writes the blocks straight into the band.  Entry (i, j)
     of the stacked matrix is ab[2w + i - j, j], and column j = (p K + k) n + b
@@ -408,8 +431,28 @@ def _banded_step(
     """
     P, K, n = rhs.shape
     w = 2 * n - 1
+    chunk = max(1, _BAND_BUDGET // (K * n * (3 * w + 1)))
+    workspace = np.empty((min(chunk, P), K, n, 3 * w + 1))
+    step = np.empty((P, K, n))
+    for first in range(0, P, chunk):
+        pairs = slice(first, first + chunk)
+        band = workspace[: min(chunk, P - first)]
+        step[pairs] = _band_solve(model, nodes[pairs], dt, rhs[pairs], band)
+    return step
+
+
+def _band_solve(
+    model: LagrangianModel,
+    nodes: np.ndarray,
+    dt: np.ndarray,
+    rhs: np.ndarray,
+    band: np.ndarray,
+) -> np.ndarray:
+    """The Newton steps (P, K, n) of one chunk of ``_banded_step``, the pairs
+    (P, l+1, n), filled into and factored in ``band`` (P, K, n, 3w+1)."""
+    P, K, n = rhs.shape
+    w = 2 * n - 1
     hessians = _midpoint_hessians(model, nodes)
-    band = np.zeros((P, K, n, 3 * w + 1))
     # those entries as views (P, K, n, n) and (P, K-1, n, n), indexed like the blocks
     strides = band.strides[:2] + (band.strides[3], band.strides[2] - band.strides[3])
     diag = as_strided(band[..., 2 * w:], (P, K, n, n), strides)
@@ -417,6 +460,7 @@ def _banded_step(
     lower = as_strided(band[:, :-1, :, 2 * w + n:], (P, K - 1, n, n), strides)
 
     def fill() -> None:
+        band[...] = 0.0
         _bvp_blocks(model, nodes, dt, hessians, out=(diag, upper))
         for a in range(n):
             for b in range(n):
@@ -437,7 +481,6 @@ def _banded_step(
             break
         # the LU went on past every zero pivot and left each on U's diagonal
         bad |= (band[..., 2 * w] == 0.0).any(axis=(1, 2))
-        band[...] = 0.0
         fill()
     step = step.reshape(P, K, n)
     if bad.any():

@@ -25,7 +25,7 @@ from .paths import TimeGrid
 _BRUTE_FORCE_MAX = 9
 
 # pairs x interior nodes x n^2 of one solve_bvp_pairs call in a BVP cost
-# matrix: about 10 MB of band matrix, and never less than one source row
+# matrix: 2 MB of midpoint Hessians, and never less than one source row
 _BVP_BATCH_BUDGET = 2**18
 
 # entries of one row block of the sorted matrix in the 1-D Monge check: 1 MB

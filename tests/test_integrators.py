@@ -1533,3 +1533,115 @@ def test_bvp_rejects_a_warm_start_that_does_not_cover_the_grid():
         warm = Path.line(TimeGrid.uniform(*span, 4), 0.0, 1.0)
         with pytest.raises(ValueError, match="outside the path's span"):
             solve_bvp(FREE, 0.0, 1.0, grid, init=warm)
+
+
+# -- the band a chunk of pairs at a time ------------------------------------------
+
+
+def chunk_budgets(nodes):
+    """``_BAND_BUDGET`` values that put 1 pair, 3 pairs and every pair of the
+    batch (P, l+1, n) in one chunk."""
+    P, nodes_per_path, n = nodes.shape
+    per_pair = (nodes_per_path - 2) * n * (6 * n - 2)
+    return {"one": per_pair, "three": 3 * per_pair + per_pair // 2, "all": P * per_pair}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("model_name", sorted(BAND_MODELS))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_banded_step_is_bitwise_the_same_in_chunks_of_any_size(model_name, dim, monkeypatch):
+    factory, grid = BAND_MODELS[model_name], BAND_GRIDS["random"]
+    model = factory(dim=dim) if model_name == "cosine" else factory()
+    rng = np.random.default_rng(20 + dim + len(model_name))
+    x, y = rng.uniform(-1.2, 1.2, (8, dim)), rng.uniform(-0.8, 1.5, (8, dim))
+    nodes = integrators._pair_starts(grid, x, y)
+    nodes[:, 1:-1] += rng.uniform(-0.3, 0.3, nodes[:, 1:-1].shape)
+    nodes[4, 5, 0] = np.nan  # a non-finite pair in the middle chunk of three
+    steps = {}
+    for name, budget in chunk_budgets(nodes).items():
+        monkeypatch.setattr(integrators, "_BAND_BUDGET", budget)
+        steps[name] = banded_steps(model, grid, nodes)
+    assert np.isnan(steps["all"][4]).all() and np.isfinite(np.delete(steps["all"], 4, 0)).all()
+    for name in ("one", "three"):
+        assert np.array_equal(steps[name], steps["all"], equal_nan=True)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_banded_step_refills_only_the_chunk_of_a_singular_pair(chunk, dim, monkeypatch):
+    # the setup of test_banded_step_refills_the_band_after_a_singular_pair on
+    # seven pairs, the singular one (4) in a middle chunk beside pairs whose LU
+    # pivots, and a non-finite one (1) in an earlier chunk
+    grid = TimeGrid.uniform(0.0, 12.0, 6)
+    rng = np.random.default_rng(dim)
+    x, y = rng.uniform(-1, 1, (7, dim)), rng.uniform(-1, 1, (7, dim))
+    nodes = integrators._pair_starts(grid, x, y)
+    nodes[4] = np.pi
+    nodes[1, 2] = np.nan
+    nodes[3] = np.pi + rng.uniform(-0.2, 0.2, nodes[3].shape)
+    nodes[5] = np.pi + rng.uniform(-0.2, 0.2, nodes[5].shape)
+    model, dt = cosine_potential(dim=dim), grid.spacings
+    budgets = chunk_budgets(nodes)
+    monkeypatch.setattr(integrators, "_BAND_BUDGET", budgets["all"])
+    whole = banded_steps(model, grid, nodes)
+    monkeypatch.setattr(integrators, "_BAND_BUDGET", budgets["one"] * chunk)
+    step, rhs, calls = factored_bands(monkeypatch, model, nodes, dt)
+    assert np.array_equal(step, whole, equal_nan=True)
+    assert [p for p in range(7) if np.isnan(step[p]).all()] == [1, 4]
+    # one dgbsv call per chunk and a second one for the chunk of pair 4 only,
+    # each on that chunk's band
+    diag, off = integrators._bvp_blocks(model, nodes, dt)
+    bad = np.zeros(7, dtype=bool)
+    bad[1] = True
+    expected = []
+    for first in range(0, 7, chunk):
+        pairs = slice(first, first + chunk)
+        expected.append((pairs, bad[pairs].copy()))
+        if first <= 4 < first + chunk:
+            bad[4] = True
+            expected.append((pairs, bad[pairs].copy()))
+    assert len(calls) == len(expected)
+    for (ab, b), (pairs, chunk_bad) in zip(calls, expected):
+        want_rhs = rhs[pairs].copy()
+        want_rhs[chunk_bad] = 0.0
+        assert np.array_equal(ab, block_loop_band(diag[pairs], off[pairs], chunk_bad))
+        assert np.array_equal(b, want_rhs.reshape(-1, 1))
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_CASES))
+def test_bvp_pairs_are_bitwise_the_same_in_band_chunks_of_any_size(case, monkeypatch):
+    model, dim, grid = PAIR_CASES[case]
+    rng = np.random.default_rng(len(case) + 2)
+    x, y = rng.uniform(-1.5, 1.5, (7, dim)), rng.uniform(-1.0, 2.0, (7, dim))
+    got = {}
+    for name, budget in chunk_budgets(integrators._pair_starts(grid, x, y)).items():
+        monkeypatch.setattr(integrators, "_BAND_BUDGET", budget)
+        got[name] = integrators.solve_bvp_pairs(model, x, y, grid)
+    assert np.all(got["all"].converged)
+    for name in ("one", "three"):
+        for field in ("nodes", "costs", "residuals", "newton_iterations", "converged",
+                      "saddle_node"):
+            assert np.array_equal(getattr(got[name], field), getattr(got["all"], field))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("model_name", sorted(BAND_MODELS))
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_interior_defects_equal_the_expression_bitwise(model_name, dim):
+    factory, grid = BAND_MODELS[model_name], BAND_GRIDS["random"]
+    model = factory(dim=dim) if model_name == "cosine" else factory()
+    dt, m = grid.spacings, model.mass
+    rng = np.random.default_rng(30 + dim + len(model_name))
+    nodes = rng.uniform(-1.5, 1.5, (6, grid.n_intervals + 1, dim))
+    nodes[1, 3, 0] = np.nan
+    nodes[2, 0, dim - 1] = np.inf
+    nodes[4, -1] = -np.inf
+    for batch in (nodes, nodes[0], nodes[1]):
+        momenta = m * np.diff(batch, axis=-2) / dt[:, None]
+        mids = 0.5 * (batch[..., 1:, :] + batch[..., :-1, :])
+        forces = 0.5 * dt[:, None] * np.asarray(model.grad_potential(mids), dtype=float)
+        want = momenta[..., :-1, :] - momenta[..., 1:, :] - forces[..., :-1, :] - forces[..., 1:, :]
+        got = integrators._interior_defects(model, batch, dt)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)

@@ -477,6 +477,32 @@ def test_convergence_study_fits_action_order_for_harmonic():
     assert 1.8 <= report.action_order <= 2.6
 
 
+@pytest.mark.parametrize("points", [2, 3, 4, 7])
+def test_fit_order_equals_polyfit_slope(points):
+    # the closed-form least-squares slope against np.polyfit's lstsq, with
+    # masked-out levels (non-finite, noise-level or non-positive) mixed in
+    rng = np.random.default_rng(points)
+    for _ in range(50):
+        hs = np.sort(rng.uniform(1e-3, 0.2, points))
+        errs = rng.uniform(0.1, 10.0) * hs ** rng.uniform(0.5, 3.0)
+        errs *= np.exp(rng.normal(0.0, 0.3, points))
+        mask = np.ones(points + 3, dtype=bool)
+        mask[:3] = False
+        order = rng.permutation(points + 3)
+        hs_all = np.concatenate([[0.05, 0.02, -0.01], hs])[order]
+        errs_all = np.concatenate([[np.nan, 1e-15, 0.3], errs])[order]
+        want = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+        got = pipeline._fit_order(hs_all, errs_all)
+        assert isinstance(got, float)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_fit_order_is_none_without_two_distinct_steps():
+    assert pipeline._fit_order(np.array([0.1, 0.05]), np.array([1e-3, np.inf])) is None
+    assert pipeline._fit_order(np.array([0.1, 0.1]), np.array([1e-3, 2e-3])) is None
+    assert pipeline._fit_order(np.array([0.1, 0.05]), np.array([1e-15, 2e-3])) is None
+
+
 # -- stationarity study ------------------------------------------------------------------
 
 

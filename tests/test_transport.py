@@ -528,3 +528,21 @@ def test_closed_form_cost_matrix_holds_one_row_block_beside_the_matrix():
     # temporary would make the peak about twice the matrix
     block = models._COST_BLOCK_BUDGET * costs.itemsize
     assert peak < costs.nbytes + block + 2**17
+
+
+def test_bvp_cost_matrix_of_1024_pairs_stays_below_8_mib():
+    # one solve_bvp_pairs batch of 1024 2-D pairs over 40 intervals: one
+    # Newton band of every pair took 6.1 MiB and the batch peaked at 10.8 MiB;
+    # with the band filled a chunk of pairs at a time it peaks at 6.5 MiB
+    rng = np.random.default_rng(0)
+    source = PointCloud(rng.uniform(-1.0, 1.0, (32, 2)))
+    target = PointCloud(rng.uniform(0.0, 2.0, (32, 2)))
+    model, grid = cosine_potential(amplitude=2.0, dim=2), TimeGrid.uniform(0.0, 0.5, 40)
+    tracemalloc.start()
+    try:
+        costs = cost_matrix(model, source, target, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(costs).all()
+    assert peak < 8 * 2**20
