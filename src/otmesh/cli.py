@@ -63,8 +63,8 @@ MAX_INTERVALS = 1_000_000
 # Most particles a run may ask for: each 'Ns' entry, each 'transport' cloud,
 # the 'stationary' paths and the attempts of a 'bvp' with 'restarts'.  Cost
 # and sup-distance matrices hold N^2 entries, 134 MB each at the cap, which
-# is the largest study of the paper (N = 4096); a 1-D closed-form transport
-# that passes the Monge check holds none.
+# is the largest study of the paper (N = 4096); a 1-D closed-form match of a
+# transport or a study level that passes the Monge check holds no cost matrix.
 MAX_PARTICLES = 4096
 # Most entries N * l * n^2 of one batched solve of N paths over l intervals
 # in dimension n, the size of its Newton Jacobian blocks.  A 1-D study at

@@ -18,8 +18,9 @@ from numpy.random import default_rng
 
 from .errors import DimensionMismatchError, HorizonError, OtmeshError, SolverError
 from .integrators import _bvp_core, solve_bvp_pairs
-# unused here, but bench/tracing.py wraps this name in this module
+# unused here, but bench/tracing.py wraps these names in this module
 from .integrators import solve_bvp  # noqa: F401
+from .transport import cost_matrix  # noqa: F401
 from .measures import (
     EmpiricalPathMeasure,
     _atoms_at,
@@ -30,7 +31,7 @@ from .measures import (
 )
 from .models import LagrangianModel, has_closed_form_cost
 from .paths import Path, TimeGrid
-from .transport import AssignmentPlan, PointCloud, cost_matrix, solve_assignment
+from .transport import AssignmentPlan, PointCloud, solve_assignment, solve_transport
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +231,8 @@ def solve_discrete_otm(
 ) -> OtmResult:
     """Match two clouds at minimal average action and join the matched pairs.
 
-    Builds the pairwise cost matrix, solves the assignment (by sorting, for
-    1-D clouds whose costs pass the Monge check of ``solve_assignment``),
+    Matches the clouds with ``solve_transport`` (by sorting 1-D clouds whose
+    costs pass its Monge check, with no N x N matrix for closed-form costs),
     then connects all matched pairs in one ``solve_bvp_pairs`` batch, each
     pair exactly as its own ``solve_bvp`` would, so the returned measure
     consists of discrete minimizing trajectories at the grid's resolution.
@@ -248,12 +249,9 @@ def solve_discrete_otm(
     still the discrete one) and per-pair boundary-value solves otherwise.
     """
     check_horizon(model, grid.span, allow_long_horizon)
-    if source.size != target.size:
-        raise ValueError(f"cloud sizes differ: {source.size} vs {target.size}")
     if cost_kind == "auto":
         cost_kind = "closed_form" if has_closed_form_cost(model) else "bvp"
-    costs = cost_matrix(model, source, target, grid, cost_kind)
-    plan = solve_assignment(costs, source=source, target=target)
+    plan, _ = solve_transport(model, source, target, grid, cost_kind)
     pairs = solve_bvp_pairs(
         model, source.points, target.points[plan.perm], grid,
         check_minimum=cost_kind != "bvp",

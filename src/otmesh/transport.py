@@ -97,19 +97,16 @@ def cost_matrix(
     ``cost_kind="closed_form"`` uses the catalog formula (free particle or
     harmonic oscillator) and ignores the grid resolution; SolverError reports
     a conjugate span, where the formula has no value, and costs that overflow.
-    ``solve_transport`` needs no such matrix for 1-D Monge costs.
+    ``solve_transport``, which every match of two clouds goes through, builds
+    no such matrix for 1-D closed-form costs that pass its Monge check.
     """
     if source.size != target.size:
         raise ValueError(f"cloud sizes differ: {source.size} vs {target.size}")
     if source.dim != target.dim:
         raise DimensionMismatchError("source and target dimensions differ")
     if cost_kind == "closed_form":
-        if not has_closed_form_cost(model):
-            raise ValueError(f"model {model.name!r} has no closed-form cost")
-        try:
-            costs = closed_form_cost_matrix(model, source.points, target.points, grid.span)
-        except ValueError as exc:  # a span conjugate for the harmonic model
-            raise SolverError(f"closed-form costs fail: {exc}") from None
+        _coefficients(model, grid.span)
+        costs = closed_form_cost_matrix(model, source.points, target.points, grid.span)
         return _finite(costs)
     if cost_kind != "bvp":
         raise ValueError(f"unknown cost kind {cost_kind!r}")
@@ -141,6 +138,16 @@ def _finite(costs: np.ndarray) -> np.ndarray:
     return costs
 
 
+def _coefficients(model: LagrangianModel, span: float) -> tuple[float, float, float]:
+    """``_closed_form_coefficients``, with the errors of ``cost_matrix``."""
+    if not has_closed_form_cost(model):
+        raise ValueError(f"model {model.name!r} has no closed-form cost")
+    try:
+        return _closed_form_coefficients(model, span)
+    except ValueError as exc:  # a span conjugate for the harmonic model
+        raise SolverError(f"closed-form costs fail: {exc}") from None
+
+
 def solve_transport(
     model: LagrangianModel,
     source: PointCloud,
@@ -148,23 +155,32 @@ def solve_transport(
     grid: TimeGrid,
     cost_kind: str = "bvp",
 ) -> tuple[AssignmentPlan, np.ndarray | ClosedFormCosts]:
-    """(plan, costs) of ``solve_assignment(cost_matrix(...), source=source,
-    target=target)``, bitwise, with the same errors.
+    """Minimum-total-cost matching of the two clouds under ``cost_matrix``'s
+    costs, as (plan, costs), with ``cost_matrix``'s errors.
 
-    Closed-form costs of 1-D clouds that pass the Monge check are never held:
-    costs is then a ``ClosedFormCosts``.  A failed check goes to the
-    assignment solve on the matrix without a second check.
+    For 1-D clouds the rows and columns are ordered by a stable sort of their
+    points, and the sorted matrix S is checked for the adjacent Monge
+    inequalities S[i, j] + S[i+1, j+1] <= S[i, j+1] + S[i+1, j], exactly,
+    with no tolerance.  Where they hold the monotone matching (i-th smallest
+    source to i-th smallest target) is optimal, as for the free particle and
+    the harmonic model below its conjugate span, and no assignment solve
+    runs.  Closed-form costs are then never held: the check runs on row
+    blocks computed from the points, and costs is a ``ClosedFormCosts``.
+    Every other case (dimension two or more, a failed check) goes to
+    ``solve_assignment`` on the matrix, without a second check.  Under ties
+    the stable sort or the solver's scan order picks the permutation.
     """
-    if cost_kind == "closed_form" and source.dim == target.dim == 1:
-        if has_closed_form_cost(model) and source.size == target.size:
-            costs = ClosedFormCosts(model, source, target, grid.span)
-            plan = costs.monotone_plan()
-            if plan is not None:
-                return plan, costs
-            matrix = cost_matrix(model, source, target, grid, cost_kind)
-            return solve_assignment(matrix), matrix
+    if cost_kind == "closed_form" and source.dim == target.dim == 1 and source.size == target.size:
+        costs = ClosedFormCosts(model, source, target, grid.span)
+        plan = _monotone_plan(costs.x, costs.y, costs._pairs)
+        if plan is not None:
+            return plan, costs
     matrix = cost_matrix(model, source, target, grid, cost_kind)
-    return solve_assignment(matrix, source=source, target=target), matrix
+    if cost_kind == "bvp" and source.dim == 1:
+        plan = _monotone_plan(source.points[:, 0], target.points[:, 0], _held(matrix))
+        if plan is not None:
+            return plan, matrix
+    return solve_assignment(matrix), matrix
 
 
 class ClosedFormCosts:
@@ -174,10 +190,7 @@ class ClosedFormCosts:
     the row-major matrix in a buffer that the next slice reuses."""
 
     def __init__(self, model: LagrangianModel, source: PointCloud, target: PointCloud, span):
-        try:
-            self.coefficients = _closed_form_coefficients(model, span)
-        except ValueError as exc:  # a span conjugate for the harmonic model
-            raise SolverError(f"closed-form costs fail: {exc}") from None
+        self.coefficients = _coefficients(model, span)
         self.x, self.y = source.points[:, 0], target.points[:, 0]
         self.shape = (source.size, target.size)
         self.size = source.size * target.size
@@ -194,66 +207,36 @@ class ClosedFormCosts:
             # a later slice of the same length may reach into one row more
             self._rows = np.empty((2, last - first + 1, N))
         rows = self._rows[:, : last - first]
-        self._fill(self.x[first:last], self.y, *rows)
+        self._fill(self.x[first:last, None], self.y[None], *rows)
         return rows[0].ravel()[start - first * N : stop - first * N]
 
     def _fill(self, x, y, out, sums) -> np.ndarray:
-        """Costs of the points x (k,) against y (N,), into out (k, N)."""
+        """Costs of the points x (..., k, 1) against y (..., 1, N), into out."""
         # one product per entry, by matmul as closed_form_cost_matrix's X @ Y.T
         # forms it (a -0 product reads +0: a BLAS sum starts at +0)
-        np.matmul(x[:, None], y[None, :], out=out)
-        return _costs_from_products(out, (x * x)[:, None], y * y, self.coefficients, sums)
+        np.matmul(x, y, out=out)
+        return _costs_from_products(out, x * x, y * y, self.coefficients, sums)
 
-    def monotone_plan(self) -> AssignmentPlan | None:
-        """The plan of ``solve_assignment`` if the Monge check passes; the check
-        runs on row blocks of the sorted matrix, computed from sorted points."""
-        N = self.shape[0]
-        rows = np.argsort(self.x, kind="stable")
-        cols = np.argsort(self.y, kind="stable")
-        x, y = self.x[rows], self.y[cols]
-
-        def sorted_rows(first, block, sums):
-            _finite(self._fill(x[first : first + len(block)], y, block, sums))
-
-        if not _is_monge(N, sorted_rows):
-            return None
-        perm = np.empty(N, dtype=int)
-        perm[rows] = cols
-        # the matched costs in row order, as solve_assignment sums them; for
-        # N = 1 this is the one entry, which no Monge block has checked
-        matched = self.y[perm]
-        pairs, sums = np.empty((2, N))
-        np.matmul(self.x[:, None, None], matched[:, None, None], out=pairs[:, None, None])
-        _costs_from_products(pairs, self.x * self.x, matched * matched, self.coefficients, sums)
-        total = float(_finite(pairs).sum())
-        return AssignmentPlan(perm, total, total / N)
+    def _pairs(self, i, j, out, sums) -> np.ndarray:
+        """Row source of ``_monotone_plan``: the costs of x[i] against y[j]."""
+        return _finite(self._fill(self.x[i], self.y[j], out, sums))
 
 
-def solve_assignment(
-    costs: np.ndarray,
-    *,
-    source: PointCloud | None = None,
-    target: PointCloud | None = None,
-) -> AssignmentPlan:
-    """Minimum-total-cost perfect matching of rows to columns.
+def _held(M: np.ndarray):
+    """Row source of ``_monotone_plan`` that reads the held matrix M."""
+    # take with mode="clip" writes straight into out; "raise" buffers it
+    return lambda i, j, out, spare: np.take(M, i * M.shape[1] + j, out=out, mode="clip")
 
-    When both clouds are given and both are one-dimensional, rows and columns
-    are ordered by a stable sort of their points and the sorted matrix S is
-    checked for the adjacent Monge inequalities
-    S[i, j] + S[i+1, j+1] <= S[i, j+1] + S[i+1, j], exactly, with no
-    tolerance.  Where they hold the monotone matching (i-th smallest source
-    to i-th smallest target) is optimal, as for the free particle and the
-    harmonic model below its conjugate span, and is returned without an
-    assignment solve.  Every other matrix (no clouds, clouds of dimension
-    two or more, or a failed check) goes to scipy's ``linear_sum_assignment``.
-    ``solve_transport`` runs this check on closed-form costs computed from
-    1-D clouds a row block at a time, and builds their matrix only if it fails.
+
+def solve_assignment(costs: np.ndarray) -> AssignmentPlan:
+    """Minimum-total-cost perfect matching of rows to columns, by scipy's
+    ``linear_sum_assignment``.
 
     Negative entries are allowed (Lagrangian costs can be negative); the
     matrix is shifted by its minimum before the assignment solve, which does
     not change the minimizing permutation, and the reported totals are in the
-    original scale.  Ties are broken by the stable sort or by the solver's
-    deterministic scan order, so only totals are stable under ties.
+    original scale.  Ties are broken by the solver's deterministic scan
+    order, so only totals are stable under ties.
     """
     M = np.asarray(costs, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -261,39 +244,38 @@ def solve_assignment(
     # min and max are NaN or infinite if any entry is; no N x N temporary
     if M.size and not (np.isfinite(M.min()) and np.isfinite(M.max())):
         raise ValueError("cost matrix entries must be finite")
-    matching = _monotone_matching(M, source, target)
-    if matching is None:
-        matching = linear_sum_assignment(M - M.min())
-    rows, cols = matching
+    rows, cols = linear_sum_assignment(M - M.min())
     perm = np.empty(M.shape[0], dtype=int)
     perm[rows] = cols
     total = float(M[np.arange(M.shape[0]), perm].sum())
     return AssignmentPlan(perm, total, total / M.shape[0])
 
 
-def _monotone_matching(
-    M: np.ndarray, source: PointCloud | None, target: PointCloud | None
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Sorting orders (rows, cols) of 1-D clouds if M passes the Monge check."""
-    if source is None or target is None:
-        return None
-    N = M.shape[0]
-    if source.size != N or target.size != N:
-        raise ValueError(
-            f"cloud sizes {source.size} and {target.size} do not match "
-            f"the {N} x {N} cost matrix"
-        )
-    if source.dim != 1 or target.dim != 1:
-        return None
-    rows = np.argsort(source.points[:, 0], kind="stable")
-    cols = np.argsort(target.points[:, 0], kind="stable")
+def _monotone_plan(x: np.ndarray, y: np.ndarray, costs) -> AssignmentPlan | None:
+    """The monotone plan of the 1-D points x and y (N,) if their sorted cost
+    matrix passes the Monge check, else None.
+
+    ``costs(i, j, out, spare)`` writes the costs of x[i] against y[j] into
+    out, for index arrays that broadcast to its shape, with spare as scratch
+    of that shape: ``ClosedFormCosts._pairs`` or ``_held(M)``.
+    """
+    N = x.size
+    rows = np.argsort(x, kind="stable")
+    cols = np.argsort(y, kind="stable")
 
     def sorted_rows(first, block, spare):
-        # take with mode="clip" writes straight into out; "raise" buffers it
-        np.take(M, rows[first : first + len(block)], axis=0, out=spare, mode="clip")
-        np.take(spare, cols, axis=1, out=block, mode="clip")
+        costs(rows[first : first + len(block), None], cols[None], block, spare)
 
-    return (rows, cols) if _is_monge(N, sorted_rows) else None
+    if not _is_monge(N, sorted_rows):
+        return None
+    perm = np.empty(N, dtype=int)
+    perm[rows] = cols
+    # the matched costs in row order, as solve_assignment sums them; for
+    # N = 1 this is the one entry, which no Monge block has checked
+    pairs = np.empty((2, N))
+    costs(np.arange(N)[:, None, None], perm[:, None, None], *pairs[:, :, None, None])
+    total = float(pairs[0].sum())
+    return AssignmentPlan(perm, total, total / N)
 
 
 def _is_monge(N: int, sorted_rows) -> bool:

@@ -315,14 +315,16 @@ def transport_payload(model, params, span, source, target):
 
 def matrix_path_artifacts(payload, tmp_path):
     """transport_result.json and cost_matrix.csv as the held cost matrix gives
-    them: cost_matrix, then solve_assignment with the clouds, then
-    write_matrix_csv."""
+    them: cost_matrix, then the monotone plan of the held matrix or else
+    solve_assignment, then write_matrix_csv."""
     model = make_model(payload["model"]["name"], **payload["model"]["params"])
     source = PointCloud(payload["source_points"])
     target = PointCloud(payload["target_points"])
     grid = TimeGrid.uniform(*payload["span"], 1)
     costs = cost_matrix(model, source, target, grid, "closed_form")
-    plan = transport.solve_assignment(costs, source=source, target=target)
+    x, y = source.points[:, 0], target.points[:, 0]
+    plan = transport._monotone_plan(x, y, transport._held(costs))
+    plan = plan or transport.solve_assignment(costs)
     result = {
         "kind": "transport_result",
         "schema_version": 1,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from otmesh import (
     SolverError,
     TimeGrid,
     bl_distance_bound,
+    brute_force_assignment,
     build_recovery_measure,
     cosine_potential,
     double_well,
@@ -26,7 +28,8 @@ from otmesh import (
     solve_bvp,
     solve_discrete_otm,
 )
-from otmesh import pipeline
+from otmesh import pipeline, transport
+from otmesh.integrators import solve_bvp_pairs
 from otmesh.transport import cost_matrix, solve_assignment
 
 FREE = free_particle()
@@ -193,6 +196,97 @@ def connect_pair_by_pair(model, source, target, grid, cost_kind):
     ]
     return plan, results
 
+
+
+def held_matrix_otm(model, source, target, grid):
+    """solve_discrete_otm of 1-D clouds under closed-form costs as the held
+    cost matrix gives it: cost_matrix, then the monotone plan of the held
+    matrix or else solve_assignment, then the connect."""
+    costs = cost_matrix(model, source, target, grid, "closed_form")
+    x, y = source.points[:, 0], target.points[:, 0]
+    plan = transport._monotone_plan(x, y, transport._held(costs)) or solve_assignment(costs)
+    pairs = solve_bvp_pairs(model, source.points, target.points[plan.perm], grid)
+    return plan, pairs.nodes, float(np.mean(pairs.costs))
+
+
+def study_clouds(N, rng, ties):
+    """Shuffled 1-D clouds; with ties, repeated half-integers in [-2, 2],
+    -0.0 among them."""
+    if not ties:
+        return PointCloud(rng.uniform(-1.0, 1.0, N)), PointCloud(rng.uniform(-0.5, 2.5, N))
+    source, target = (rng.integers(-4, 5, N) * 0.5 for _ in range(2))
+    source[source == 0] = source[0] = source[-1] = -0.0
+    return PointCloud(source), PointCloud(target)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 60])
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize(
+    "model, span",
+    [
+        (FREE, 0.75),
+        (harmonic_oscillator(), 1.0),
+        # omega T = 2.47: cos < 0 < sin, so the costs are still Monge
+        (harmonic_oscillator(mass=0.7, stiffness=1.9), 1.5),
+    ],
+)
+def test_otm_of_1d_closed_form_costs_is_the_held_matrix_route_bitwise(model, span, ties, N):
+    source, target = study_clouds(N, np.random.default_rng(N), ties)
+    grid = TimeGrid.uniform(0.0, span, 4)
+    result = solve_discrete_otm(model, source, target, grid, allow_long_horizon=True)
+    plan, nodes, min_action = held_matrix_otm(model, source, target, grid)
+    assert result.plan.perm.tobytes() == plan.perm.tobytes()
+    assert result.plan.total_cost.hex() == plan.total_cost.hex()
+    assert result.min_action.hex() == min_action.hex()
+    assert np.stack([path.nodes for path in result.measure.paths]).tobytes() == nodes.tobytes()
+
+
+def test_anti_monge_transport_takes_the_assignment_solve_of_the_matrix(monkeypatch):
+    # omega T = 4 is past pi, where sin < 0 turns the 1-D costs anti-Monge
+    model, grid = harmonic_oscillator(stiffness=4.0), TimeGrid.uniform(0.0, 2.0, 1)
+    rng = np.random.default_rng(5)
+    source, target = PointCloud(rng.uniform(-1.0, 1.0, 9)), PointCloud(rng.uniform(0.0, 2.0, 9))
+    held = cost_matrix(model, source, target, grid, "closed_form")
+    want = solve_assignment(held)
+    solves, lap = [], transport.linear_sum_assignment
+    monkeypatch.setattr(transport, "linear_sum_assignment", lambda M: solves.append(1) or lap(M))
+    plan, costs = transport.solve_transport(model, source, target, grid, "closed_form")
+    assert solves == [1]
+    assert costs.tobytes() == held.tobytes()
+    assert plan.perm.tobytes() == want.perm.tobytes()
+    assert plan.total_cost.hex() == want.total_cost.hex()
+    assert plan.total_cost == pytest.approx(brute_force_assignment(costs).total_cost, abs=1e-12)
+
+
+@pytest.mark.parametrize("far", [1e200, -1e300, 1e160])
+def test_study_level_whose_closed_form_costs_overflow_keeps_its_error_row(far):
+    points = [[0.0], [0.1], [far], [0.3]]
+    source = MarginalSpec("custom_points", points=points)
+    target = MarginalSpec("custom_points", points=[[1.0], [1.1], [1.2], [1.3]])
+    grid = TimeGrid.uniform(0.0, 1.0, 10)
+    with np.errstate(all="ignore"):
+        with pytest.raises(SolverError) as expected:
+            cost_matrix(FREE, PointCloud(points), sample_marginal(target, 4), grid, "closed_form")
+        report = run_convergence_study(FREE, source, target, [4], [0.1], (0.0, 1.0))
+    (row,) = report.rows
+    assert (row.status, row.error) == ("error", str(expected.value))
+
+
+def test_otm_of_1d_closed_form_costs_holds_no_n_by_n_matrix():
+    N = 1024
+    rng = np.random.default_rng(0)
+    source = PointCloud(rng.uniform(0.0, 1.0, N))
+    target = PointCloud(rng.uniform(2.0, 3.0, N))
+    grid = TimeGrid.uniform(0.0, 1.0, 1)
+    tracemalloc.start()
+    try:
+        result = solve_discrete_otm(FREE, source, target, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * N * 8  # one N x N matrix of doubles, 8 MiB
+    held = cost_matrix(FREE, source, target, grid, "closed_form")
+    assert np.array_equal(result.plan.perm, solve_assignment(held).perm)
 
 # each case lies within its model's admissible horizon
 CONNECT_CASES = {

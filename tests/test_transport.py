@@ -19,11 +19,13 @@ from otmesh import (
     harmonic_oscillator,
     solve_assignment,
     solve_bvp,
+    solve_discrete_otm,
 )
 from otmesh import _native, integrators, models, transport
 from otmesh.measures import EmpiricalPathMeasure, bl_distance_bound
 from otmesh.paths import Path
 from otmesh.integrators import solve_bvp_pairs
+from otmesh.transport import solve_transport
 
 
 # -- cost matrices -------------------------------------------------------------
@@ -301,7 +303,7 @@ def test_one_dimensional_quadratic_cost_is_monotone():
             monotone_total, abs=1e-12
         )
         with counting_lap() as calls:
-            plan = solve_assignment(costs, source=source, target=target)
+            plan, _ = solve_transport(free_particle(), source, target, grid, "closed_form")
         assert calls == []
         assert plan.perm.tolist() == list(range(N))
         assert plan.total_cost == pytest.approx(monotone_total, abs=1e-12)
@@ -345,6 +347,17 @@ def counting_lap():
         transport.linear_sum_assignment = original
 
 
+def held_matrix_plan(costs, source, target):
+    """The plan solve_transport gives BVP costs held in costs: the monotone
+    plan if the sorted matrix passes the Monge check, else the LAP's."""
+    if source.dim == 1:
+        x, y = source.points[:, 0], target.points[:, 0]
+        plan = transport._monotone_plan(x, y, transport._held(costs))
+        if plan is not None:
+            return plan
+    return solve_assignment(costs)
+
+
 @st.composite
 def monge_cases(draw):
     """Closed-form 1-D costs below the conjugate span on a 1/16 lattice.
@@ -362,16 +375,16 @@ def monge_cases(draw):
     span = draw(st.floats(0.2, 3.0))
     source, target = PointCloud(x), PointCloud(y)
     grid = TimeGrid.uniform(0.0, span, 2)
-    return source, target, cost_matrix(model, source, target, grid, "closed_form")
+    return model, source, target, grid, cost_matrix(model, source, target, grid, "closed_form")
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=monge_cases())
 def test_sorted_assignment_matches_lap_and_brute_force(case):
-    source, target, costs = case
+    model, source, target, grid, costs = case
     N = source.size
     with counting_lap() as calls:
-        fast = solve_assignment(costs, source=source, target=target)
+        fast, _ = solve_transport(model, source, target, grid, "closed_form")
     assert calls == []
     lap = solve_assignment(costs)
     scale = 1e-12 * N * np.abs(costs).max()
@@ -394,7 +407,7 @@ def test_sorted_assignment_takes_the_transport_benchmark_shape():
     grid = TimeGrid.uniform(0.0, 1.0, 1)
     costs = cost_matrix(harmonic_oscillator(), source, target, grid, "closed_form")
     with counting_lap() as calls:
-        fast = solve_assignment(costs, source=source, target=target)
+        fast, _ = solve_transport(harmonic_oscillator(), source, target, grid, "closed_form")
     assert calls == []
     lap = solve_assignment(costs)
     assert np.array_equal(fast.perm, lap.perm)
@@ -411,23 +424,24 @@ def test_non_monge_matrices_take_the_assignment_solve():
     # sorted, S[0, 0] + S[1, 1] = 4 exceeds S[0, 1] + S[1, 0] = 2.5
     bl_x, bl_y = PointCloud([0.0, 3.0]), PointCloud([2.5, 5.5])
     bl_ground = np.minimum(np.abs(bl_x.points - bl_y.points.T), 2.0)
+    plane = cost_matrix(free_particle(), plane_a, plane_b, grid, cost_kind="closed_form")
     cases = [
         (rng.uniform(-1, 1, (7, 7)), line, line),
-        (
-            cost_matrix(free_particle(), plane_a, plane_b, grid, cost_kind="closed_form"),
-            plane_a,
-            plane_b,
-        ),
+        (plane, plane_a, plane_b),
         (bl_ground, bl_x, bl_y),
     ]
     for costs, source, target in cases:
         with counting_lap() as calls:
-            plan = solve_assignment(costs, source=source, target=target)
+            plan = held_matrix_plan(costs, source, target)
         assert calls == [costs.shape]
         assert plan.total_cost == pytest.approx(
             brute_force_assignment(costs).total_cost, abs=1e-12
         )
-    assert solve_assignment(bl_ground, source=bl_x, target=bl_y).perm.tolist() == [1, 0]
+    assert held_matrix_plan(bl_ground, bl_x, bl_y).perm.tolist() == [1, 0]
+    with counting_lap() as calls:
+        plan, _ = solve_transport(free_particle(), plane_a, plane_b, grid, "closed_form")
+    assert calls == [plane.shape]
+    assert plan.total_cost == held_matrix_plan(plane, plane_a, plane_b).total_cost
 
 
 def test_bl_bound_takes_the_assignment_solve():
@@ -439,13 +453,23 @@ def test_bl_bound_takes_the_assignment_solve():
     assert calls == [(2, 2)]
 
 
-def test_sorted_assignment_rejects_mismatched_clouds():
-    costs = np.zeros((3, 3))
-    three, two = PointCloud([0.0, 1.0, 2.0]), PointCloud([0.0, 1.0])
-    with pytest.raises(ValueError):
-        solve_assignment(costs, source=two, target=three)
-    with pytest.raises(ValueError):
-        solve_assignment(costs, source=three, target=two)
+@pytest.mark.parametrize(
+    "model, cost_kind, sizes, dim",
+    [
+        (free_particle(), "closed_form", (3, 2), 1),
+        (free_particle(), "closed_form", (2, 3), 2),
+        (cosine_potential(), "bvp", (3, 2), 1),
+    ],
+)
+def test_mismatched_clouds_are_rejected_before_any_match(model, cost_kind, sizes, dim):
+    rng = np.random.default_rng(dim)
+    source, target = (PointCloud(rng.uniform(-1, 1, (n, dim))) for n in sizes)
+    grid = TimeGrid.uniform(0.0, 0.5, 4)
+    message = f"cloud sizes differ: {sizes[0]} vs {sizes[1]}"
+    with pytest.raises(ValueError, match=message):
+        solve_transport(model, source, target, grid, cost_kind)
+    with pytest.raises(ValueError, match=message):
+        solve_discrete_otm(model, source, target, grid, cost_kind)
 
 
 # -- bounded temporaries -----------------------------------------------------------
@@ -484,11 +508,14 @@ def test_row_blocked_monge_check_decides_as_the_whole_matrix(monkeypatch, block_
         M, S, source, target = planted_monge_case(N, mixed, rng)
         whole = bool(np.all(np.diff(np.diff(S, axis=0), axis=1) <= 0))
         assert whole == bool(np.all(mixed <= 0))
-        matching = transport._monotone_matching(M, source, target)
-        assert (matching is not None) == whole
-        if matching is not None:
-            rows, cols = matching
-            assert np.array_equal(M[np.ix_(rows, cols)], S)
+        plan = transport._monotone_plan(
+            source.points[:, 0], target.points[:, 0], transport._held(M)
+        )
+        assert (plan is not None) == whole
+        if plan is not None:
+            rows = np.argsort(source.points[:, 0], kind="stable")
+            assert np.array_equal(M[np.ix_(rows, plan.perm[rows])], S)
+            assert plan.total_cost == M[np.arange(N), plan.perm].sum()
 
 
 def test_assignment_of_one_dimensional_clouds_holds_no_n_squared_temporary():
@@ -501,7 +528,7 @@ def test_assignment_of_one_dimensional_clouds_holds_no_n_squared_temporary():
     tracemalloc.start()
     try:
         with counting_lap() as calls:
-            plan = solve_assignment(costs, source=source, target=target)
+            plan = held_matrix_plan(costs, source, target)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
