@@ -35,7 +35,6 @@ from .models import (
     LagrangianModel,
     MODEL_CATALOG,
     closed_form_cost,
-    closed_form_cost_matrix,
     cosine_potential,
     double_well,
     free_particle,
@@ -106,7 +105,6 @@ __all__ = [
     "build_recovery_measure",
     "check_horizon",
     "closed_form_cost",
-    "closed_form_cost_matrix",
     "concentration_diagnostics",
     "continuous_action",
     "cosine_potential",

@@ -20,10 +20,6 @@ from .errors import DimensionMismatchError
 #: Batched map from points (..., n) to values (...) or vectors (..., n).
 BatchFn = Callable[[np.ndarray], np.ndarray]
 
-# entries of one row block of a closed-form cost matrix, built in place: the
-# block's |x|^2 + |y|^2 take 256 KB, and 32 rows at N = 1024
-_COST_BLOCK_BUDGET = 2**15
-
 
 def as_point(x) -> np.ndarray:
     """Coerce a scalar or sequence to a finite, nonempty 1-D float vector."""
@@ -286,34 +282,15 @@ def closed_form_cost(model: LagrangianModel, x, y, span: float) -> float:
     oscillator, (m w / 2) ((|x|^2+|y|^2) cos(wT) - 2 x.y) / sin(wT) with
     w = sqrt(k/m).  The harmonic formula degenerates at conjugate spans
     wT = j pi, where the connecting extremal is non-unique or non-existent.
-    This is the one-pair case of ``closed_form_cost_matrix``.
+    The cost is the one entry of the (1, 1) matrix of x against y, with the
+    bits ``transport.ClosedFormCosts.matrix`` gives it.
     """
     x, y = as_point(x), as_point(y)
     _require_same_dim(x, y, names="x, y")
-    return float(closed_form_cost_matrix(model, x[None], y[None], span)[0, 0])
-
-
-def closed_form_cost_matrix(
-    model: LagrangianModel, source: np.ndarray, target: np.ndarray, span: float
-) -> np.ndarray:
-    """Pairwise closed-form costs; source (N, n) x target (M, n) -> (N, M)."""
-    X = np.atleast_2d(np.asarray(source, dtype=float))
-    Y = np.atleast_2d(np.asarray(target, dtype=float))
-    if X.shape[1] != Y.shape[1]:
-        raise DimensionMismatchError("source and target dimensions differ")
+    X, Y = x[None], y[None]
     coefficients = _closed_form_coefficients(model, span)
-    sq_x = np.sum(X * X, axis=1)[:, None]
-    sq_y = np.sum(Y * Y, axis=1)
-    costs = X @ Y.T
-    # in place in X Y^T, one row block at a time, holding the costs and one
-    # block of sums
-    rows = max(1, _COST_BLOCK_BUDGET // max(1, costs.shape[1]))
-    block = np.empty((min(rows, costs.shape[0]), costs.shape[1]))
-    for first in range(0, costs.shape[0], rows):
-        cross = costs[first : first + rows]
-        sums = block[: len(cross)]
-        _costs_from_products(cross, sq_x[first : first + rows], sq_y, coefficients, sums)
-    return costs
+    sq_x, sq_y = np.sum(X * X, axis=1), np.sum(Y * Y, axis=1)
+    return float(_costs_from_products(X @ Y.T, sq_x, sq_y, coefficients, np.empty((1, 1)))[0, 0])
 
 
 def _closed_form_coefficients(model: LagrangianModel, span: float) -> tuple[float, float, float]:

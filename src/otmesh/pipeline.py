@@ -125,7 +125,8 @@ _MAX_REJECTION_ROUNDS = 10_000
 def _finite_array(value, ndim: int, what: str) -> np.ndarray:
     """A nonempty finite array of ndim axes; scalars and vectors are promoted."""
     arr = np.asarray(value, dtype=float)
-    arr = np.atleast_1d(arr) if ndim == 1 else np.atleast_2d(arr)
+    # a number or a flat list is 1-D points, as PointCloud reads it
+    arr = np.atleast_1d(arr) if ndim == 1 else np.atleast_2d(arr.T).T
     if arr.ndim != ndim or arr.size == 0 or not np.all(np.isfinite(arr)):
         axes = "a vector" if ndim == 1 else "a list of points"
         raise ValueError(f"{what} must be a number or {axes}, finite and nonempty")

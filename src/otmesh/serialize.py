@@ -133,10 +133,10 @@ def matrix_to_csv(matrix: np.ndarray) -> str:
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     """Write matrix_to_csv(matrix), ASCII-encoded, to the file at path.
 
-    The text is never held whole.  The cells are formatted _CSV_CELL_BUDGET
-    at a time in scratch arrays allocated once per call and reused by every
-    chunk, and each chunk's bytes are written as they are made, in binary
-    mode, so line endings are "\n" on every platform.
+    The text is never held whole: chunks of whole rows (see _rows_to_csv)
+    are formatted in scratch arrays allocated once per call, and written as
+    they are made, in binary mode, so line endings are "\n" everywhere.  A
+    ``ClosedFormCosts`` is read by row slices.
     """
     with open(path, "wb") as fh:
         fh.writelines(_matrix_csv_chunks(matrix))
@@ -177,8 +177,9 @@ def _numeric_rows(text: str) -> list[list[float]]:
 # Rows of floats as CSV text, in chunks formatted by _csvformat
 # ---------------------------------------------------------------------------
 
-# cells formatted per chunk: the chunk's scratch arrays take about 160 bytes
-# per cell, some 2.7 MB, and 16 rows at N = 1024
+# cells formatted per chunk of whole rows: the chunk's scratch arrays take
+# about 160 bytes per cell, some 2.7 MB, and 16 rows at N = 1024; a row
+# wider than this is one chunk, with scratch arrays of its size
 _CSV_CELL_BUDGET = 2**14
 
 
@@ -186,20 +187,18 @@ def _rows_to_csv(header: str, M: np.ndarray) -> Iterator[bytes]:
     """The header line, then each row of M as format_float of its cells joined
     by ",", one row per line, as a sequence of ASCII chunks.
 
-    Joined, byte-identical to the per-cell join.  Formats _CSV_CELL_BUDGET
-    cells per chunk, so a chunk may end inside a row, in one workspace that
-    every chunk reuses.
+    Joined, byte-identical to the per-cell join.  A chunk is as many rows as
+    hold _CSV_CELL_BUDGET cells, or one, in a workspace all chunks reuse.
     """
     rows, cols = M.shape
     if cols == 0:
         yield (header + "\n" * (rows + 1)).encode()
         return
     yield (header + "\n").encode()
-    flat = M.ravel()
-    scratch = workspace(min(_CSV_CELL_BUDGET, flat.size))
-    for start in range(0, flat.size, _CSV_CELL_BUDGET):
-        row_ends = slice((cols - 1 - start) % cols, None, cols)
-        yield format_cells(flat[start : start + _CSV_CELL_BUDGET], row_ends, scratch)
+    step = max(1, _CSV_CELL_BUDGET // cols)
+    scratch = workspace(min(step, rows) * cols)
+    for first in range(0, rows, step):
+        yield format_cells(M[first : first + step].ravel(), slice(cols - 1, None, cols), scratch)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .models import (
     LagrangianModel,
     _closed_form_coefficients,
     _costs_from_products,
-    closed_form_cost_matrix,
     has_closed_form_cost,
 )
 from .paths import TimeGrid
@@ -27,6 +26,10 @@ _BRUTE_FORCE_MAX = 9
 # pairs x interior nodes x n^2 of one solve_bvp_pairs call in a BVP cost
 # matrix: 2 MB of midpoint Hessians, and never less than one source row
 _BVP_BATCH_BUDGET = 2**18
+
+# entries of one row block of a closed-form cost matrix, built in place: the
+# block's |x|^2 + |y|^2 take 256 KB, and 32 rows at N = 1024
+_COST_BLOCK_BUDGET = 2**15
 
 # entries of one row block of the sorted matrix in the 1-D Monge check: 1 MB
 # in each of its two block buffers, and 128 rows at N = 1024
@@ -94,20 +97,17 @@ def cost_matrix(
     pair's solve does not depend on its batch, so each entry is bitwise the
     cost ``solve_bvp`` gives.  SolverError names the first pair in row-major
     order that fails, with its reason; no pair is solved again.
-    ``cost_kind="closed_form"`` uses the catalog formula (free particle or
-    harmonic oscillator) and ignores the grid resolution; SolverError reports
-    a conjugate span, where the formula has no value, and costs that overflow.
-    ``solve_transport``, which every match of two clouds goes through, builds
-    no such matrix for 1-D closed-form costs that pass its Monge check.
+    ``cost_kind="closed_form"`` is ``ClosedFormCosts(...).matrix()``, the
+    catalog formula over the grid's span at any resolution.  ``solve_transport``,
+    which every match of two clouds goes through, builds no such matrix for
+    1-D closed-form costs that pass its Monge check.
     """
     if source.size != target.size:
         raise ValueError(f"cloud sizes differ: {source.size} vs {target.size}")
     if source.dim != target.dim:
         raise DimensionMismatchError("source and target dimensions differ")
     if cost_kind == "closed_form":
-        _coefficients(model, grid.span)
-        costs = closed_form_cost_matrix(model, source.points, target.points, grid.span)
-        return _finite(costs)
+        return ClosedFormCosts(model, source, target, grid.span).matrix()
     if cost_kind != "bvp":
         raise ValueError(f"unknown cost kind {cost_kind!r}")
 
@@ -138,16 +138,6 @@ def _finite(costs: np.ndarray) -> np.ndarray:
     return costs
 
 
-def _coefficients(model: LagrangianModel, span: float) -> tuple[float, float, float]:
-    """``_closed_form_coefficients``, with the errors of ``cost_matrix``."""
-    if not has_closed_form_cost(model):
-        raise ValueError(f"model {model.name!r} has no closed-form cost")
-    try:
-        return _closed_form_coefficients(model, span)
-    except ValueError as exc:  # a span conjugate for the harmonic model
-        raise SolverError(f"closed-form costs fail: {exc}") from None
-
-
 def solve_transport(
     model: LagrangianModel,
     source: PointCloud,
@@ -165,14 +155,14 @@ def solve_transport(
     source to i-th smallest target) is optimal, as for the free particle and
     the harmonic model below its conjugate span, and no assignment solve
     runs.  Closed-form costs are then never held: the check runs on row
-    blocks computed from the points, and costs is a ``ClosedFormCosts``.
+    blocks of a ``ClosedFormCosts``, which is returned as costs.
     Every other case (dimension two or more, a failed check) goes to
     ``solve_assignment`` on the matrix, without a second check.  Under ties
     the stable sort or the solver's scan order picks the permutation.
     """
     if cost_kind == "closed_form" and source.dim == target.dim == 1 and source.size == target.size:
         costs = ClosedFormCosts(model, source, target, grid.span)
-        plan = _monotone_plan(costs.x, costs.y, costs._pairs)
+        plan = _monotone_plan(source.points[:, 0], target.points[:, 0], costs._pairs)
         if plan is not None:
             return plan, costs
     matrix = cost_matrix(model, source, target, grid, cost_kind)
@@ -184,42 +174,51 @@ def solve_transport(
 
 
 class ClosedFormCosts:
-    """The closed-form cost matrix of two 1-D clouds, computed a row block at
-    a time.  ``serialize.write_matrix_csv`` reads it as the matrix: it has a
-    ``shape``, ``ravel()`` is itself, and ``[start:stop]`` gives those cells of
-    the row-major matrix in a buffer that the next slice reuses."""
+    """The closed-form costs of two clouds: ``matrix()`` holds them, and for
+    1-D clouds ``[first:last]`` gives those rows as a (k, N) array in a buffer
+    the next slice reuses.  SolverError reports a conjugate span, where the
+    formula has no value, and costs that overflow."""
 
     def __init__(self, model: LagrangianModel, source: PointCloud, target: PointCloud, span):
-        self.coefficients = _coefficients(model, span)
-        self.x, self.y = source.points[:, 0], target.points[:, 0]
+        if not has_closed_form_cost(model):
+            raise ValueError(f"model {model.name!r} has no closed-form cost")
+        try:
+            self.coefficients = _closed_form_coefficients(model, span)
+        except ValueError as exc:  # a span conjugate for the harmonic model
+            raise SolverError(f"closed-form costs fail: {exc}") from None
+        self.X, self.Y = source.points, target.points
         self.shape = (source.size, target.size)
-        self.size = source.size * target.size
         self._rows = np.empty((2, 0, target.size))
 
-    def ravel(self) -> ClosedFormCosts:
-        return self
+    def matrix(self) -> np.ndarray:
+        X, Y = self.X, self.Y
+        sq_x, sq_y = np.sum(X * X, axis=1)[:, None], np.sum(Y * Y, axis=1)
+        costs = X @ Y.T  # whole: a row block's own product can differ in the last bit
+        N, M = costs.shape
+        rows = max(1, _COST_BLOCK_BUDGET // M)
+        block = np.empty((min(rows, N), M))
+        for first in range(0, N, rows):
+            cross = costs[first : first + rows]
+            sums = block[: len(cross)]
+            _costs_from_products(cross, sq_x[first : first + rows], sq_y, self.coefficients, sums)
+        return _finite(costs)
 
-    def __getitem__(self, cells: slice) -> np.ndarray:
-        N = self.shape[1]
-        start, stop, _ = cells.indices(self.size)
-        first, last = start // N, -(-stop // N)
-        if last - first > self._rows.shape[1]:
-            # a later slice of the same length may reach into one row more
-            self._rows = np.empty((2, last - first + 1, N))
-        rows = self._rows[:, : last - first]
-        self._fill(self.x[first:last, None], self.y[None], *rows)
-        return rows[0].ravel()[start - first * N : stop - first * N]
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        x = self.X[rows, 0, None]
+        if len(x) > self._rows.shape[1]:
+            self._rows = np.empty((2, len(x), self.shape[1]))
+        return self._fill(x, self.Y[None, :, 0], *self._rows[:, : len(x)])
 
     def _fill(self, x, y, out, sums) -> np.ndarray:
-        """Costs of the points x (..., k, 1) against y (..., 1, N), into out."""
-        # one product per entry, by matmul as closed_form_cost_matrix's X @ Y.T
-        # forms it (a -0 product reads +0: a BLAS sum starts at +0)
+        """Costs of the 1-D points x (..., k, 1) against y (..., 1, N), into out."""
+        # one product per entry, by matmul as matrix()'s X @ Y.T forms it
+        # (a -0 product reads +0: a BLAS sum starts at +0)
         np.matmul(x, y, out=out)
         return _costs_from_products(out, x * x, y * y, self.coefficients, sums)
 
     def _pairs(self, i, j, out, sums) -> np.ndarray:
         """Row source of ``_monotone_plan``: the costs of x[i] against y[j]."""
-        return _finite(self._fill(self.x[i], self.y[j], out, sums))
+        return _finite(self._fill(self.X[i, 0], self.Y[j, 0], out, sums))
 
 
 def _held(M: np.ndarray):

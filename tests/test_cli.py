@@ -274,7 +274,8 @@ def test_cli_transport_from_clouds(tmp_path):
 def test_cli_transport_streams_the_cost_matrix_csv_byte_for_byte(
     tmp_path, capsys, monkeypatch, dim
 ):
-    # a budget that is not a multiple of the row length ends chunks inside rows
+    # a budget that is not a multiple of the row length: chunks of 12 whole
+    # rows, and a short last chunk
     monkeypatch.setattr(serialize, "_CSV_CELL_BUDGET", 777)
     rng = np.random.default_rng(dim)
     source = rng.uniform(0.0, 1.0, (60, dim))
@@ -365,7 +366,7 @@ def test_cli_transport_of_1d_closed_form_costs_matches_the_matrix_path_bytewise(
 ):
     cells, monge = budgets
     if cells is not None:
-        # chunks and Monge blocks that end inside rows and before the last row
+        # chunks of whole rows and Monge blocks that end before the last row
         monkeypatch.setattr(serialize, "_CSV_CELL_BUDGET", cells)
         monkeypatch.setattr(transport, "_MONGE_BLOCK_BUDGET", monge)
     rng = np.random.default_rng(N)
@@ -536,6 +537,21 @@ def test_cli_converge_byte_identical_across_runs(tmp_path):
         assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
         outs.append((out / "convergence.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_cli_converge_reads_flat_custom_points_as_1d_points(tmp_path):
+    # a flat list of numbers is three 1-D points, as source_points reads it,
+    # not one 3-D point
+    csvs = []
+    for name, points in (("flat", [0.0, 0.5, 1.0]), ("nested", [[0.0], [0.5], [1.0]])):
+        payload = json.loads(FsPath(converge_config(tmp_path)).read_text())
+        payload.update(Ns=[3], hs=[0.25])
+        payload["marginal_a"] = {"kind": "custom_points", "points": points}
+        out = tmp_path / name
+        cfg = write_config(tmp_path, payload, f"{name}.json")
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+        csvs.append((out / "convergence.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 @pytest.mark.parametrize(

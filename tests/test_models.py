@@ -5,17 +5,17 @@ import pytest
 
 from otmesh import (
     DimensionMismatchError,
+    PointCloud,
     TimeGrid,
     cosine_potential,
     closed_form_cost,
-    closed_form_cost_matrix,
     double_well,
     free_particle,
     harmonic_oscillator,
     make_model,
     solve_bvp,
 )
-from otmesh import models
+from otmesh import transport
 
 
 def quadratic_well(mass=1.0):
@@ -199,7 +199,7 @@ def test_invalid_constants_rejected():
 
 
 def one_line_cost_matrix(model, X, Y, span):
-    """closed_form_cost_matrix as one expression per model, kept as its oracle."""
+    """ClosedFormCosts.matrix as one expression per model, kept as its oracle."""
     sq_x = np.sum(X * X, axis=1)[:, None]
     sq_y = np.sum(Y * Y, axis=1)[None, :]
     cross = X @ Y.T
@@ -223,7 +223,7 @@ def test_in_place_closed_form_cost_matrix_is_bitwise_the_expression(dim):
         for span in (0.1, 1.0, 2.9, 7.3):
             X = rng.standard_normal((9, dim)) * 10.0 ** rng.integers(-3, 4, (9, 1))
             Y = rng.uniform(-4.0, 4.0, (6, dim))
-            costs = closed_form_cost_matrix(model, X, Y, span)
+            costs = transport.ClosedFormCosts(model, PointCloud(X), PointCloud(Y), span).matrix()
             assert costs.shape == (9, 6)
             assert np.array_equal(costs, one_line_cost_matrix(model, X, Y, span))
 
@@ -237,15 +237,28 @@ def test_in_place_closed_form_cost_matrix_is_bitwise_over_row_blocks(
     # last block of a 1-column matrix short; the default budget splits the
     # 300 x 250 matrix into three blocks
     if budget is not None:
-        monkeypatch.setattr(models, "_COST_BLOCK_BUDGET", budget)
+        monkeypatch.setattr(transport, "_COST_BLOCK_BUDGET", budget)
     rng = np.random.default_rng(dim)
     for model in (free_particle(mass=0.3), harmonic_oscillator(mass=2.5, stiffness=0.7)):
         for N, M in ((1, 6), (1, 1), (9, 1), (13, 4), (300, 250)):
             X = rng.standard_normal((N, dim)) * 10.0 ** rng.integers(-3, 4, (N, 1))
             Y = rng.uniform(-4.0, 4.0, (M, dim))
-            costs = closed_form_cost_matrix(model, X, Y, 2.9)
+            costs = transport.ClosedFormCosts(model, PointCloud(X), PointCloud(Y), 2.9).matrix()
             assert costs.shape == (N, M)
             assert np.array_equal(costs, one_line_cost_matrix(model, X, Y, 2.9))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_closed_form_cost_is_the_one_entry_of_its_matrix(dim):
+    rng = np.random.default_rng(dim)
+    for model in (free_particle(mass=0.3), harmonic_oscillator(mass=2.5, stiffness=0.7)):
+        for span in (0.1, 1.0, 2.9):
+            X = rng.standard_normal((1, dim)) * 10.0 ** rng.integers(-3, 4)
+            Y = rng.uniform(-4.0, 4.0, (1, dim))
+            cost = closed_form_cost(model, X[0], Y[0], span)
+            held = transport.ClosedFormCosts(model, PointCloud(X), PointCloud(Y), span).matrix()
+            assert np.float64(cost).tobytes() == held.tobytes()
+            assert np.float64(cost).tobytes() == one_line_cost_matrix(model, X, Y, span).tobytes()
 
 
 def test_closed_form_costs():

@@ -107,6 +107,17 @@ def test_custom_points_and_validation_errors():
         MarginalSpec("uniform_box", low=1.0, high=0.0)
 
 
+def test_custom_points_read_a_number_or_a_flat_list_as_1d_points():
+    # as PointCloud reads them: three 1-D points, not one 3-D point
+    flat = MarginalSpec("custom_points", points=[0.0, 0.5, 1.0])
+    assert flat.points.shape == (3, 1) and flat.dim == 1
+    assert np.array_equal(sample_marginal(flat, 3).points, PointCloud([0.0, 0.5, 1.0]).points)
+    assert MarginalSpec("custom_points", points=2.5).points.shape == (1, 1)
+    for points in ([], [[]], [[[0.1]], [[0.2]]], [0.0, math.nan]):
+        with pytest.raises(ValueError, match="custom_points 'points' must be"):
+            MarginalSpec("custom_points", points=points)
+
+
 @pytest.mark.parametrize("sampler", ["quantile", "grid", "iid"])
 def test_a_box_whose_width_overflows_is_rejected(sampler):
     # each sampler scales by high - low, which is inf here

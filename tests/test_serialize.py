@@ -233,7 +233,8 @@ def test_matrix_csv_of_empty_shapes():
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 5, 64])
-def test_matrix_csv_chunks_may_end_inside_rows(monkeypatch, budget):
+def test_matrix_csv_chunks_of_whole_rows_match_the_per_row_text(monkeypatch, budget):
+    # budgets below a row give one-row chunks; the others leave a short last chunk
     monkeypatch.setattr(serialize, "_CSV_CELL_BUDGET", budget)
     rng = np.random.default_rng(7)
     spread = rng.standard_normal(60) * 10.0 ** rng.integers(-9, 19, 60)
@@ -242,6 +243,11 @@ def test_matrix_csv_chunks_may_end_inside_rows(monkeypatch, budget):
     for cols in (1, 4, 7, cells.size):
         M = cells[: cells.size // cols * cols].reshape(-1, cols)
         assert matrix_to_csv(M) == per_row_matrix_csv(M)
+        chunks = list(serialize._rows_to_csv("h", M))[1:]
+        step = max(1, budget // cols)
+        sizes = [min(step, len(M) - first) for first in range(0, len(M), step)]
+        assert [c.count(b"\n") for c in chunks] == sizes
+        assert all(c.endswith(b"\n") for c in chunks)
 
 
 # -- the streamed cost-matrix file ---------------------------------------------------
@@ -258,7 +264,7 @@ def written_bytes(tmp_path, M) -> bytes:
 
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 5, 64, 2**14])
-def test_written_matrix_csv_equals_the_text_when_chunks_end_inside_rows(
+def test_written_matrix_csv_equals_the_text_for_any_chunk_budget(
     tmp_path, monkeypatch, budget
 ):
     monkeypatch.setattr(serialize, "_CSV_CELL_BUDGET", budget)

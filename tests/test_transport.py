@@ -21,7 +21,7 @@ from otmesh import (
     solve_bvp,
     solve_discrete_otm,
 )
-from otmesh import _native, integrators, models, transport
+from otmesh import _native, integrators, transport
 from otmesh.measures import EmpiricalPathMeasure, bl_distance_bound
 from otmesh.paths import Path
 from otmesh.integrators import solve_bvp_pairs
@@ -553,8 +553,35 @@ def test_closed_form_cost_matrix_holds_one_row_block_beside_the_matrix():
     # beside the matrix: one block of |x|^2 + |y|^2, the 64 KB operand buffer
     # of one broadcasting ufunc and the two norm vectors; a cross-product
     # temporary would make the peak about twice the matrix
-    block = models._COST_BLOCK_BUDGET * costs.itemsize
+    block = transport._COST_BLOCK_BUDGET * costs.itemsize
     assert peak < costs.nbytes + block + 2**17
+
+
+@pytest.mark.parametrize(
+    "model, span",
+    [
+        (free_particle(mass=2.5), 0.75),
+        (harmonic_oscillator(), 1.0),
+        # omega T = 4: anti-Monge harmonic costs, which the rows do not depend on
+        (harmonic_oscillator(stiffness=4.0), 2.0),
+    ],
+)
+def test_closed_form_cost_rows_are_the_held_matrix_rows_bitwise(model, span):
+    rng = np.random.default_rng(5)
+    spread = rng.standard_normal(46) * 10.0 ** rng.integers(-3, 4, 46)
+    source = np.concatenate([[-0.0, 0.0, 0.5, 0.5], spread])
+    target = np.concatenate([[0.0, -0.0], rng.uniform(-4.0, 4.0, 35)])
+    costs = transport.ClosedFormCosts(model, PointCloud(source), PointCloud(target), span)
+    held = costs.matrix()
+    assert costs.shape == held.shape == (50, 37)
+    # an empty slice, one row, a middle block, the last partial block, a short
+    # slice after a long one (in the long one's buffer), and a strided slice
+    for first, last, step in ((3, 3, None), (0, 1, None), (10, 30, None), (45, 60, None),
+                              (0, 50, None), (20, 24, None), (-5, None, None), (1, None, 7)):
+        rows = costs[first:last:step]
+        want = held[first:last:step]
+        assert rows.shape == (len(want), 37)
+        assert rows.tobytes() == want.tobytes()
 
 
 def test_bvp_cost_matrix_of_1024_pairs_stays_below_8_mib():
