@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -26,9 +26,9 @@ from numpy.random import default_rng
 from ._native import dgbsv
 from .errors import BlowUpError, NewtonError
 from .models import LagrangianModel, as_point
-from .paths import Path, PhasePoint, TimeGrid, _midpoint_actions, uniform_distance
-# unused here, but bench/tracing.py wraps this name in this module
-from .paths import midpoint_action  # noqa: F401
+from .paths import Path, PhasePoint, TimeGrid, _midpoint_actions
+# unused here, but bench/tracing.py wraps these names in this module
+from .paths import midpoint_action, uniform_distance  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -668,12 +668,13 @@ def _bvp_core(
     return BvpBatchResult(nodes, costs, err, iters, converged & (saddle_node == 0), saddle_node)
 
 
-def _cluster_paths(paths: list[Path], threshold: float) -> list[list[int]]:
-    """Greedy clustering of paths by sup-distance below the threshold."""
+def _cluster_paths(nodes: np.ndarray, threshold: float) -> list[list[int]]:
+    """Greedy clustering of the paths nodes (k, l+1, n) on one grid by their largest
+    nodal distance below the threshold, which is bitwise their ``uniform_distance``."""
     clusters: list[list[int]] = []
-    for i, p in enumerate(paths):
+    for i, p in enumerate(nodes):
         for members in clusters:
-            if uniform_distance(p, paths[members[0]]) <= threshold:
+            if np.max(np.linalg.norm(p - nodes[members[0]], axis=1)) <= threshold:
                 members.append(i)
                 break
         else:
@@ -718,15 +719,17 @@ def solve_bvp(
         Failure is reported through ``converged=False`` with a message
         naming the interior node where the test fails, not by raising.
     n_restarts
-        Additional solves from randomized warm starts.  Solutions are
-        clustered by sup-distance at 1e-3; the lowest-cost cluster is
-        returned and the cluster count reported as multiplicity.  Useful near
+        Additional solves from randomized warm starts.  Converged solutions
+        are clustered by sup-distance at 1e-3; the cheapest of the lowest-cost
+        cluster is returned and the cluster count reported as multiplicity
+        (1, with the unperturbed attempt, if none converged).  Useful near
         conjugate spans where minimizers are non-unique.
 
     The solve works on the full stacked interior system (not shooting), with
     Armijo-damped Newton steps, each from a pivoted banded LU of the
     block-tridiagonal Jacobian.  The attempts are solved in one batch by
-    the core of ``solve_bvp_pairs``, so each is bitwise what it gives alone.
+    the core of ``solve_bvp_pairs``, so each is bitwise what it gives alone,
+    and clustered on their node array.
     Restart noise comes from one ``default_rng(0)`` per call, so equal
     inputs give equal results; nothing else is random.
 
@@ -749,20 +752,16 @@ def solve_bvp(
         draws = default_rng(0).standard_normal(nodes[1:, 1:-1].shape)
         nodes[1:, 1:-1] += noise * bump[:, None] * draws
     res = _bvp_core(model, grid, nodes, check_minimum)
-    results = [
-        BvpResult(Path(grid, res.nodes[k]), float(res.costs[k]), float(res.residuals[k]),
-                  bool(res.converged[k]), int(res.newton_iterations[k]), message=res.message(k))
-        for k in range(nodes.shape[0])
-    ]
-    best = results[0]
-    converged = [r for r in results if r.converged]
-    if not converged:
-        return best
-    clusters = _cluster_paths([r.path for r in converged], _CLUSTER_RADIUS)
-    cluster_costs = [min(converged[i].cost for i in members) for members in clusters]
-    winner_cluster = clusters[int(np.argmin(cluster_costs))]
-    winner = min((converged[i] for i in winner_cluster), key=lambda r: r.cost)
-    return replace(winner, multiplicity=len(clusters))
+    converged = np.flatnonzero(res.converged)
+    clusters = [converged[c] for c in _cluster_paths(res.nodes[converged], _CLUSTER_RADIUS)]
+    # the cheapest attempt of the cheapest cluster, first on ties, else the first attempt
+    k = 0
+    if clusters:
+        cheapest = min(clusters, key=lambda members: np.min(res.costs[members]))
+        k = int(cheapest[np.argmin(res.costs[cheapest])])
+    return BvpResult(Path(grid, res.nodes[k]), float(res.costs[k]), float(res.residuals[k]),
+                     bool(res.converged[k]), int(res.newton_iterations[k]),
+                     max(1, len(clusters)), res.message(k))
 
 
 def solve_bvp_pairs(

@@ -382,14 +382,6 @@ def _fit_order(hs: np.ndarray, errs: np.ndarray) -> float | None:
     return float(np.dot(dx, y - np.mean(y)) / np.dot(dx, dx))
 
 
-def _record_diagnostics(
-    row: ConvergenceRow, result: OtmResult, resids: np.ndarray, dists: np.ndarray
-) -> None:
-    row.min_action = result.min_action
-    row.max_el_residual = float(np.max(resids))
-    row.max_reconstruction_dist = float(np.max(dists))
-
-
 def _diagnose_levels(
     model: LagrangianModel, solved: list[tuple[ConvergenceRow, OtmResult]]
 ) -> None:
@@ -397,33 +389,30 @@ def _diagnose_levels(
 
     One ``concentration_diagnostics`` call covers the joined measures of
     all levels.  If it fails, each level is diagnosed on its own and a level
-    that fails again becomes an error row with that call's message.
+    that fails again becomes an error row with that call's message.  One
+    loop writes each level's row from its slice of its batch's report.
     """
     if not solved:
         return
     try:
-        diag = concentration_diagnostics(
-            model, _join([result.measure for _, result in solved])
-        )
+        joined = _join([result.measure for _, result in solved])
+        batches = [(solved, concentration_diagnostics(model, joined))]
     except OtmeshError:
+        batches = []
         for row, result in solved:
             try:
-                diag = concentration_diagnostics(model, result.measure)
+                batches.append(([(row, result)], concentration_diagnostics(model, result.measure)))
             except OtmeshError as exc:
                 row.status = "error"
                 row.error = str(exc)
-            else:
-                _record_diagnostics(
-                    row, result, diag.el_residuals, diag.reconstruction_distances
-                )
-        return
-    start = 0
-    for row, result in solved:
-        level = slice(start, start + result.measure.size)
-        start = level.stop
-        _record_diagnostics(
-            row, result, diag.el_residuals[level], diag.reconstruction_distances[level]
-        )
+    for levels, diag in batches:
+        start = 0
+        for row, result in levels:
+            level = slice(start, start + result.measure.size)
+            start = level.stop
+            row.min_action = result.min_action
+            row.max_el_residual = float(np.max(diag.el_residuals[level]))
+            row.max_reconstruction_dist = float(np.max(diag.reconstruction_distances[level]))
 
 
 def run_convergence_study(
@@ -440,26 +429,29 @@ def run_convergence_study(
     """Minimal average actions and diagnostics along an (N, h) schedule.
 
     Every level samples both marginals, builds a uniform grid with spacing at
-    most h and runs the transport solve.  Then all solved levels get their
-    stationarity and flow-reconstruction diagnostics from one
-    ``concentration_diagnostics`` call on their concatenated paths, so the
-    reference flow marches the finest level's substeps once instead of every
-    level's in turn; the values are bitwise those of one call per level.
-    Failures are recorded per level and the study continues: if the combined
-    call fails, every level is diagnosed on its own, so only the failing
-    levels get error rows.  The finest solved level has the largest N and,
-    among those, the smallest h.  Distances to the finest level are computed
-    by atom replication when the finest particle count is an integer
-    multiple; otherwise they are left as NaN.
+    most h and runs the transport solve; a solved level is one (row, result)
+    record.  All solved levels then get their stationarity and
+    flow-reconstruction diagnostics from one ``concentration_diagnostics``
+    call on their joined paths, so the reference flow marches the finest
+    level's substeps once; the values are bitwise those of one call per
+    level.  Failures are recorded per level and the study continues: if the
+    joined call fails, each level is diagnosed on its own, so only the
+    failing levels get error rows.  Of the levels still ok, the finest has
+    the largest N and, among those, the smallest h; it gives the reference
+    action when none is passed, and then stays out of the action-order fit.
+    Distances to the finest level use atom replication when its N
+    is a multiple of each level's N;
+    else they stay NaN.
     """
     Ns, hs = list(Ns), list(hs)
     if len(Ns) != len(hs) or not Ns:
         raise ValueError("Ns and hs must be nonempty schedules of equal length")
     a, b = span
     rows: list[ConvergenceRow] = []
-    results: list[OtmResult | None] = []
+    solved: list[tuple[ConvergenceRow, OtmResult]] = []
     for N, h in zip(Ns, hs):
         row = ConvergenceRow(N=int(N), h=float(h))
+        rows.append(row)
         try:
             grid = TimeGrid.from_step(a, b, h)
             row.h = grid.max_spacing
@@ -476,53 +468,30 @@ def run_convergence_study(
         except OtmeshError as exc:
             row.status = "error"
             row.error = str(exc)
-            result = None
-        results.append(result)
-        rows.append(row)
-    _diagnose_levels(
-        model, [(row, res) for row, res in zip(rows, results) if res is not None]
-    )
-    measures = [
-        res.measure if row.status == "ok" else None for row, res in zip(rows, results)
-    ]
+        else:
+            solved.append((row, result))
+    _diagnose_levels(model, solved)
 
-    finest_idx = max(
-        (i for i, measure in enumerate(measures) if measure is not None),
-        key=lambda i: (rows[i].N, -rows[i].h),
-        default=None,
-    )
-    if finest_idx is not None:
-        finest = measures[finest_idx]
-        for i, (row, measure) in enumerate(zip(rows, measures)):
-            if measure is None:
-                continue
-            if i == finest_idx:
+    report = ConvergenceReport(rows=rows, reference_action=reference_action)
+    ok = [(row, result.measure) for row, result in solved if row.status == "ok"]
+    if ok:
+        finest_row, finest = max(ok, key=lambda level: (level[0].N, -level[0].h))
+        for row, measure in ok:
+            if row is finest_row:
                 row.d_bl_to_finest = 0.0
             elif finest.size % measure.size == 0:
                 row.d_bl_to_finest = bl_distance_bound(
                     measure.replicate(finest.size // measure.size), finest
                 )
-
-    report = ConvergenceReport(rows=rows, reference_action=reference_action)
-    ok_rows = [r for r in rows if r.status == "ok"]
-    if ok_rows:
-        ref = (
-            reference_action
-            if reference_action is not None
-            else rows[finest_idx].min_action
-        )
-        fit_rows = [
-            r
-            for r in ok_rows
-            if reference_action is not None or r is not rows[finest_idx]
-        ]
-        hs_arr = np.array([r.h for r in fit_rows])
+        ref = reference_action if reference_action is not None else finest_row.min_action
+        fit_rows = [row for row, _ in ok if reference_action is not None or row is not finest_row]
         report.action_order = _fit_order(
-            hs_arr, np.array([abs(r.min_action - ref) for r in fit_rows])
+            np.array([r.h for r in fit_rows]),
+            np.array([abs(r.min_action - ref) for r in fit_rows]),
         )
         report.trajectory_order = _fit_order(
-            np.array([r.h for r in ok_rows]),
-            np.array([r.max_reconstruction_dist for r in ok_rows]),
+            np.array([row.h for row, _ in ok]),
+            np.array([row.max_reconstruction_dist for row, _ in ok]),
         )
     report.rows.sort(key=lambda r: r.N)
     return report

@@ -240,8 +240,10 @@ def solve_assignment(costs: np.ndarray) -> AssignmentPlan:
     M = np.asarray(costs, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {M.shape}")
+    if not M.size:
+        raise ValueError("cost matrix needs at least one row")
     # min and max are NaN or infinite if any entry is; no N x N temporary
-    if M.size and not (np.isfinite(M.min()) and np.isfinite(M.max())):
+    if not (np.isfinite(M.min()) and np.isfinite(M.max())):
         raise ValueError("cost matrix entries must be finite")
     rows, cols = linear_sum_assignment(M - M.min())
     perm = np.empty(M.shape[0], dtype=int)
@@ -306,6 +308,8 @@ def brute_force_assignment(costs: np.ndarray) -> AssignmentPlan:
     M = np.asarray(costs, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {M.shape}")
+    if not M.size:
+        raise ValueError("cost matrix needs at least one row")
     N = M.shape[0]
     if N > _BRUTE_FORCE_MAX:
         raise ValueError(f"brute force limited to N <= {_BRUTE_FORCE_MAX}, got {N}")

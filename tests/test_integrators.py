@@ -900,7 +900,7 @@ def test_bvp_restarts_match_the_sparse_newton_loop(model, x, y, grid):
     converged = [a for a in attempts if a[4]]
     assert got.converged and converged
     clusters = integrators._cluster_paths(
-        [Path(grid, a[0]) for a in converged], integrators._CLUSTER_RADIUS
+        np.stack([a[0] for a in converged]), integrators._CLUSTER_RADIUS
     )
     assert got.multiplicity == len(clusters)
     # the ridge's mirror minimizers tie to rounding, so the winner is the

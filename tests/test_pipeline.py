@@ -725,6 +725,57 @@ def test_convergence_study_rows_are_the_per_level_diagnostics():
         assert row.max_reconstruction_dist == float(np.max(diag.reconstruction_distances))
 
 
+def test_convergence_study_finest_level_is_the_largest_n_then_the_smallest_h(monkeypatch):
+    # two levels of N = 8: the one on the finer grid is the finest level, and
+    # the other reads its distance to it at replication factor 1
+    Ns, hs = (4, 8, 8), (0.2, 0.1, 0.05)
+    measures = {}
+    for N, h in zip(Ns, hs):
+        measures[N, h] = solve_discrete_otm(
+            COSINE, sample_marginal(UNIT_A, N), sample_marginal(UNIT_B, N),
+            TimeGrid.from_step(0.0, 1.0, h), cost_kind="bvp",
+        ).measure
+    report = run_convergence_study(COSINE, UNIT_A, UNIT_B, Ns, hs, (0.0, 1.0), cost_kind="bvp")
+    assert report.all_ok
+    coarse, mid, finest = report.rows
+    assert [(row.N, row.h) for row in report.rows] == [
+        (N, TimeGrid.from_step(0.0, 1.0, h).max_spacing) for N, h in zip(Ns, hs)
+    ]
+    assert finest.d_bl_to_finest == 0.0
+    fine = measures[8, 0.05]
+    assert mid.d_bl_to_finest == bl_distance_bound(measures[8, 0.1].replicate(1), fine)
+    assert coarse.d_bl_to_finest == bl_distance_bound(measures[4, 0.2].replicate(2), fine)
+    # the action is h-dependent, and the fit reads the other levels against the finest
+    assert len({coarse.min_action, mid.min_action, finest.min_action}) == 3
+    assert report.action_order is not None
+    assert report.action_order == pipeline._fit_order(
+        np.array([coarse.h, mid.h]),
+        np.array([abs(row.min_action - finest.min_action) for row in (coarse, mid)]),
+    )
+
+    # when the finest level fails to solve, the N = 8 level on the coarser grid
+    # becomes the finest and the reference of the fit
+    solve = pipeline.solve_discrete_otm
+
+    def failing(model, source, target, grid, **kwargs):
+        if source.size == 8 and grid.max_spacing < 0.075:
+            raise SolverError("the finest level fails")
+        return solve(model, source, target, grid, **kwargs)
+
+    monkeypatch.setattr(pipeline, "solve_discrete_otm", failing)
+    report = run_convergence_study(COSINE, UNIT_A, UNIT_B, Ns, hs, (0.0, 1.0), cost_kind="bvp")
+    coarse, mid, failed = report.rows
+    assert (failed.status, failed.error) == ("error", "the finest level fails")
+    assert math.isnan(failed.min_action) and math.isnan(failed.d_bl_to_finest)
+    assert (coarse.status, mid.status) == ("ok", "ok")
+    assert mid.d_bl_to_finest == 0.0
+    assert coarse.d_bl_to_finest == bl_distance_bound(
+        measures[4, 0.2].replicate(2), measures[8, 0.1]
+    )
+    # one level is left to fit against the reference, too few for an order
+    assert report.action_order is None
+
+
 def test_convergence_study_marches_the_reference_flow_once(monkeypatch):
     from otmesh import measures
 

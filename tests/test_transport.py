@@ -247,6 +247,14 @@ def test_assignment_rejects_bad_matrices():
         solve_assignment(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("solve", [solve_assignment, brute_force_assignment])
+def test_assignment_rejects_an_empty_matrix_and_keeps_one_by_one(solve):
+    with pytest.raises(ValueError, match="at least one row"):
+        solve(np.zeros((0, 0)))
+    plan = solve(np.array([[-3.5]]))
+    assert plan.perm.tolist() == [0] and plan.total_cost == plan.average_cost == -3.5
+
+
 def test_brute_force_examples():
     assert brute_force_assignment(np.array([[4.2]])).perm.tolist() == [0]
     plan = brute_force_assignment(np.array([[1.0, 2.0], [3.0, 1.0]]))
