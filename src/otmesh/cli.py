@@ -43,6 +43,7 @@ from .serialize import (
     matrix_from_csv,
     measure_from_csv,
     path_to_csv,
+    record_fields,
     stationarity_report_to_csv,
     stationarity_report_to_json,
     write_matrix_csv,
@@ -336,12 +337,7 @@ def cmd_bvp(args, cfg: dict) -> int:
         "y": y,
         "span": [grid.start, grid.end],
         "intervals": grid.n_intervals,
-        "cost": result.cost,
-        "residual": result.residual,
-        "converged": result.converged,
-        "newton_iterations": result.newton_iterations,
-        "multiplicity": result.multiplicity,
-        "message": result.message,
+        **record_fields(result, "path"),
         "path_csv": path_to_csv(result.path),
     }
     _write(out / "bvp_result.json", dumps_json(payload))
@@ -426,9 +422,7 @@ def cmd_transport(args, cfg: dict) -> int:
         "kind": "transport_result",
         "schema_version": 1,
         "size": int(plan.perm.size),
-        "perm": [int(v) for v in plan.perm],
-        "total_cost": plan.total_cost,
-        "average_cost": plan.average_cost,
+        **record_fields(plan),
     }
     _write(out / "transport_result.json", dumps_json(payload))
     # streamed: the CSV text of an N x N matrix is never held whole

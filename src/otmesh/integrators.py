@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import as_strided
 from numpy.random import default_rng
 
 from ._native import dgbsv
-from .errors import BlowUpError, NewtonError
+from .errors import BlowUpError, NewtonError, SolverError
 from .models import LagrangianModel, as_point
 from .paths import Path, PhasePoint, TimeGrid, _midpoint_actions
 # unused here, but bench/tracing.py wraps these names in this module
@@ -42,7 +42,9 @@ class FlowResult:
 
 @dataclass(frozen=True)
 class BvpResult:
-    """Two-point boundary solve: trajectory, its midpoint action, residual."""
+    """Two-point boundary solve: trajectory, its midpoint action, residual.
+    Every field but ``path`` is a key of ``bvp_result.json``, so in-memory
+    data must not be a field."""
 
     path: Path
     cost: float
@@ -82,6 +84,14 @@ class BvpBatchResult:
         if not self.converged[p]:
             return "Newton did not reach the residual tolerance"
         return ""
+
+    def raise_failure(self, name) -> None:
+        """Raise SolverError(f"{name(p)}: {self.message(p)}") for the first
+        pair p that failed; return if every pair converged."""
+        failed = np.flatnonzero(~self.converged)
+        if failed.size:
+            p = int(failed[0])
+            raise SolverError(f"{name(p)}: {self.message(p)}")
 
 
 # Newton tolerance and iteration cap of every Newton solve (the boundary-value

@@ -257,13 +257,9 @@ def solve_discrete_otm(
         model, source.points, target.points[plan.perm], grid,
         check_minimum=cost_kind != "bvp",
     )
-    failed = np.flatnonzero(~pairs.converged)
-    if failed.size:
-        i = int(failed[0])
-        raise SolverError(
-            f"boundary-value solve failed for matched pair "
-            f"({i}, {plan.perm[i]}): {pairs.message(i)}"
-        )
+    pairs.raise_failure(
+        lambda i: f"boundary-value solve failed for matched pair ({i}, {plan.perm[i]})"
+    )
     min_action = float(np.mean(pairs.costs))
     return OtmResult(EmpiricalPathMeasure._from_nodes(grid, pairs.nodes), plan, min_action)
 
@@ -340,7 +336,8 @@ def build_recovery_measure(
 
 @dataclass
 class ConvergenceRow:
-    """One study level; its fields are the columns of ``convergence.csv``."""
+    """One study level.  Every field is a column of ``convergence.csv`` and a
+    row key of the summary JSON, so in-memory data must not be a field."""
 
     N: int
     h: float
@@ -358,7 +355,8 @@ class ConvergenceReport:
 
     ``action_order`` and ``trajectory_order`` are log-log slopes fitted
     against the step size; they are None when fewer than two usable error
-    values exist.
+    values exist.  Every field but ``rows`` is a key of the summary JSON, so
+    in-memory data must not be a field.
     """
 
     rows: list[ConvergenceRow] = field(default_factory=list)
@@ -504,7 +502,8 @@ def run_convergence_study(
 
 @dataclass
 class StationarityLevel:
-    """One study level; its fields are the columns of ``stationarity.csv``."""
+    """One study level.  Every field is a column of ``stationarity.csv`` and a
+    level key of the summary JSON, so in-memory data must not be a field."""
 
     h: float
     max_el_residual: float
@@ -521,7 +520,9 @@ class StationarityReport:
     ``fitted_rate`` is the coarsest level's max reconstruction distance per
     unit step; subsequent levels are flagged ``scaling_ok`` when their
     distance stays within twice that linear rate, certifying at-least-linear
-    convergence of stationary points toward reference-flow orbits.
+    convergence of stationary points toward reference-flow orbits.  Every
+    field but ``levels`` is a key of the summary JSON, so in-memory data must
+    not be a field.
     """
 
     levels: list[StationarityLevel] = field(default_factory=list)
@@ -560,12 +561,9 @@ def run_stationarity_study(
         starts = _atoms_at(warm, grid.nodes)
         starts[:, 0], starts[:, -1] = _endpoints(warm)
         pairs = _bvp_core(model, grid, starts, check_minimum=False)
-        failed = np.flatnonzero(~pairs.converged)
-        if failed.size:
-            raise SolverError(
-                f"stationarity solve failed at h={grid.max_spacing:g}: "
-                f"{pairs.message(int(failed[0]))}"
-            )
+        pairs.raise_failure(
+            lambda p: f"stationarity solve failed for path {p} at h={grid.max_spacing:g}"
+        )
         warm = EmpiricalPathMeasure._from_nodes(grid, pairs.nodes)
         iters = int(np.max(pairs.newton_iterations))
         diag = concentration_diagnostics(model, warm)

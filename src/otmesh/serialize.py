@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -205,9 +205,10 @@ def _rows_to_csv(header: str, M: np.ndarray) -> Iterator[bytes]:
 # Study reports
 # ---------------------------------------------------------------------------
 
-# the CSV and JSON columns are the fields of the report rows, in their order
-CONVERGENCE_CSV_COLUMNS = [f.name for f in dataclasses.fields(ConvergenceRow)]
-STATIONARITY_CSV_COLUMNS = [f.name for f in dataclasses.fields(StationarityLevel)]
+
+def record_fields(record, skip: str = "") -> dict:
+    """A dataclass record's fields other than skip, by name, in declaration order."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record) if f.name != skip}
 
 
 def _csv_cell(value) -> str:
@@ -222,46 +223,36 @@ def _csv_cell(value) -> str:
     return format_float(value)
 
 
-def rows_to_csv(columns: list[str], rows: Iterable[Iterable]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+def _records_to_csv(cls, records) -> str:
+    """The fields of the dataclass cls as header, then one record per line."""
+    lines = [",".join(f.name for f in dataclasses.fields(cls))]
+    lines += [",".join(map(_csv_cell, record_fields(r).values())) for r in records]
     return "\n".join(lines) + "\n"
 
 
 def convergence_report_to_csv(report) -> str:
-    return rows_to_csv(
-        CONVERGENCE_CSV_COLUMNS,
-        ([getattr(r, c) for c in CONVERGENCE_CSV_COLUMNS] for r in report.rows),
-    )
+    return _records_to_csv(ConvergenceRow, report.rows)
 
 
 def convergence_report_to_json(report) -> dict:
     return {
         "kind": "convergence_report",
         "schema_version": 1,
-        "reference_action": report.reference_action,
-        "action_order": report.action_order,
-        "trajectory_order": report.trajectory_order,
+        **record_fields(report, "rows"),
         "all_ok": report.all_ok,
-        "rows": [{c: getattr(r, c) for c in CONVERGENCE_CSV_COLUMNS} for r in report.rows],
+        "rows": [record_fields(r) for r in report.rows],
     }
 
 
 def stationarity_report_to_csv(report) -> str:
-    return rows_to_csv(
-        STATIONARITY_CSV_COLUMNS,
-        ([getattr(lv, c) for c in STATIONARITY_CSV_COLUMNS] for lv in report.levels),
-    )
+    return _records_to_csv(StationarityLevel, report.levels)
 
 
 def stationarity_report_to_json(report) -> dict:
     return {
         "kind": "stationarity_report",
         "schema_version": 1,
-        "fitted_rate": report.fitted_rate,
+        **record_fields(report, "levels"),
         "all_scaling_ok": report.all_scaling_ok,
-        "levels": [
-            {c: getattr(lv, c) for c in STATIONARITY_CSV_COLUMNS} for lv in report.levels
-        ],
+        "levels": [record_fields(lv) for lv in report.levels],
     }

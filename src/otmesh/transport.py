@@ -67,7 +67,9 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class AssignmentPlan:
-    """Permutation matching row i to column perm[i], with its cost totals."""
+    """Permutation matching row i to column perm[i], with its cost totals.
+    Every field is a key of ``transport_result.json``, so in-memory data must
+    not be a field."""
 
     perm: np.ndarray
     total_cost: float
@@ -120,13 +122,9 @@ def cost_matrix(
         x = np.repeat(source.points[first:last], N, axis=0)
         y = np.tile(target.points, (last - first, 1))
         batch = solve_bvp_pairs(model, x, y, grid)
-        failed = np.flatnonzero(~batch.converged)
-        if failed.size:
-            i, j = divmod(int(failed[0]), N)
-            raise SolverError(
-                f"boundary-value solve failed for pair ({first + i}, {j}): "
-                f"{batch.message(failed[0])}"
-            )
+        batch.raise_failure(
+            lambda p: f"boundary-value solve failed for pair ({first + p // N}, {p % N})"
+        )
         costs[first:last] = batch.costs.reshape(last - first, N)
     return costs
 
@@ -204,6 +202,8 @@ class ClosedFormCosts:
         return _finite(costs)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
+        if self.X.shape[1] != 1 or self.Y.shape[1] != 1:
+            raise ValueError("row slices of closed-form costs need 1-D clouds")
         x = self.X[rows, 0, None]
         if len(x) > self._rows.shape[1]:
             self._rows = np.empty((2, len(x), self.shape[1]))

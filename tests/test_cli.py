@@ -213,6 +213,82 @@ def test_cli_reference_flow_csv_is_pinned_bytewise(tmp_path):
     )
 
 
+def uniform_box(low, high):
+    return {"kind": "uniform_box", "low": low, "high": high, "sampler": "iid"}
+
+
+COSINE_2D = {"name": "cosine", "params": {"dim": 2, "amplitude": 2.0}}
+
+# command -> (config, JSON artifact, its schema, the key of its row list or None)
+JSON_ARTIFACT_CASES = {
+    "bvp": (
+        {"model": COSINE_2D, "x": [0.2, -0.1], "y": [1.0, 0.9], "span": [0.0, 0.5],
+         "intervals": 12, "restarts": 3},
+        "bvp_result.json", "bvp_result.schema.json", None,
+    ),
+    "flow": (
+        {"model": {"name": "double_well"}, "flow": "discrete", "x": 0.3, "v": 0.5,
+         "span": [0.0, 1.0], "intervals": 10},
+        "flow_result.json", "flow_result.schema.json", None,
+    ),
+    "transport": (
+        {"model": COSINE_2D, "cost_kind": "bvp",
+         "source_points": [[0.0, 0.1], [0.5, -0.2], [-0.3, 0.4]],
+         "target_points": [[1.0, 0.8], [0.6, 1.1], [0.9, 0.2]],
+         "span": [0.0, 0.5], "intervals": 8},
+        "transport_result.json", "transport_result.schema.json", None,
+    ),
+    "converge": (
+        {"model": COSINE_2D, "marginal_a": uniform_box([-1.0, -1.0], [1.0, 1.0]),
+         "marginal_b": uniform_box([0.0, 0.0], [2.0, 2.0]), "span": [0.0, 0.5],
+         "Ns": [3, 4, 4], "hs": [0.125, 0.0625, 0.03125], "seed": 0},
+        "convergence_summary.json", "convergence_report.schema.json", "rows",
+    ),
+    "stationary": (
+        {"model": {"name": "double_well", "params": {"mass": 1.3}}, "span": [0.0, 0.6],
+         "lines": [{"x": -0.8, "y": 0.9}, {"x": 0.2, "y": -0.3}, {"x": 1.1, "y": 0.7}],
+         "hs": [0.1, 0.05, 0.025]},
+        "stationarity_summary.json", "stationarity_report.schema.json", "levels",
+    ),
+}
+
+
+def run_json_artifact_case(tmp_path, command) -> FsPath:
+    config, artifact, _, _ = JSON_ARTIFACT_CASES[command]
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+    return out / artifact
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("bvp", "93e26e15ccba1b0682cbefb82f25d8fba5ac3915db9a8a87a3d17e6f914adcc8"),
+        ("flow", "4a1f95945e6cf1f411a4955f3a74005b56dd3fba7116eedd116bffa4ff285471"),
+        ("transport", "5c5dbab07b2eed36beafcc454fbb96afe8b89e561685656269d8584376881f16"),
+        ("converge", "5c2fe4a45478b6aa132ff141e8721018bdd51323f41252820b22c072a1acfe21"),
+        ("stationary", "4e1c8f3bd77a2295d17a26f99e9ab33e0eae648c1269706ee02cc956d2bd1841"),
+    ],
+)
+def test_cli_json_artifacts_are_pinned_bytewise(tmp_path, command, digest):
+    # recorded while each payload's keys were still written out by hand
+    assert sha256_of(run_json_artifact_case(tmp_path, command)) == digest
+
+
+@pytest.mark.parametrize("command", list(JSON_ARTIFACT_CASES))
+def test_cli_json_artifact_keys_equal_their_schema_properties(tmp_path, command):
+    # no schema forbids additional properties, so validation alone accepts an
+    # extra or renamed key; the keys and their order must be the schema's
+    _, _, schema_name, row_key = JSON_ARTIFACT_CASES[command]
+    payload = load_and_validate(run_json_artifact_case(tmp_path, command), schema_name)
+    schema = json.loads((SCHEMA_DIR / schema_name).read_text(encoding="utf-8"))
+    assert list(payload) == list(schema["properties"])
+    if row_key is not None:
+        row_keys = list(schema["properties"][row_key]["items"]["properties"])
+        assert payload[row_key]
+        assert all(list(row) == row_keys for row in payload[row_key])
+
+
 # -- transport -------------------------------------------------------------------------
 
 

@@ -687,7 +687,8 @@ def test_stationarity_failure_names_the_level_and_reason():
     with pytest.raises(SolverError) as err:
         run_stationarity_study(harmonic_oscillator(), pi0, hs=(2.0,))
     assert str(err.value) == (
-        "stationarity solve failed at h=2: Newton did not reach the residual tolerance"
+        "stationarity solve failed for path 1 at h=2: "
+        "Newton did not reach the residual tolerance"
     )
 
 

@@ -592,6 +592,17 @@ def test_closed_form_cost_rows_are_the_held_matrix_rows_bitwise(model, span):
         assert rows.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("source_dim, target_dim", [(2, 2), (3, 3), (1, 2), (2, 1)])
+def test_closed_form_cost_rows_need_one_dimensional_clouds(source_dim, target_dim):
+    # a row slice reads coordinate 0 of each point only, so of n-D clouds it
+    # would give costs other than the matrix rows
+    rng = np.random.default_rng(4)
+    source, target = rng.uniform(0.0, 1.0, (4, source_dim)), rng.uniform(0.0, 1.0, (4, target_dim))
+    costs = transport.ClosedFormCosts(free_particle(), PointCloud(source), PointCloud(target), 1.0)
+    with pytest.raises(ValueError, match="row slices of closed-form costs need 1-D clouds"):
+        costs[0:2]
+
+
 def test_bvp_cost_matrix_of_1024_pairs_stays_below_8_mib():
     # one solve_bvp_pairs batch of 1024 2-D pairs over 40 intervals: one
     # Newton band of every pair took 6.1 MiB and the batch peaked at 10.8 MiB;
