@@ -299,10 +299,16 @@ def _el_step(
                 f"(residual {err:.3e})"
             )
         jac = (m / dt_next) * eye + 0.25 * dt_next * _hessian_at(model, mid)
-        if curr.size == 1:
+        if curr.size == 1 and jac[0, 0] != 0.0:
             z = z - resid / jac[0, 0]
-        else:
+            continue
+        try:
             z = z - np.linalg.solve(jac, resid)
+        except np.linalg.LinAlgError:
+            raise NewtonError(
+                f"implicit midpoint step has a singular Jacobian at iteration {it} "
+                f"(residual {err:.3e})"
+            ) from None
     raise AssertionError("unreachable")
 
 

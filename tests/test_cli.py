@@ -1057,11 +1057,29 @@ def test_cli_converge_closed_form_cost_over_a_conjugate_span_gives_error_rows(tm
     assert len(rows) == 2 and all(",error," in row and "is conjugate" in row for row in rows)
 
 
+def test_cli_flow_with_a_singular_newton_jacobian_is_a_solver_error(tmp_path):
+    # the first implicit midpoint step meets (m/dt) I + (dt/4) H = 0 exactly
+    payload = {
+        "model": {"name": "cosine", "params": {"dim": 2, "amplitude": 16.0}},
+        "x": [-0.75, -0.75],
+        "v": [1.0, 1.0],
+        "span": [0.0, 1.0],
+        "h": 0.5,
+        "flow": "discrete",
+    }
+    proc = run_cli_process(tmp_path, "flow", payload)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("solver error:")
+    assert "singular Jacobian at iteration 0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_importing_the_cli_leaves_scipy_stats_unimported():
     # only the gaussian quantile and grid samplers need scipy.stats, and import
-    # it themselves; dgbsv and linear_sum_assignment come from their extension
-    # modules alone, found without running scipy's own __init__; the "%.17g"
-    # kernel builds its tables on first use
+    # it themselves; dgbsv comes from numpy's OpenBLAS by symbol, and
+    # linear_sum_assignment from its extension module alone, found without
+    # running scipy's own __init__; the "%.17g" kernel builds its tables on
+    # first use
     script = (
         "import sys, otmesh.cli, otmesh._csvformat; "
         "print([m in sys.modules for m in "

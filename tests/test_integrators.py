@@ -344,6 +344,16 @@ def test_discrete_flow_whose_tolerance_floor_overflows_raises():
         discrete_flow(HARMONIC, PhasePoint([1e306], [0.0]), grid)
 
 
+def test_discrete_flow_with_a_singular_newton_jacobian_raises():
+    # the first step's start z puts the midpoint at 0 exactly, where the
+    # Jacobian (m/dt) I + (dt/4) H = 2 I - 2 cos(0) I vanishes, in 1-D as in 2-D
+    grid = TimeGrid.uniform(0.0, 1.0, 2)
+    for dim in (1, 2):
+        launch = PhasePoint([-0.75] * dim, [1.0] * dim)
+        with pytest.raises(NewtonError, match="singular Jacobian at iteration 0"):
+            discrete_flow(cosine_potential(amplitude=16.0, dim=dim), launch, grid)
+
+
 # -- stationarity residual ----------------------------------------------------------
 
 
@@ -556,14 +566,68 @@ def test_no_solver_module_imports_scipy_sparse():
     assert imports == []
 
 
-# -- dgbsv loaded from scipy.linalg._flapack alone -----------------------------------------
+# -- dgbsv from numpy's OpenBLAS, against SciPy's f2py dgbsv --------------------------------
 
 
-def test_native_dgbsv_is_scipys_public_dgbsv():
+def band_storage(A, kl, ku):
+    """LAPACK band storage (2 kl + ku + 1, n) of A, whose first kl rows dgbsv fills in."""
+    n = len(A)
+    ab = np.zeros((2 * kl + ku + 1, n))
+    for j in range(n):
+        for i in range(max(0, j - ku), min(n, j + kl + 1)):
+            ab[kl + ku + i - j, j] = A[i, j]
+    return ab
+
+
+def test_native_dgbsv_is_bitwise_scipys_public_dgbsv():
     from scipy.linalg.lapack import dgbsv
 
-    assert _native.dgbsv is dgbsv
-    assert integrators.dgbsv is dgbsv
+    # NaN bands are left out: _band_solve isolates every pair with a
+    # non-finite block or right-hand side before the solve, so dgbsv never
+    # sees one
+    rng = np.random.default_rng(0)
+    singular = 0
+    for n in range(1, 7):
+        for kl in range(n):
+            for ku in range(n):
+                A = np.triu(np.tril(rng.standard_normal((n, n)), ku), -kl)
+                zero_column, zero_row, twin_rows = A.copy(), A.copy(), A.copy()
+                zero_column[:, rng.integers(n)] = 0.0
+                zero_row[rng.integers(n)] = 0.0
+                twin_rows[-1] = twin_rows[0]  # singular where the band holds both rows
+                b = rng.standard_normal((n, 1 + (kl + ku) % 2))
+                for matrix in (A, zero_column, zero_row, twin_rows):
+                    for scale in (1.0, 1e200, 1e-200):
+                        ab = band_storage(matrix * scale, kl, ku)
+                        got = _native.dgbsv(kl, ku, ab, b)
+                        want = dgbsv(kl, ku, ab, b)
+                        assert type(got[3]) is int and got[3] == want[3]
+                        assert np.array_equal(got[1], want[1])  # both 0-based
+                        for lu_or_x in (0, 2):
+                            assert got[lu_or_x].shape == want[lu_or_x].shape
+                            assert got[lu_or_x].tobytes() == want[lu_or_x].tobytes()
+                        singular += want[3] > 0
+    assert singular > 200
+    assert integrators.dgbsv is _native.dgbsv
+
+
+def test_native_dgbsv_factors_in_place_and_checks_shapes_as_scipy_does():
+    from scipy.linalg.lapack import dgbsv
+
+    A = np.diag([4.0, 5.0, 6.0]) + np.diag([1.0, 2.0], 1) + np.diag([3.0, 1.0], -1)
+    b = np.array([1.0, 2.0, 3.0])
+    for solve in (_native.dgbsv, dgbsv):
+        ab = np.asfortranarray(band_storage(A, 1, 1))
+        lub, _, x, info = solve(1, 1, ab, b, overwrite_ab=True)
+        assert lub is ab and info == 0 and x.shape == (3,)
+        assert np.array_equal(b, [1.0, 2.0, 3.0])  # b is copied
+        assert np.allclose(A @ x, b, rtol=0.0, atol=1e-15)
+        for kl, ku, ab, rhs in [
+            (1, 1, band_storage(A, 1, 1)[1:], b),  # a row short of 2 kl + ku + 1
+            (1, 1, band_storage(A, 1, 1), np.ones(4)),  # a row more than A
+        ]:
+            with pytest.raises(ValueError):
+                solve(kl, ku, ab, rhs)
 
 
 def test_native_dgbsv_reports_a_singular_band_as_scipy_does():
@@ -590,8 +654,16 @@ def test_native_extension_loader_raises_import_error_for_a_missing_module():
 
 
 FALLBACK_SCRIPT = """
-import importlib.machinery, sys
-if sys.argv[1] == "fallback":
+import ctypes, importlib.machinery, sys
+import numpy
+
+class NoSymbols(ctypes.CDLL):
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+if sys.argv[1] != "openblas":
+    ctypes.CDLL = NoSymbols  # numpy's scipy_dgbsv_64_ is not found
+if sys.argv[1] == "public":
     importlib.machinery.EXTENSION_SUFFIXES = []  # _extension finds no file
 from otmesh import _native
 public = "scipy.optimize" in sys.modules
@@ -603,8 +675,10 @@ sys.exit(main(sys.argv[2:]))
 """
 
 
-def test_native_falls_back_to_scipys_public_names_with_the_same_artifacts(tmp_path):
-    # a 2-D cosine study: banded Newton steps for the costs, assignment solves
+def test_native_falls_back_to_scipys_dgbsv_with_the_same_artifacts(tmp_path):
+    # a 2-D cosine study: banded Newton steps for the costs, assignment solves;
+    # without numpy's symbol dgbsv comes from SciPy's _flapack file, and
+    # without SciPy's extension files both routines from SciPy's public names
     config = {
         "model": {"name": "cosine"},
         "marginal_a": {"kind": "uniform_box", "low": [0, 0], "high": [0.5, 0.5], "sampler": "iid"},
@@ -618,7 +692,7 @@ def test_native_falls_back_to_scipys_public_names_with_the_same_artifacts(tmp_pa
     cfg.write_text(json.dumps(config), encoding="utf-8")
     src = FilePath(integrators.__file__).parents[1]
     flags = {}
-    for mode in ("extension", "fallback"):
+    for mode in ("openblas", "flapack", "public"):
         proc = subprocess.run(
             [sys.executable, "-c", FALLBACK_SCRIPT, mode, "converge", "--config", str(cfg),
              "--out", str(tmp_path / mode)],
@@ -629,9 +703,45 @@ def test_native_falls_back_to_scipys_public_names_with_the_same_artifacts(tmp_pa
         )
         assert proc.returncode == 0, proc.stderr
         flags[mode] = proc.stdout.splitlines()[0]
-    assert flags == {"extension": "False True True", "fallback": "True True True"}
+    assert flags == {
+        "openblas": "False False True",
+        "flapack": "False True True",
+        "public": "True True True",
+    }
     csv = [(tmp_path / mode / "convergence.csv").read_bytes() for mode in flags]
-    assert csv[0] == csv[1] and b",ok," in csv[0]
+    assert csv[0] == csv[1] == csv[2] and b",ok," in csv[0]
+
+
+MAPS_SCRIPT = """
+import numpy as np
+import otmesh.cli
+from otmesh import TimeGrid, cosine_potential, integrators
+
+rng = np.random.default_rng(0)
+result = integrators.solve_bvp_pairs(
+    cosine_potential(amplitude=2.0, dim=2), rng.uniform(-1.0, 1.0, (16, 2)),
+    rng.uniform(0.0, 2.0, (16, 2)), TimeGrid.uniform(0.0, 0.5, 20),
+)
+with open("/proc/self/maps") as fh:
+    files = {line.split()[-1].rsplit("/", 1)[-1] for line in fh if "/" in line}
+print(bool(result.converged.all()), sorted(name for name in files if "openblas" in name))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_boundary_solves_map_one_openblas():
+    # numpy's ILP64 libscipy_openblas64_ serves dgbsv; SciPy's 32-bit
+    # libscipy_openblas- would be a second, 25-MB copy
+    proc = subprocess.run(
+        [sys.executable, "-c", MAPS_SCRIPT],
+        env={**os.environ, "PYTHONPATH": str(FilePath(integrators.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("True [") and "openblas" in proc.stdout
+    assert "libscipy_openblas-" not in proc.stdout, proc.stdout
 
 
 # -- the one-pair Newton core against a written-out Newton loop ----------------------------
