@@ -341,7 +341,7 @@ def cmd_bvp(args, cfg: dict) -> int:
         "path_csv": path_to_csv(result.path),
     }
     _write(out / "bvp_result.json", dumps_json(payload))
-    _write(out / "bvp_path.csv", path_to_csv(result.path))
+    _write(out / "bvp_path.csv", payload["path_csv"])
     return EXIT_OK if result.converged else EXIT_SOLVER
 
 
@@ -371,7 +371,7 @@ def cmd_flow(args, cfg: dict) -> int:
         "path_csv": path_to_csv(result.path),
     }
     _write(out / "flow_result.json", dumps_json(payload))
-    _write(out / "flow_path.csv", path_to_csv(result.path))
+    _write(out / "flow_path.csv", payload["path_csv"])
     return EXIT_OK
 
 
@@ -388,16 +388,12 @@ def cmd_transport(args, cfg: dict) -> int:
             costs = matrix_from_csv(text)
         except ValueError as exc:
             raise ConfigError(f"cannot load 'costs_csv': {exc}") from None
-        if costs.shape[0] != costs.shape[1]:
-            raise ConfigError(
-                f"'costs_csv' must be a square matrix, got shape {costs.shape}"
-            )
         # its rows are the particles of the O(N^3) assignment solve
         _check_size(costs.shape[0], 0, 1, "'costs_csv'")
-        # min and max are NaN or infinite if any entry is; no N x N temporary
-        if costs.size and not (np.isfinite(costs.min()) and np.isfinite(costs.max())):
-            raise ConfigError("'costs_csv' entries must be finite")
-        plan = solve_assignment(costs)
+        try:
+            plan = solve_assignment(costs)
+        except ValueError as exc:
+            raise ConfigError(f"invalid 'costs_csv': {exc}") from None
     else:
         model = _model_from(cfg)
         grid = _grid_from(cfg)

@@ -229,27 +229,37 @@ def _held(M: np.ndarray):
 
 def solve_assignment(costs: np.ndarray) -> AssignmentPlan:
     """Minimum-total-cost perfect matching of rows to columns, by scipy's
-    ``linear_sum_assignment``.
-
-    Negative entries are allowed (Lagrangian costs can be negative); the
-    matrix is shifted by its minimum before the assignment solve, which does
-    not change the minimizing permutation, and the reported totals are in the
-    original scale.  Ties are broken by the solver's deterministic scan
-    order, so only totals are stable under ties.
+    ``linear_sum_assignment`` on any finite real matrix, uncopied unless its
+    entries span more than the float range.  Ties are broken by the solver's
+    deterministic scan order, so only totals are stable.
     """
+    M = _square(costs)
+    # NaN or infinite if any entry is; no N x N temporary
+    low, high = float(M.min()), float(M.max())
+    if not (np.isfinite(low) and np.isfinite(high)):
+        raise ValueError("cost matrix entries must be finite")
+    # entries spanning more than the float range overflow the solver's
+    # potentials; halving them is exact
+    perm = linear_sum_assignment(M if high - low < np.inf else M / 2)[1]
+    return _plan(perm, M[np.arange(len(M)), perm])  # rows: arange(N)
+
+
+def _square(costs) -> np.ndarray:
     M = np.asarray(costs, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"cost matrix must be square, got shape {M.shape}")
     if not M.size:
         raise ValueError("cost matrix needs at least one row")
-    # min and max are NaN or infinite if any entry is; no N x N temporary
-    if not (np.isfinite(M.min()) and np.isfinite(M.max())):
-        raise ValueError("cost matrix entries must be finite")
-    rows, cols = linear_sum_assignment(M - M.min())
-    perm = np.empty(M.shape[0], dtype=int)
-    perm[rows] = cols
-    total = float(M[np.arange(M.shape[0]), perm].sum())
-    return AssignmentPlan(perm, total, total / M.shape[0])
+    return M
+
+
+def _plan(perm, matched) -> AssignmentPlan:
+    """SolverError if the matched costs, summed in row order, overflow."""
+    with np.errstate(all="ignore"):
+        total = float(matched.sum())
+    if not np.isfinite(total):
+        raise SolverError(f"the matched costs sum to {total}")
+    return AssignmentPlan(perm, total, total / perm.size)
 
 
 def _monotone_plan(x: np.ndarray, y: np.ndarray, costs) -> AssignmentPlan | None:
@@ -275,8 +285,7 @@ def _monotone_plan(x: np.ndarray, y: np.ndarray, costs) -> AssignmentPlan | None
     # N = 1 this is the one entry, which no Monge block has checked
     pairs = np.empty((2, N))
     costs(np.arange(N)[:, None, None], perm[:, None, None], *pairs[:, :, None, None])
-    total = float(pairs[0].sum())
-    return AssignmentPlan(perm, total, total / N)
+    return _plan(perm, pairs[0])
 
 
 def _is_monge(N: int, sorted_rows) -> bool:
@@ -305,20 +314,14 @@ def brute_force_assignment(costs: np.ndarray) -> AssignmentPlan:
 
     Ties are broken toward the lexicographically smallest permutation.
     """
-    M = np.asarray(costs, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"cost matrix must be square, got shape {M.shape}")
-    if not M.size:
-        raise ValueError("cost matrix needs at least one row")
+    M = _square(costs)
     N = M.shape[0]
     if N > _BRUTE_FORCE_MAX:
         raise ValueError(f"brute force limited to N <= {_BRUTE_FORCE_MAX}, got {N}")
     index = np.arange(N)
-    best_perm = None
-    best_total = np.inf
+    best_perm, best_total = tuple(range(N)), np.inf
     for perm in itertools.permutations(range(N)):
         total = float(M[index, perm].sum())
         if total < best_total:
-            best_total = total
-            best_perm = perm
-    return AssignmentPlan(np.array(best_perm), best_total, best_total / N)
+            best_perm, best_total = perm, total
+    return _plan(np.array(best_perm), M[index, best_perm])

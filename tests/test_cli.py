@@ -168,6 +168,26 @@ def test_cli_flow_free_particle(tmp_path):
     assert csv_lines(out / "flow_path.csv")[0] == "t,x_1"
 
 
+@pytest.mark.parametrize("command, end", [("bvp", "y"), ("flow", "v")])
+def test_cli_formats_the_path_csv_once(tmp_path, monkeypatch, command, end):
+    calls = []
+
+    def counting_path_to_csv(path):
+        calls.append(path)
+        return serialize.path_to_csv(path)
+
+    monkeypatch.setattr(cli, "path_to_csv", counting_path_to_csv)
+    cfg = write_config(
+        tmp_path,
+        {"model": {"name": "free_particle"}, "x": 0.0, end: 1.0, "span": [0.0, 1.0], "intervals": 4},
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    payload = json.loads((out / f"{command}_result.json").read_text(encoding="utf-8"))
+    assert payload["path_csv"].encode() == (out / f"{command}_path.csv").read_bytes()
+
+
 def test_cli_discrete_flow_with_an_infinite_force_is_a_solver_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -304,6 +324,69 @@ def test_cli_transport_from_csv(tmp_path):
     assert payload["perm"] == [0, 1]
     assert payload["total_cost"] == pytest.approx(2.0)
     assert csv_lines(out / "cost_matrix.csv")[0] == "c_1,c_2"
+
+
+def test_cli_transport_from_csv_spanning_the_float_range(tmp_path, capsys):
+    # shifted by its least entry, this matrix would be infeasible
+    matrix = tmp_path / "costs.csv"
+    matrix.write_text("c_1,c_2\n-1e308,1e308\n1e308,1e308\n", encoding="utf-8")
+    cfg = write_config(tmp_path, {"costs_csv": str(matrix)})
+    out = tmp_path / "out"
+    assert main(["transport", "--config", cfg, "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    payload = load_and_validate(
+        out / "transport_result.json", "transport_result.schema.json"
+    )
+    assert payload["perm"] == [0, 1] and payload["total_cost"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "config, total",
+    [
+        ({"costs_csv": "c_1,c_2\n-1e308,1e308\n1e308,-1e308\n"}, "-inf"),
+        (
+            {
+                "model": {"name": "free_particle"},
+                "cost_kind": "closed_form",
+                "span": [0.0, 1.0],
+                "intervals": 1,
+                "source_points": [0.0, 0.0, 0.0],
+                # each cost is 1.3e154^2 / 2 = 8.45e307
+                "target_points": [1.3e154, 1.3e154, 1.3e154],
+            },
+            "inf",
+        ),
+    ],
+    ids=["assignment", "monotone"],
+)
+def test_cli_transport_total_that_overflows_is_a_solver_error(tmp_path, capsys, config, total):
+    if "costs_csv" in config:
+        matrix = tmp_path / "costs.csv"
+        matrix.write_text(config["costs_csv"], encoding="utf-8")
+        config = {"costs_csv": str(matrix)}
+    cfg = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["transport", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"solver error: the matched costs sum to {total}\n"
+    assert not (out / "transport_result.json").exists()
+
+
+def test_cli_study_level_whose_total_overflows_is_an_error_row(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {"name": "free_particle"},
+            "marginal_a": {"kind": "custom_points", "points": [0.0] * 3},
+            "marginal_b": {"kind": "custom_points", "points": [1.3e154] * 3},
+            "span": [0.0, 1.0],
+            "Ns": [3],
+            "hs": [1.0],
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 3
+    row = csv_lines(out / "convergence.csv")[1]
+    assert row.endswith(",error,the matched costs sum to inf")
 
 
 @pytest.mark.parametrize(

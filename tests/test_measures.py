@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from otmesh import (
+    DimensionMismatchError,
     EmpiricalPathMeasure,
     Path,
     PhasePoint,
@@ -127,6 +128,14 @@ def test_bl_bound_requires_equal_sizes():
             line_measure(grid, [(0.0, 1.0)]),
             line_measure(grid, [(0.0, 1.0), (1.0, 2.0)]),
         )
+
+
+def test_bl_bound_rejects_measures_of_different_dimension():
+    rng = np.random.default_rng(9)
+    grid = TimeGrid.uniform(0, 1, 4)
+    p, q = random_measure(rng, grid, 3, 1), random_measure(rng, grid, 3, 2)
+    with pytest.raises(DimensionMismatchError, match="^measures have different space dimensions$"):
+        bl_distance_bound(p, q)
 
 
 def test_bl_bound_is_bounded_by_cutoff_and_metric_on_samples():
@@ -437,6 +446,13 @@ def test_every_construction_gives_the_per_path_oracle_values(grids, dim):
         ).average_cost
         for m, _ in cases[:2]:
             assert bl_distance_bound(m, q_f) == want_bound
+
+
+@pytest.mark.parametrize("factor", [0, -1])
+def test_replicate_rejects_a_factor_below_one(factor):
+    m = line_measure(TimeGrid.uniform(0, 1, 2), [(0.0, 1.0)])
+    with pytest.raises(ValueError, match="^replication factor must be >= 1$"):
+        m.replicate(factor)
 
 
 def test_replicate_shares_read_only_node_arrays():

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
@@ -25,7 +26,7 @@ from otmesh import _native, integrators, transport
 from otmesh.measures import EmpiricalPathMeasure, bl_distance_bound
 from otmesh.paths import Path
 from otmesh.integrators import solve_bvp_pairs
-from otmesh.transport import solve_transport
+from otmesh.transport import AssignmentPlan, solve_transport
 
 
 # -- cost matrices -------------------------------------------------------------
@@ -296,6 +297,108 @@ def test_row_permutation_permutes_the_assignment():
     row_perm = rng.permutation(6)
     permuted = solve_assignment(costs[row_perm])
     assert permuted.total_cost == pytest.approx(base.total_cost, abs=1e-12)
+
+
+def assert_solves_as_brute_force(costs):
+    """The LAP's total is brute force's, and so is its permutation unless
+    the least total is tied; every total is summed in row order."""
+    index = np.arange(len(costs))
+    with np.errstate(over="ignore"):
+        slow = brute_force_assignment(costs)
+        totals = sorted(costs[index, p].sum() for p in itertools.permutations(index))
+    fast = solve_assignment(costs)
+    assert fast.total_cost == slow.total_cost
+    if totals[:1] != totals[1:2]:
+        assert fast.perm.tolist() == slow.perm.tolist()
+
+
+@pytest.mark.parametrize("N", range(1, 8))
+def test_assignment_of_negative_matrices_is_brute_force(N):
+    rng = np.random.default_rng(200 + N)
+    for _ in range(20):
+        assert_solves_as_brute_force(rng.uniform(-10.0, -1.0, (N, N)))
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_assignment_of_matrices_spanning_the_float_range_is_brute_force(N):
+    # these entries span more than the float range: shifted by the least
+    # entry some would be infinite, and unhalved they overflow the LAP's
+    # potentials
+    rng = np.random.default_rng(300 + N)
+    solved = 0
+    for _ in range(20):
+        # rows offset alternately by +1e308 and -1e308, so every row-order
+        # total is finite
+        offsets = 1e308 * (-1.0) ** np.arange(N)[:, None]
+        costs = rng.uniform(-1e306, 1e306, (N, N)) + offsets
+        assert float(costs.max()) - float(costs.min()) == np.inf
+        assert_solves_as_brute_force(costs)
+        # entries within +-1e307, a third of them 1e308 and one -1e308; the
+        # least total overflows for some of them, which brute force reports
+        costs = rng.uniform(-1e307, 1e307, (N, N))
+        costs[rng.random((N, N)) < 1 / 3] = 1e308
+        costs.flat[rng.choice(N * N, 2, replace=False)] = -1e308, 1e308
+        try:
+            with np.errstate(over="ignore"):
+                brute_force_assignment(costs)
+        except SolverError:
+            continue
+        assert_solves_as_brute_force(costs)
+        solved += 1
+    assert solved >= 10
+
+
+def test_assignment_of_the_full_float_range_needs_no_shift():
+    # shifted by its least entry, this matrix would be infeasible: every
+    # permutation would meet an entry of 1e308 + 1e308 = inf
+    plan = solve_assignment(np.array([[-1e308, 1e308], [1e308, 1e308]]))
+    assert plan.perm.tolist() == [0, 1] and plan.total_cost == 0.0
+
+
+def test_assignment_solve_holds_no_copy_of_its_matrix():
+    N = 1024
+    costs = np.random.default_rng(0).uniform(-1.0, 1.0, (N, N))
+    tracemalloc.start()
+    try:
+        plan = solve_assignment(costs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the perm and the matched costs; a copy of costs is 8 MB
+    assert peak < 2**20
+    assert plan.total_cost == costs[np.arange(N), plan.perm].sum()
+
+
+@pytest.mark.parametrize("solve", [solve_assignment, brute_force_assignment])
+@pytest.mark.parametrize(
+    "costs, total",
+    [([[-1e308, 1e308], [1e308, -1e308]], "-inf"), ([[1e308, 1e308], [1e308, 1e308]], "inf")],
+)
+def test_a_matched_total_that_overflows_is_a_solver_error(solve, costs, total):
+    with np.errstate(over="ignore"):  # brute force sums every permutation
+        with pytest.raises(SolverError, match=f"^the matched costs sum to {total}$"):
+            solve(np.array(costs))
+
+
+def test_a_monotone_plan_whose_total_overflows_is_a_solver_error():
+    # each cost is 1.3e154^2 / 2 = 8.45e307, and three of them overflow
+    source, target = PointCloud([0.0] * 3), PointCloud([1.3e154] * 3)
+    grid = TimeGrid.uniform(0.0, 1.0, 1)
+    with counting_lap() as calls:
+        with pytest.raises(SolverError, match="^the matched costs sum to inf$"):
+            solve_transport(free_particle(), source, target, grid, "closed_form")
+    assert calls == []
+
+
+def test_brute_force_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match=r"^cost matrix must be square, got shape \(2, 3\)$"):
+        brute_force_assignment(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("perm", [[0, 0], [1, 2], [-1, 0]])
+def test_assignment_plan_rejects_a_perm_that_is_not_a_permutation(perm):
+    with pytest.raises(ValueError, match=r"^perm is not a permutation of 0\.\.N-1$"):
+        AssignmentPlan(np.array(perm), 0.0, 0.0)
 
 
 def test_one_dimensional_quadratic_cost_is_monotone():
